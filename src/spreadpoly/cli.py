@@ -129,7 +129,10 @@ def _cmd_gen(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         parser.error(f"family {args.family} has a single construction; drop --method")
     if args.format == "csv":
         parser.error("csv output is only available for the triangle subcommand")
-    poly = builder(args.n, args.method)
+    try:
+        poly = builder(args.n, args.method)
+    except ValueError as exc:  # an index the construction does not cover
+        parser.error(str(exc))
     if args.format == "json":
         print(_dump({"family": args.family, "n": args.n, "terms": _terms_json(poly)}))
     else:
@@ -207,16 +210,9 @@ def _collect(name: str, detail: str, results: Iterable[CheckResult]) -> SuiteRep
     )
 
 
-def _suite_cassini(max_n: int) -> SuiteReport:
-    return _collect(
-        "cassini", f"n=1..{max_n}", (check_cassini(n) for n in range(1, max_n + 1))
-    )
-
-
-def _suite_z_cassini(max_n: int) -> SuiteReport:
-    return _collect(
-        "z_cassini", f"n=1..{max_n}", (check_z_cassini(n) for n in range(1, max_n + 1))
-    )
+def _suite_each_n(name: str, check: Callable[[int], CheckResult], max_n: int) -> SuiteReport:
+    """The suites that run one check per n = 1..max_n."""
+    return _collect(name, f"n=1..{max_n}", (check(n) for n in range(1, max_n + 1)))
 
 
 def _suite_lucas_binomial(max_n: int) -> SuiteReport:
@@ -228,18 +224,6 @@ def _suite_lucas_binomial(max_n: int) -> SuiteReport:
             for n in range(max_n + 1)
             for parity in ("even", "odd")
         ),
-    )
-
-
-def _suite_z_binomial(max_n: int) -> SuiteReport:
-    return _collect(
-        "z_binomial", f"n=1..{max_n}", (check_z_binomial(n) for n in range(1, max_n + 1))
-    )
-
-
-def _suite_symmetry(max_n: int) -> SuiteReport:
-    return _collect(
-        "symmetry", f"n=1..{max_n}", (check_symmetry(n) for n in range(1, max_n + 1))
     )
 
 
@@ -270,18 +254,6 @@ def _suite_trig(max_n: int) -> SuiteReport:
         "trig",
         f"n=1..{cap} (float check capped at {_TRIG_MAX_N}), 100 samples, tol 1e-9",
         (check_trig(n, num_samples=100, tol=1e-9) for n in range(1, cap + 1)),
-    )
-
-
-def _suite_chebyshev(max_n: int) -> SuiteReport:
-    return _collect(
-        "chebyshev", f"n=1..{max_n}", (check_chebyshev_bala(n) for n in range(1, max_n + 1))
-    )
-
-
-def _suite_doubling(max_n: int) -> SuiteReport:
-    return _collect(
-        "doubling", f"n=1..{max_n}", (check_l_doubling(n) for n in range(1, max_n + 1))
     )
 
 
@@ -397,16 +369,18 @@ def _suite_gf(max_n: int) -> SuiteReport:
     return _collect("gf", f"series coefficients 0..{max_n}", run())
 
 
+# The per-n suites name their check inside a lambda, so the check is looked
+# up in this module when the suite runs and a patched check_* takes effect.
 _SUITES: dict[str, Callable[[int], SuiteReport]] = {
-    "cassini": _suite_cassini,
-    "z_cassini": _suite_z_cassini,
+    "cassini": lambda max_n: _suite_each_n("cassini", check_cassini, max_n),
+    "z_cassini": lambda max_n: _suite_each_n("z_cassini", check_z_cassini, max_n),
     "lucas_binomial": _suite_lucas_binomial,
-    "z_binomial": _suite_z_binomial,
-    "symmetry": _suite_symmetry,
+    "z_binomial": lambda max_n: _suite_each_n("z_binomial", check_z_binomial, max_n),
+    "symmetry": lambda max_n: _suite_each_n("symmetry", check_symmetry, max_n),
     "coefficients": _suite_coefficients,
     "trig": _suite_trig,
-    "chebyshev": _suite_chebyshev,
-    "doubling": _suite_doubling,
+    "chebyshev": lambda max_n: _suite_each_n("chebyshev", check_chebyshev_bala, max_n),
+    "doubling": lambda max_n: _suite_each_n("doubling", check_l_doubling, max_n),
     "cross_method": _suite_cross_method,
     "binet": _suite_binet,
     "gf": _suite_gf,

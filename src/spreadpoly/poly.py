@@ -9,12 +9,18 @@ Polynomials are immutable value objects.  Canonical form stores no zero
 coefficients, and iteration/rendering order is fixed (descending degree in x,
 then descending degree in s), so equal polynomials always render to the same
 string.
+
+``BiPoly`` and ``UniPoly`` share one sparse ring implementation that keys
+terms by ``(deg_x, deg_s)``; a ``UniPoly`` stores its terms as ``(k, 0)``.
+Only the public constructors validate their input.  Operation results are
+canonical by construction and skip those checks.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, TypeVar, Union
 
 __all__ = [
     "Rat",
@@ -25,6 +31,8 @@ __all__ = [
 ]
 
 Rat = Union[int, Fraction]
+Key = tuple[int, int]
+P = TypeVar("P", bound="_SparsePoly")
 
 
 class OddDegreeError(ValueError):
@@ -61,6 +69,16 @@ def _exponent(e: object) -> int:
     raise ValueError(f"exponent must be a nonnegative integer, got {e!r}")
 
 
+def _canonical(terms: Mapping[Key, object]) -> dict[Key, Rat]:
+    """Validate raw ``{(deg_x, deg_s): c}`` input and drop zero coefficients."""
+    data: dict[Key, Rat] = {}
+    for (dx, ds), raw in terms.items():
+        c = _coeff(raw)
+        if c:
+            data[(_exponent(dx), _exponent(ds))] = c
+    return data
+
+
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant for doubles
 
 
@@ -81,79 +99,54 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
     return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
 
 
-def _term_text(mag: Rat, vars_part: list[str]) -> str:
-    parts = [str(mag)] if (mag != 1 or not vars_part) else []
-    parts.extend(vars_part)
-    return "*".join(parts)
-
-
-def _join_terms(rendered: list[tuple[bool, str]], truncated: int) -> str:
-    out: list[str] = []
-    for i, (negative, body) in enumerate(rendered):
-        if i == 0:
-            out.append(f"-{body}" if negative else body)
-        else:
-            out.append(f"- {body}" if negative else f"+ {body}")
-    if truncated:
-        out.append(f"+ ... ({truncated} more terms)")
-    return " ".join(out)
-
-
-class BiPoly:
-    """A sparse polynomial in the commuting variables x and s.
+class _SparsePoly:
+    """The ring shared by BiPoly and UniPoly.
 
     Terms live in a map ``{(deg_x, deg_s): coefficient}``; zero coefficients
-    are never stored, so the zero polynomial is the empty map.  All operations
+    are never stored, so the zero polynomial is the empty map.  Operations
+    accept only operands of the same class (or exact rational scalars) and
     return new instances in canonical form.
     """
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Mapping[tuple[int, int], Rat] | None = None) -> None:
-        data: dict[tuple[int, int], Rat] = {}
-        if terms:
-            for (dx, ds), raw in terms.items():
-                c = _coeff(raw)
-                if c:
-                    data[(_exponent(dx), _exponent(ds))] = c
-        self._terms = data
-        self._hash: int | None = None
+    @classmethod
+    def _trusted(cls: type[P], terms: Mapping[Key, Rat]) -> P:
+        """Wrap the terms an operation built, without validating them.
+
+        The keys must already be valid exponent pairs and the values exact
+        rationals.  Zero coefficients are dropped and integral Fractions,
+        which rational arithmetic produces, become ints, so every result is
+        canonical.
+        """
+        poly = object.__new__(cls)
+        poly._terms = {
+            key: c if type(c) is int or c.denominator != 1 else c.numerator
+            for key, c in terms.items()
+            if c
+        }
+        poly._hash = None
+        return poly
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> BiPoly:
-        return cls()
+    def zero(cls: type[P]) -> P:
+        return cls._trusted({})
 
     @classmethod
-    def one(cls) -> BiPoly:
-        return cls({(0, 0): 1})
+    def one(cls: type[P]) -> P:
+        return cls._trusted({(0, 0): 1})
 
     @classmethod
-    def x(cls) -> BiPoly:
-        return cls({(1, 0): 1})
+    def x(cls: type[P]) -> P:
+        return cls._trusted({(1, 0): 1})
 
     @classmethod
-    def s(cls) -> BiPoly:
-        return cls({(0, 1): 1})
-
-    @classmethod
-    def constant(cls, c: Rat) -> BiPoly:
-        return cls({(0, 0): c})
-
-    @classmethod
-    def monomial(cls, c: Rat, deg_x: int, deg_s: int) -> BiPoly:
-        return cls({(deg_x, deg_s): c})
+    def constant(cls: type[P], c: Rat) -> P:
+        return cls._trusted({(0, 0): _coeff(c)})
 
     # -- inspection --------------------------------------------------------
-
-    def terms(self) -> Iterator[tuple[tuple[int, int], Rat]]:
-        """Yield ((deg_x, deg_s), coefficient) in canonical order."""
-        for key in sorted(self._terms, key=lambda k: (-k[0], -k[1])):
-            yield key, self._terms[key]
-
-    def coefficient(self, deg_x: int, deg_s: int) -> Rat:
-        return self._terms.get((deg_x, deg_s), 0)
 
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
@@ -167,150 +160,67 @@ class BiPoly:
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other: BiPoly | Rat) -> BiPoly:
+    def _combine(self: P, other: P | Rat, op: Callable[[Rat, Rat], Rat]) -> P:
         if isinstance(other, (int, Fraction)):
-            other = BiPoly.constant(other)
-        if not isinstance(other, BiPoly):
+            other = self.constant(other)
+        elif not isinstance(other, type(self)):
             return NotImplemented
         acc = dict(self._terms)
         for key, c in other._terms.items():
-            v = acc.get(key, 0) + c
-            if v:
-                acc[key] = v
-            else:
-                acc.pop(key, None)
-        return BiPoly(acc)
+            acc[key] = op(acc.get(key, 0), c)
+        return self._trusted(acc)
+
+    def __add__(self: P, other: P | Rat) -> P:
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
-    def __sub__(self, other: BiPoly | Rat) -> BiPoly:
-        if isinstance(other, (int, Fraction)):
-            other = BiPoly.constant(other)
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        acc = dict(self._terms)
-        for key, c in other._terms.items():
-            v = acc.get(key, 0) - c
-            if v:
-                acc[key] = v
-            else:
-                acc.pop(key, None)
-        return BiPoly(acc)
+    def __sub__(self: P, other: P | Rat) -> P:
+        return self._combine(other, operator.sub)
 
-    def __rsub__(self, other: Rat) -> BiPoly:
+    def __rsub__(self: P, other: Rat) -> P:
         return (-self) + other
 
-    def __neg__(self) -> BiPoly:
-        return BiPoly({key: -c for key, c in self._terms.items()})
+    def __neg__(self: P) -> P:
+        return self._trusted({key: -c for key, c in self._terms.items()})
 
-    def __mul__(self, other: BiPoly | Rat) -> BiPoly:
+    def __mul__(self: P, other: P | Rat) -> P:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if not isinstance(other, BiPoly):
+        if not isinstance(other, type(self)):
             return NotImplemented
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        acc: dict[tuple[int, int], Rat] = {}
+        acc: dict[Key, Rat] = {}
         for (ax, asdeg), ac in a.items():
             for (bx, bs), bc in b.items():
                 key = (ax + bx, asdeg + bs)
-                v = acc.get(key, 0) + ac * bc
-                if v:
-                    acc[key] = v
-                else:
-                    acc.pop(key, None)
-        return BiPoly(acc)
+                acc[key] = acc.get(key, 0) + ac * bc
+        return self._trusted(acc)
 
     __rmul__ = __mul__
 
-    def scale(self, c: Rat) -> BiPoly:
+    def scale(self: P, c: Rat) -> P:
         c = _coeff(c)
-        if not c:
-            return BiPoly()
-        return BiPoly({key: v * c for key, v in self._terms.items()})
+        return self._trusted({key: v * c for key, v in self._terms.items()})
 
-    def __pow__(self, k: int) -> BiPoly:
+    def __pow__(self: P, k: int) -> P:
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
-        result = BiPoly.one()
+        result = self.one()
         for _ in range(k):
             result = result * self
         return result
 
-    # -- evaluation and substitution ----------------------------------------
-
-    def evaluate(self, x0: Rat, s0: Rat) -> Fraction:
-        """Exact value of the polynomial at the rational point (x0, s0)."""
-        x0 = _coeff(x0)
-        s0 = _coeff(s0)
-        total: Rat = 0
-        for (dx, ds), c in self._terms.items():
-            total += c * x0**dx * s0**ds
-        return Fraction(total)
-
-    def substitute_s(self, s0: Rat) -> UniPoly:
-        """Specialize s to a rational, leaving a polynomial in x alone."""
-        s0 = _coeff(s0)
-        acc: dict[int, Rat] = {}
-        for (dx, ds), c in self._terms.items():
-            v = acc.get(dx, 0) + c * s0**ds
-            if v:
-                acc[dx] = v
-            else:
-                acc.pop(dx, None)
-        return UniPoly(acc)
-
-    def even_substitute(self, q: BiPoly) -> BiPoly:
-        """Replace each factor x^(2k) by q^k; degrees in s pass through.
-
-        Every term must have even degree in x, otherwise OddDegreeError is
-        raised: the substitution stands in for x -> sqrt(q), which only
-        lands back in the ring when the polynomial is even in x.
-        """
-        if not isinstance(q, BiPoly):
-            raise TypeError("substitution target must be a BiPoly")
-        if not self._terms:
-            return BiPoly()
-        half_degrees = []
-        for dx, _ in self._terms:
-            if dx % 2:
-                raise OddDegreeError(
-                    f"term with x-degree {dx} is odd; polynomial is not even in x"
-                )
-            half_degrees.append(dx // 2)
-        # q^k by repeated multiplication, built once per power needed.
-        powers = [BiPoly.one()]
-        for _ in range(max(half_degrees)):
-            powers.append(powers[-1] * q)
-        acc: dict[tuple[int, int], Rat] = {}
-        for (dx, ds), c in self._terms.items():
-            for (qx, qs), qc in powers[dx // 2]._terms.items():
-                key = (qx, qs + ds)
-                v = acc.get(key, 0) + c * qc
-                if v:
-                    acc[key] = v
-                else:
-                    acc.pop(key, None)
-        return BiPoly(acc)
-
-    def weighted_degree(self, w_x: int, w_s: int) -> tuple[int, bool]:
-        """Max term weight under weights (w_x, w_s), and whether all terms share it."""
-        if not (isinstance(w_x, int) and w_x >= 1 and isinstance(w_s, int) and w_s >= 1):
-            raise ValueError("weights must be positive integers")
-        if not self._terms:
-            raise ZeroPolynomialError("the zero polynomial has no degree")
-        weights = {w_x * dx + w_s * ds for dx, ds in self._terms}
-        return max(weights), len(weights) == 1
-
     # -- comparison and rendering --------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, BiPoly):
-            return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == BiPoly.constant(other)._terms
-        return NotImplemented
+            other = self.constant(other)
+        elif not isinstance(other, type(self)):
+            return NotImplemented
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -326,62 +236,159 @@ class BiPoly:
         """
         if not self._terms:
             return "0"
-        entries = list(self.terms())
+        keys = sorted(self._terms, reverse=True)
         truncated = 0
-        if max_terms is not None and len(entries) > max_terms:
-            truncated = len(entries) - max_terms
-            entries = entries[:max_terms]
-        rendered = []
-        for (dx, ds), c in entries:
-            negative = c < 0
-            mag = -c if negative else c
-            vars_part = []
+        if max_terms is not None and len(keys) > max_terms:
+            truncated = len(keys) - max_terms
+            keys = keys[:max_terms]
+        out: list[str] = []
+        for dx, ds in keys:
+            c = self._terms[dx, ds]
+            parts = []
             if ds > 0:
-                vars_part.append("s" if ds == 1 else f"s^{ds}")
+                parts.append("s" if ds == 1 else f"s^{ds}")
             if dx > 0:
-                vars_part.append("x" if dx == 1 else f"x^{dx}")
-            rendered.append((negative, _term_text(mag, vars_part)))
-        return _join_terms(rendered, truncated)
+                parts.append("x" if dx == 1 else f"x^{dx}")
+            mag = abs(c)
+            if mag != 1 or not parts:
+                parts.insert(0, str(mag))
+            body = "*".join(parts)
+            if out:
+                out.append(f"- {body}" if c < 0 else f"+ {body}")
+            else:
+                out.append(f"-{body}" if c < 0 else body)
+        if truncated:
+            out.append(f"+ ... ({truncated} more terms)")
+        return " ".join(out)
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
-        return f"BiPoly({self.render(max_terms=12)})"
+        return f"{type(self).__name__}({self.render(max_terms=12)})"
 
 
-class UniPoly:
-    """A sparse polynomial in the single variable x over the rationals."""
+class BiPoly(_SparsePoly):
+    """A sparse polynomial in the commuting variables x and s.
 
-    __slots__ = ("_coeffs", "_hash")
+    Terms live in a map ``{(deg_x, deg_s): coefficient}``; zero coefficients
+    are never stored, so the zero polynomial is the empty map.  All operations
+    return new instances in canonical form.
+    """
 
-    def __init__(self, coeffs: Mapping[int, Rat] | None = None) -> None:
-        data: dict[int, Rat] = {}
-        if coeffs:
-            for k, raw in coeffs.items():
-                c = _coeff(raw)
-                if c:
-                    data[_exponent(k)] = c
-        self._coeffs = data
-        self._hash: int | None = None
+    __slots__ = ()
+
+    def __init__(self, terms: Mapping[Key, Rat] | None = None) -> None:
+        self._terms = _canonical(terms) if terms else {}
+        self._hash = None
+
+    # The shared operators, bound in this class's own namespace so that
+    # per-class instrumentation (perfbench/tracer.py) finds each of them here.
+    __add__ = __radd__ = _SparsePoly.__add__
+    __sub__ = _SparsePoly.__sub__
+    __rsub__ = _SparsePoly.__rsub__
+    __neg__ = _SparsePoly.__neg__
+    __mul__ = __rmul__ = _SparsePoly.__mul__
+    render = _SparsePoly.render
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> UniPoly:
-        return cls()
+    def s(cls) -> BiPoly:
+        return cls._trusted({(0, 1): 1})
 
     @classmethod
-    def one(cls) -> UniPoly:
-        return cls({0: 1})
+    def monomial(cls, c: Rat, deg_x: int, deg_s: int) -> BiPoly:
+        return cls({(deg_x, deg_s): c})
 
-    @classmethod
-    def x(cls) -> UniPoly:
-        return cls({1: 1})
+    # -- inspection --------------------------------------------------------
 
-    @classmethod
-    def constant(cls, c: Rat) -> UniPoly:
-        return cls({0: c})
+    def terms(self) -> Iterator[tuple[Key, Rat]]:
+        """Yield ((deg_x, deg_s), coefficient) in canonical order."""
+        for key in sorted(self._terms, reverse=True):
+            yield key, self._terms[key]
+
+    def coefficient(self, deg_x: int, deg_s: int) -> Rat:
+        return self._terms.get((deg_x, deg_s), 0)
+
+    # -- evaluation and substitution ----------------------------------------
+
+    def evaluate(self, x0: Rat, s0: Rat) -> Fraction:
+        """Exact value of the polynomial at the rational point (x0, s0)."""
+        x0 = _coeff(x0)
+        s0 = _coeff(s0)
+        total: Rat = 0
+        for (dx, ds), c in self._terms.items():
+            total += c * x0**dx * s0**ds
+        return Fraction(total)
+
+    def substitute_s(self, s0: Rat) -> UniPoly:
+        """Specialize s to a rational, leaving a polynomial in x alone."""
+        s0 = _coeff(s0)
+        acc: dict[Key, Rat] = {}
+        for (dx, ds), c in self._terms.items():
+            key = (dx, 0)
+            acc[key] = acc.get(key, 0) + c * s0**ds
+        return UniPoly._trusted(acc)
+
+    def even_substitute(self, q: BiPoly) -> BiPoly:
+        """Replace each factor x^(2k) by q^k; degrees in s pass through.
+
+        Every term must have even degree in x, otherwise OddDegreeError is
+        raised: the substitution stands in for x -> sqrt(q), which only
+        lands back in the ring when the polynomial is even in x.
+        """
+        if not isinstance(q, BiPoly):
+            raise TypeError("substitution target must be a BiPoly")
+        if not self._terms:
+            return BiPoly.zero()
+        half_degrees = []
+        for dx, _ in self._terms:
+            if dx % 2:
+                raise OddDegreeError(
+                    f"term with x-degree {dx} is odd; polynomial is not even in x"
+                )
+            half_degrees.append(dx // 2)
+        # q^k by repeated multiplication, built once per power needed.
+        powers = [BiPoly.one()]
+        for _ in range(max(half_degrees)):
+            powers.append(powers[-1] * q)
+        acc: dict[Key, Rat] = {}
+        for (dx, ds), c in self._terms.items():
+            for (qx, qs), qc in powers[dx // 2]._terms.items():
+                key = (qx, qs + ds)
+                acc[key] = acc.get(key, 0) + c * qc
+        return BiPoly._trusted(acc)
+
+    def weighted_degree(self, w_x: int, w_s: int) -> tuple[int, bool]:
+        """Max term weight under weights (w_x, w_s), and whether all terms share it."""
+        if not (isinstance(w_x, int) and w_x >= 1 and isinstance(w_s, int) and w_s >= 1):
+            raise ValueError("weights must be positive integers")
+        if not self._terms:
+            raise ZeroPolynomialError("the zero polynomial has no degree")
+        weights = {w_x * dx + w_s * ds for dx, ds in self._terms}
+        return max(weights), len(weights) == 1
+
+
+class UniPoly(_SparsePoly):
+    """A sparse polynomial in the single variable x over the rationals."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs: Mapping[int, Rat] | None = None) -> None:
+        self._terms = _canonical({(k, 0): c for k, c in coeffs.items()}) if coeffs else {}
+        self._hash = None
+
+    # The shared operators, bound in this class's own namespace so that
+    # per-class instrumentation (perfbench/tracer.py) finds each of them here.
+    __add__ = __radd__ = _SparsePoly.__add__
+    __sub__ = _SparsePoly.__sub__
+    __rsub__ = _SparsePoly.__rsub__
+    __neg__ = _SparsePoly.__neg__
+    __mul__ = __rmul__ = _SparsePoly.__mul__
+    render = _SparsePoly.render
+
+    # -- constructors ------------------------------------------------------
 
     @classmethod
     def monomial(cls, c: Rat, degree: int) -> UniPoly:
@@ -391,95 +398,23 @@ class UniPoly:
 
     def terms(self) -> Iterator[tuple[int, Rat]]:
         """Yield (degree, coefficient) in descending degree order."""
-        for k in sorted(self._coeffs, reverse=True):
-            yield k, self._coeffs[k]
+        for key in sorted(self._terms, reverse=True):
+            yield key[0], self._terms[key]
 
     def coefficient(self, degree: int) -> Rat:
-        return self._coeffs.get(degree, 0)
+        return self._terms.get((degree, 0), 0)
 
     def degree(self) -> int:
-        if not self._coeffs:
+        if not self._terms:
             raise ZeroPolynomialError("the zero polynomial has no degree")
-        return max(self._coeffs)
-
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self._coeffs.values())
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other: UniPoly | Rat) -> UniPoly:
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly.constant(other)
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        acc = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            v = acc.get(k, 0) + c
-            if v:
-                acc[k] = v
-            else:
-                acc.pop(k, None)
-        return UniPoly(acc)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: UniPoly | Rat) -> UniPoly:
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly.constant(other)
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: Rat) -> UniPoly:
-        return (-self) + other
-
-    def __neg__(self) -> UniPoly:
-        return UniPoly({k: -c for k, c in self._coeffs.items()})
-
-    def __mul__(self, other: UniPoly | Rat) -> UniPoly:
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        acc: dict[int, Rat] = {}
-        for ka, ca in self._coeffs.items():
-            for kb, cb in other._coeffs.items():
-                key = ka + kb
-                v = acc.get(key, 0) + ca * cb
-                if v:
-                    acc[key] = v
-                else:
-                    acc.pop(key, None)
-        return UniPoly(acc)
-
-    __rmul__ = __mul__
-
-    def scale(self, c: Rat) -> UniPoly:
-        c = _coeff(c)
-        if not c:
-            return UniPoly()
-        return UniPoly({k: v * c for k, v in self._coeffs.items()})
-
-    def __pow__(self, k: int) -> UniPoly:
-        if not isinstance(k, int) or k < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
-        result = UniPoly.one()
-        for _ in range(k):
-            result = result * self
-        return result
+        return max(self._terms)[0]
 
     # -- evaluation and substitution ----------------------------------------
 
     def evaluate(self, x0: Rat) -> Fraction:
         x0 = _coeff(x0)
         total: Rat = 0
-        for k, c in self._coeffs.items():
+        for (k, _), c in self._terms.items():
             total += c * x0**k
         return Fraction(total)
 
@@ -493,13 +428,13 @@ class UniPoly:
         back in at the end, which behaves like evaluating in twice the
         working precision.
         """
-        if not self._coeffs:
+        if not self._terms:
             return 0.0
         acc = 0.0
         compensation = 0.0
-        for k in range(max(self._coeffs), -1, -1):
+        for k in range(self.degree(), -1, -1):
             p, err_prod = _two_prod(acc, x)
-            acc, err_sum = _two_sum(p, float(self._coeffs.get(k, 0)))
+            acc, err_sum = _two_sum(p, float(self._terms.get((k, 0), 0)))
             compensation = compensation * x + (err_prod + err_sum)
         return acc + compensation
 
@@ -507,56 +442,17 @@ class UniPoly:
         """Exact polynomial composition p(r(x)), by Horner's scheme."""
         if not isinstance(r, UniPoly):
             raise TypeError("composition target must be a UniPoly")
-        if not self._coeffs:
-            return UniPoly()
-        degrees = sorted(self._coeffs, reverse=True)
-        acc = UniPoly.constant(self._coeffs[degrees[0]])
+        if not self._terms:
+            return UniPoly.zero()
+        degrees = sorted((k for k, _ in self._terms), reverse=True)
+        acc = UniPoly.constant(self._terms[degrees[0], 0])
         for prev, cur in zip(degrees, degrees[1:]):
-            acc = acc * r ** (prev - cur) + self._coeffs[cur]
+            acc = acc * r ** (prev - cur) + self._terms[cur, 0]
         return acc * r ** degrees[-1]
 
     def halve_degrees(self) -> UniPoly:
         """Replace x^(2k) by x^k; raises OddDegreeError unless even throughout."""
-        for k in self._coeffs:
+        for k, _ in self._terms:
             if k % 2:
                 raise OddDegreeError(f"term of degree {k} is odd; polynomial is not even")
-        return UniPoly({k // 2: c for k, c in self._coeffs.items()})
-
-    # -- comparison and rendering --------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, UniPoly):
-            return self._coeffs == other._coeffs
-        if isinstance(other, (int, Fraction)):
-            return self._coeffs == UniPoly.constant(other)._coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._coeffs.items()))
-        return self._hash
-
-    def render(self, max_terms: int | None = None) -> str:
-        """Canonical text form in descending degree, same conventions as BiPoly."""
-        if not self._coeffs:
-            return "0"
-        entries = list(self.terms())
-        truncated = 0
-        if max_terms is not None and len(entries) > max_terms:
-            truncated = len(entries) - max_terms
-            entries = entries[:max_terms]
-        rendered = []
-        for k, c in entries:
-            negative = c < 0
-            mag = -c if negative else c
-            vars_part = []
-            if k > 0:
-                vars_part.append("x" if k == 1 else f"x^{k}")
-            rendered.append((negative, _term_text(mag, vars_part)))
-        return _join_terms(rendered, truncated)
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"UniPoly({self.render(max_terms=12)})"
+        return UniPoly._trusted({(k // 2, 0): c for (k, _), c in self._terms.items()})

@@ -108,7 +108,7 @@ def _z_list(m: int) -> list[BiPoly]:
 
 def _negate_s(p: BiPoly) -> BiPoly:
     """The substitution s -> -s."""
-    return BiPoly({(dx, ds): c * _sign(ds) for (dx, ds), c in p.terms()})
+    return BiPoly._trusted({(dx, ds): c * _sign(ds) for (dx, ds), c in p._terms.items()})
 
 
 # -- bivariate families -------------------------------------------------------
@@ -293,12 +293,13 @@ def wildberger_spread(n: int) -> UniPoly:
     """Wildberger's spread polynomial S(n)(x) = Zx(n)(4x) / 4.
 
     The division by 4 always clears: the result is integer-coefficient,
-    which is asserted.
+    which is checked (ArithmeticError otherwise).
     """
     n = _check_index(n)
     rescaled = spread_z_univariate(n, method="via_l").compose(UniPoly({1: 4}))
     result = rescaled.scale(Fraction(1, 4))
-    assert result.is_integral(), f"S({n}) came out non-integral"
+    if not result.is_integral():
+        raise ArithmeticError(f"S({n}) came out non-integral")
     return result
 
 

@@ -183,24 +183,30 @@ def characteristic_roots(x0: Rat, s0: Rat) -> tuple[QuadExt, QuadExt]:
     d = x0 * x0 + 4 * s0
     if d == 0:
         raise DegenerateDiscriminant(
-            f"x^2 + 4s vanishes at (x, s) = ({x0}, {s0}); the roots coincide"
+            f"the discriminant ({x0})^2 + 4*({s0}) vanishes; the roots coincide"
         )
     half = Fraction(1, 2)
     root = QuadExt(x0 * half, half, d)
     return root, root.conj()
 
 
+def _rational(n: int, value: QuadExt) -> Fraction:
+    """The rational value of a closed form whose sqrt parts must cancel."""
+    if not value.is_rational():
+        raise ArithmeticError(f"sqrt component failed to cancel at n={n}")
+    return value.rational_part()
+
+
 def binet_fibonacci(n: int, x0: Rat, s0: Rat) -> Fraction:
     """(g^n - gbar^n) / (g - gbar) for the characteristic roots g, gbar.
 
-    Exact; the sqrt parts always cancel, which is asserted.
+    Exact; the sqrt parts always cancel, which is checked (ArithmeticError
+    otherwise).
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"index must be a nonnegative integer, got {n!r}")
     g, gbar = characteristic_roots(x0, s0)
-    value = (g**n - gbar**n) / (g - gbar)
-    assert value.is_rational(), "sqrt component failed to cancel"
-    return value.rational_part()
+    return _rational(n, (g**n - gbar**n) / (g - gbar))
 
 
 def binet_lucas(n: int, x0: Rat, s0: Rat) -> Fraction:
@@ -208,38 +214,21 @@ def binet_lucas(n: int, x0: Rat, s0: Rat) -> Fraction:
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"index must be a nonnegative integer, got {n!r}")
     g, gbar = characteristic_roots(x0, s0)
-    value = g**n + gbar**n
-    assert value.is_rational(), "sqrt component failed to cancel"
-    return value.rational_part()
-
-
-def _alpha_pair(q: Rat, s0: Rat) -> tuple[QuadExt, QuadExt, Fraction]:
-    """The roots (q +/- sqrt(q^2 + 4*s0)) / 2, at x = q^2 with sqrt(x) read as q.
-
-    Restricting x to a rational square keeps everything inside a single
-    quadratic extension; general x would need a second, nested square root.
-    """
-    q = Fraction(q)
-    s0 = Fraction(s0)
-    d = q * q + 4 * s0
-    if d == 0:
-        raise DegenerateDiscriminant(
-            f"q^2 + 4s vanishes at (q, s) = ({q}, {s0}); the roots coincide"
-        )
-    half = Fraction(1, 2)
-    alpha = QuadExt(q * half, half, d)
-    return alpha, alpha.conj(), d
+    return _rational(n, g**n + gbar**n)
 
 
 def binet_z(n: int, q: Rat, s0: Rat) -> Fraction:
-    """alpha^(2n) + alphabar^(2n) - 2*s0^n, evaluated at x = q^2.  Exact."""
+    """alpha^(2n) + alphabar^(2n) - 2*s0^n, evaluated at x = q^2.  Exact.
+
+    alpha, alphabar = (q +/- sqrt(q^2 + 4*s0)) / 2 are the characteristic
+    roots at (q, s0): restricting x to a rational square, with sqrt(x) read
+    as q, keeps everything inside a single quadratic extension, where general
+    x would need a second, nested square root.
+    """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"index must be a nonnegative integer, got {n!r}")
-    alpha, abar, _ = _alpha_pair(q, s0)
-    s0 = Fraction(s0)
-    value = alpha ** (2 * n) + abar ** (2 * n) - 2 * s0**n
-    assert value.is_rational(), "sqrt component failed to cancel"
-    return value.rational_part()
+    alpha, abar = characteristic_roots(q, s0)
+    return _rational(n, alpha ** (2 * n) + abar ** (2 * n) - 2 * Fraction(s0) ** n)
 
 
 def _cubic_sides(x0: Rat) -> tuple[BiPoly, BiPoly]:
@@ -267,7 +256,8 @@ def check_root_relations(q: Rat, s0: Rat) -> CheckResult:
     symbolic at two distinct x values proves it identically in x; the given
     x0 = q^2 is checked as well for the concrete report.
     """
-    alpha, abar, d = _alpha_pair(q, s0)
+    alpha, abar = characteristic_roots(q, s0)
+    d = alpha.d
     q = Fraction(q)
     s0 = Fraction(s0)
     x0 = q * q

@@ -71,6 +71,10 @@ def test_gen_usage_errors(capsys):
     assert run_cli(["gen", "Z", "3", "--method", "nope"], capsys)[0] == 2
     assert run_cli(["gen", "T", "3", "--method", "recurrence"], capsys)[0] == 2
     assert run_cli(["gen", "Z", "3", "--format", "csv"], capsys)[0] == 2
+    # from_fib needs n >= 1: the builder's ValueError is a usage error, not exit 1
+    code, out, err = run_cli(["gen", "L", "0", "--method", "from_fib"], capsys)
+    assert code == 2
+    assert out == "" and "needs n >= 1" in err
 
 
 # -- triangle -----------------------------------------------------------------

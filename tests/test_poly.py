@@ -1,5 +1,6 @@
 """Unit and property tests for the exact polynomial core."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,19 @@ def test_integral_fractions_normalize():
     assert isinstance(p.coefficient(1, 0), int)
     assert p.is_integral()
     assert not BiPoly({(1, 0): Fraction(1, 2)}).is_integral()
+    # Operation results keep integral coefficients as int as well.
+    half = Fraction(1, 2)
+    results = [
+        (UniPoly({1: half}) * 2).coefficient(1),
+        (UniPoly({1: half}) + UniPoly({1: half})).coefficient(1),
+        UniPoly({2: half}).compose(UniPoly({1: 2})).coefficient(2),
+        (BiPoly({(1, 0): half}) * BiPoly({(0, 1): Fraction(4, 3)}) * 3).coefficient(1, 1),
+        (BiPoly({(1, 1): half}) * BiPoly({(1, 0): 2})).coefficient(2, 1),
+        (BiPoly({(0, 0): half}) - BiPoly({(0, 0): Fraction(-1, 2)})).coefficient(0, 0),
+        BiPoly({(1, 2): 4}).substitute_s(half).coefficient(1),
+    ]
+    assert results == [1, 1, 2, 2, 1, 1, 1]
+    assert all(type(c) is int for c in results)
 
 
 def test_float_coefficients_rejected():
@@ -48,6 +62,16 @@ def test_negative_exponents_rejected():
 
 
 # -- ring operations ------------------------------------------------------------
+
+
+def test_bivariate_and_univariate_do_not_mix():
+    # Both classes store x as the term (1, 0), yet they are different rings.
+    assert (BiPoly.x() == UniPoly.x()) is False
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(BiPoly.x(), UniPoly.x())
+        with pytest.raises(TypeError):
+            op(UniPoly.x(), BiPoly.x())
 
 
 def test_additive_identity():
@@ -226,6 +250,8 @@ def test_render_bivariate():
     assert str(BiPoly({(1, 1): -4, (2, 0): 1})) == "x^2 - 4*s*x"
     assert str(BiPoly({(1, 0): Fraction(1, 2)})) == "1/2*x"
     assert str(BiPoly({(0, 3): -1})) == "-s^3"
+    assert repr(z3) == "BiPoly(x^3 + 6*s*x^2 + 9*s^2*x)"
+    assert repr(BiPoly.zero()) == "BiPoly(0)"
 
 
 def test_render_univariate():
@@ -234,6 +260,8 @@ def test_render_univariate():
     assert str(UniPoly({2: -1, 1: 4})) == "-x^2 + 4*x"
     assert str(UniPoly.zero()) == "0"
     assert str(UniPoly.constant(-3)) == "-3"
+    assert repr(UniPoly({2: -1, 1: 4})) == "UniPoly(-x^2 + 4*x)"
+    assert repr(UniPoly.zero()) == "UniPoly(0)"
 
 
 def test_render_truncation():

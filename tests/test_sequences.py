@@ -222,6 +222,13 @@ def test_wildberger_spread_values():
     assert wildberger_spread(3) == UniPoly({1: 9, 2: -24, 3: 16})
 
 
+def test_wildberger_spread_non_integral_raises(monkeypatch):
+    # The integrality check is an explicit raise, so it holds under python -O.
+    monkeypatch.setattr(UniPoly, "is_integral", lambda self: False)
+    with pytest.raises(ArithmeticError):
+        wildberger_spread(3)
+
+
 def test_chebyshev_values():
     assert chebyshev_t(0) == UniPoly.one()
     assert chebyshev_t(1) == UniPoly.x()

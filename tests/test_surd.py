@@ -165,6 +165,17 @@ def test_binet_negative_index_rejected():
         binet_fibonacci(-1, 1, 1)
 
 
+def test_binet_uncancelled_sqrt_raises(monkeypatch):
+    # The rationality check is an explicit raise, so it holds under python -O.
+    monkeypatch.setattr(QuadExt, "is_rational", lambda self: False)
+    with pytest.raises(ArithmeticError):
+        binet_fibonacci(3, 1, 1)
+    with pytest.raises(ArithmeticError):
+        binet_lucas(3, 1, 1)
+    with pytest.raises(ArithmeticError):
+        binet_z(3, 1, 2)
+
+
 # -- root relations ---------------------------------------------------------------
 
 
