@@ -13,6 +13,7 @@ integers quickly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -44,30 +45,55 @@ from .sequences import (
     Z_METHODS,
     ZX_METHODS,
     chebyshev_t,
+    chebyshev_t_at,
     coefficient_c,
     fibonacci,
+    fibonacci_at,
     lucas,
+    lucas_at,
+    point_bits_bound,
     spread_z_univariate,
+    spread_z_univariate_at,
     triangle,
     univariate_l,
+    univariate_l_at,
     wildberger_spread,
+    wildberger_spread_at,
+    z_at,
     z_polynomial,
 )
 from .surd import binet_fibonacci, binet_lucas, binet_z, check_root_relations
 
-# Family -> (valid methods, builder).  Families without alternate
-# constructions reject --method outright.
-_FAMILIES: dict[str, tuple[tuple[str, ...], Callable[[int, str | None], BiPoly | UniPoly]]] = {
-    "F": (FIBONACCI_METHODS, lambda n, m: fibonacci(n, m or "recurrence")),
-    "L": (LUCAS_METHODS, lambda n, m: lucas(n, m or "recurrence")),
-    "Z": (Z_METHODS, lambda n, m: z_polynomial(n, m or "recurrence")),
-    "l": ((), lambda n, m: univariate_l(n)),
-    "Zx": (ZX_METHODS, lambda n, m: spread_z_univariate(n, m or "via_l")),
-    "S": ((), lambda n, m: wildberger_spread(n)),
-    "T": ((), lambda n, m: chebyshev_t(n)),
+# Family -> (valid methods, builder, point evaluator).  Families without
+# alternate constructions reject --method outright.  The evaluator takes
+# (n, x0, s0) and never builds the polynomial; univariate ones get s0 = None.
+_FAMILIES: dict[
+    str,
+    tuple[
+        tuple[str, ...],
+        Callable[[int, str | None], BiPoly | UniPoly],
+        Callable[[int, Fraction, Fraction | None], Fraction],
+    ],
+] = {
+    "F": (FIBONACCI_METHODS, lambda n, m: fibonacci(n, m or "recurrence"), fibonacci_at),
+    "L": (LUCAS_METHODS, lambda n, m: lucas(n, m or "recurrence"), lucas_at),
+    "Z": (Z_METHODS, lambda n, m: z_polynomial(n, m or "recurrence"), z_at),
+    "l": ((), lambda n, m: univariate_l(n), lambda n, x, s: univariate_l_at(n, x)),
+    "Zx": (
+        ZX_METHODS,
+        lambda n, m: spread_z_univariate(n, m or "via_l"),
+        lambda n, x, s: spread_z_univariate_at(n, x),
+    ),
+    "S": ((), lambda n, m: wildberger_spread(n), lambda n, x, s: wildberger_spread_at(n, x)),
+    "T": ((), lambda n, m: chebyshev_t(n), lambda n, x, s: chebyshev_t_at(n, x)),
 }
 
 _BIVARIATE = ("F", "L", "Z")
+
+# eval refuses a value whose numerator or denominator could exceed this many
+# bits (by point_bits_bound): printing a 2^20-bit integer in decimal already
+# takes about two seconds.
+_EVAL_MAX_BITS = 1 << 20
 
 # Doubles lose the trigonometric property past this degree (the coefficients
 # reach ~1e7 and the evaluation cancels catastrophically), so the float suite
@@ -120,7 +146,7 @@ def _dump(obj: object) -> str:
 
 
 def _cmd_gen(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    methods, builder = _FAMILIES[args.family]
+    methods, builder, _ = _FAMILIES[args.family]
     if args.method is not None and args.method not in methods:
         if methods:
             parser.error(
@@ -155,19 +181,35 @@ def _cmd_triangle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 
 def _cmd_eval(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _, builder = _FAMILIES[args.family]
+    _, _, evaluator = _FAMILIES[args.family]
     bivariate = args.family in _BIVARIATE
     if bivariate and args.s0 is None:
         parser.error(f"family {args.family} is bivariate; supply both x0 and s0")
     if not bivariate and args.s0 is not None:
         parser.error(f"family {args.family} is univariate; supply x0 only")
-    poly = builder(args.n, None)
-    if isinstance(poly, BiPoly):
-        value = poly.evaluate(args.x0, args.s0)
-    else:
-        value = poly.evaluate(args.x0)
-    print(value)
+    bits = point_bits_bound(args.n, args.x0, args.s0 or 0)
+    if bits > _EVAL_MAX_BITS:
+        parser.error(
+            f"{args.family}({args.n}) at this point may need up to {bits} bits, "
+            f"above the limit of {_EVAL_MAX_BITS}"
+        )
+    _print_exact(evaluator(args.n, args.x0, args.s0))
     return 0
+
+
+def _print_exact(value: Fraction) -> None:
+    """Print every digit, lifting the interpreter's int-to-str digit limit
+    (Python 3.10.7 and later) for this one call only."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        print(value)
+        return
+    old = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        print(value)
+    finally:
+        set_limit(old)
 
 
 def _cmd_series(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -427,30 +469,30 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("n", type=_nonneg)
     gen.add_argument("--method", default=None)
     gen.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    gen.set_defaults(handler=_cmd_gen)
+    gen.set_defaults(handler=functools.partial(_cmd_gen, gen))
 
     tri = sub.add_parser("triangle", help="coefficient triangle rows 1..N")
     tri.add_argument("n", metavar="N", type=_positive)
     tri.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    tri.set_defaults(handler=_cmd_triangle)
+    tri.set_defaults(handler=functools.partial(_cmd_triangle, tri))
 
     ev = sub.add_parser("eval", help="evaluate a family member at an exact rational point")
     ev.add_argument("family", choices=sorted(_FAMILIES))
     ev.add_argument("n", type=_nonneg)
     ev.add_argument("x0", type=_rational)
     ev.add_argument("s0", type=_rational, nargs="?", default=None)
-    ev.set_defaults(handler=_cmd_eval)
+    ev.set_defaults(handler=functools.partial(_cmd_eval, ev))
 
     ser = sub.add_parser("series", help="generating-function expansion")
     ser.add_argument("kind", choices=GF_KINDS)
     ser.add_argument("n", metavar="N", type=_nonneg)
     ser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    ser.set_defaults(handler=_cmd_series)
+    ser.set_defaults(handler=functools.partial(_cmd_series, ser))
 
     ver = sub.add_parser("verify", help="run cross-validation suites")
     ver.add_argument("suite", choices=["all"] + list(_SUITES))
     ver.add_argument("--max-n", dest="max_n", type=_positive, default=50)
-    ver.set_defaults(handler=_cmd_verify)
+    ver.set_defaults(handler=functools.partial(_cmd_verify, ver))
 
     return parser
 
@@ -458,7 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(parser, args)
+    # Each handler is bound to its own subparser, so a usage error it raises
+    # prints that subcommand's usage line.
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ canonical by construction and skip those checks.
 
 from __future__ import annotations
 
+import functools
 import operator
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, TypeVar, Union
@@ -445,10 +446,11 @@ class UniPoly(_SparsePoly):
         if not self._terms:
             return UniPoly.zero()
         degrees = sorted((k for k, _ in self._terms), reverse=True)
+        power = functools.cache(r.__pow__)  # each distinct gap r^g is built once
         acc = UniPoly.constant(self._terms[degrees[0], 0])
         for prev, cur in zip(degrees, degrees[1:]):
-            acc = acc * r ** (prev - cur) + self._terms[cur, 0]
-        return acc * r ** degrees[-1]
+            acc = acc * power(prev - cur) + self._terms[cur, 0]
+        return acc * power(degrees[-1])
 
     def halve_degrees(self) -> UniPoly:
         """Replace x^(2k) by x^k; raises OddDegreeError unless even throughout."""

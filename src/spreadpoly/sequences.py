@@ -15,6 +15,18 @@ Families:
   S(n) = Wildberger's spread polynomial, T(n) = Chebyshev (first kind).
 * c(n, k): the integer coefficient triangle of Z(n) (OEIS A156308), by three
   closed forms.
+
+Point values (the ``*_at`` functions) take a route of their own that never
+builds a polynomial: one doubling kernel for the pair (F(n), F(n+1)) at a
+rational point, seeded only from F(0) = 0, F(1) = 1,
+
+  F(2k) = F(k) (2 F(k+1) - x F(k)),   F(2k+1) = F(k+1)^2 + s F(k)^2,
+
+which costs O(log n) products.  Every family follows by an exact identity:
+L(n) = 2 F(n+1) - x F(n), Z(n)(x, s) = L(n)(x+2s, -s^2) - 2 s^n,
+l(n)(x) = L(n)(x, -1), T(n)(x) = L(n)(2x, -1) / 2,
+Zx(n)(x) = (-1)^(n-1) Z(n)(x, -1) and S(n)(x) = Zx(n)(4x) / 4.  No step
+divides by the discriminant x^2 + 4s, so every rational point works.
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .poly import BiPoly, UniPoly
+from .poly import BiPoly, Rat, UniPoly, _coeff
 
 __all__ = [
     "Triangle",
@@ -36,6 +48,14 @@ __all__ = [
     "spread_z_univariate",
     "wildberger_spread",
     "chebyshev_t",
+    "fibonacci_at",
+    "lucas_at",
+    "z_at",
+    "univariate_l_at",
+    "spread_z_univariate_at",
+    "wildberger_spread_at",
+    "chebyshev_t_at",
+    "point_bits_bound",
     "FIBONACCI_METHODS",
     "LUCAS_METHODS",
     "Z_METHODS",
@@ -311,3 +331,93 @@ def chebyshev_t(n: int) -> UniPoly:
     for _ in range(max(n - 1, 0)):
         seq.append(two_x * seq[-1] - seq[-2])
     return seq[n] if n < 2 else seq[-1]
+
+
+# -- point values by Lucas-sequence doubling ----------------------------------
+
+
+def _fib_pair(n: int, x: int, s: int) -> tuple[int, int]:
+    """(F(n), F(n+1)) at an integer point, doubling from F(0) = 0, F(1) = 1."""
+    a, b = 0, 1
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - x * a), b * b + s * a * a
+        if bit == "1":
+            a, b = b, x * b + s * a
+    return a, b
+
+
+def _integral_point(x0: Rat, s0: Rat) -> tuple[int, int, int]:
+    """(X, S, lam) with X = lam x0 and S = lam^2 s0 both integers.
+
+    F(n) and L(n) are weighted-homogeneous (x of weight 1, s of weight 2), so
+    F(n)(x0, s0) = F(n)(X, S) / lam^(n-1) and L(n)(x0, s0) = L(n)(X, S) / lam^n:
+    the kernel runs on integers and one fraction is reduced at the end.
+    """
+    x, s = Fraction(_coeff(x0)), Fraction(_coeff(s0))
+    lam = x.denominator * s.denominator
+    return x.numerator * s.denominator, s.numerator * x.denominator**2 * s.denominator, lam
+
+
+def fibonacci_at(n: int, x0: Rat, s0: Rat) -> Fraction:
+    """F(n)(x0, s0) by the doubling kernel, without building F(n)."""
+    n = _check_index(n)
+    x, s, lam = _integral_point(x0, s0)
+    if n == 0:
+        return Fraction(0)
+    return Fraction(_fib_pair(n, x, s)[0], lam ** (n - 1))
+
+
+def lucas_at(n: int, x0: Rat, s0: Rat) -> Fraction:
+    """L(n)(x0, s0) = 2 F(n+1) - x0 F(n), from the doubling kernel."""
+    n = _check_index(n)
+    x, s, lam = _integral_point(x0, s0)
+    f, g = _fib_pair(n, x, s)
+    return Fraction(2 * g - x * f, lam**n)
+
+
+def z_at(n: int, x0: Rat, s0: Rat) -> Fraction:
+    """Z(n)(x0, s0) = L(n)(x0 + 2 s0, -s0^2) - 2 s0^n."""
+    s0 = Fraction(_coeff(s0))
+    return lucas_at(n, _coeff(x0) + 2 * s0, -s0 * s0) - 2 * s0**n
+
+
+def univariate_l_at(n: int, x0: Rat) -> Fraction:
+    """l(n)(x0) = L(n)(x0, -1)."""
+    return lucas_at(n, x0, -1)
+
+
+def spread_z_univariate_at(n: int, x0: Rat) -> Fraction:
+    """Zx(n)(x0) = (-1)^(n-1) Z(n)(x0, -1)."""
+    return z_at(n, x0, -1) * _sign(n - 1)
+
+
+def wildberger_spread_at(n: int, x0: Rat) -> Fraction:
+    """S(n)(x0) = Zx(n)(4 x0) / 4."""
+    return spread_z_univariate_at(n, 4 * _coeff(x0)) / 4
+
+
+def chebyshev_t_at(n: int, x0: Rat) -> Fraction:
+    """T(n)(x0) = L(n)(2 x0, -1) / 2."""
+    return lucas_at(n, 2 * _coeff(x0), -1) / 2
+
+
+def _log2_height(v: Rat) -> int:
+    """ceil(log2(max(|numerator|, denominator))) of a rational."""
+    v = Fraction(_coeff(v))
+    return (max(abs(v.numerator), v.denominator) - 1).bit_length()
+
+
+def point_bits_bound(n: int, x0: Rat, s0: Rat = 0) -> int:
+    """An upper bound on the bit length of the numerator and of the denominator
+    of any family's n-th member evaluated at (x0, s0), from n and the sizes
+    of x0 and s0 alone (univariate families take s0 = 0).
+
+    Every member is a polynomial of x-degree and s-degree at most n whose
+    absolute coefficients sum to less than 2^(4n+2) (S(n), whose coefficients
+    are those of Zx(n) times up to 4^(n-1), grows fastest).  Over the common
+    denominator b^n d^n of x0 = a/b and s0 = c/d, the numerator is below
+    2^(4n+2) max(|a|, b)^n max(|c|, d)^n and the denominator at most
+    max(|a|, b)^n max(|c|, d)^n.
+    """
+    n = _check_index(n)
+    return n * (4 + _log2_height(x0) + _log2_height(s0)) + 2

@@ -65,16 +65,25 @@ def test_gen_univariate_family_json(capsys):
     assert payload["terms"] == [{"x": 2, "s": 0, "c": "-1"}, {"x": 1, "s": 0, "c": "4"}]
 
 
-def test_gen_usage_errors(capsys):
-    assert run_cli(["gen", "Q", "3"], capsys)[0] == 2  # unknown family
-    assert run_cli(["gen", "Z", "-3"], capsys)[0] == 2  # negative index
-    assert run_cli(["gen", "Z", "3", "--method", "nope"], capsys)[0] == 2
-    assert run_cli(["gen", "T", "3", "--method", "recurrence"], capsys)[0] == 2
-    assert run_cli(["gen", "Z", "3", "--format", "csv"], capsys)[0] == 2
-    # from_fib needs n >= 1: the builder's ValueError is a usage error, not exit 1
-    code, out, err = run_cli(["gen", "L", "0", "--method", "from_fib"], capsys)
+def assert_usage_error(args, capsys):
+    """Exit 2 with the subcommand's own usage line, and nothing on stdout."""
+    code, out, err = run_cli(args, capsys)
     assert code == 2
-    assert out == "" and "needs n >= 1" in err
+    assert out == ""
+    assert err.startswith(f"usage: spreadpoly {args[0]} ")
+    return err
+
+
+def test_gen_usage_errors(capsys):
+    assert_usage_error(["gen", "Q", "3"], capsys)  # unknown family
+    assert_usage_error(["gen", "Z", "-3"], capsys)  # negative index
+    assert_usage_error(["gen", "Z", "3", "--method", "nope"], capsys)
+    assert_usage_error(["gen", "T", "3", "--method", "recurrence"], capsys)
+    assert_usage_error(["gen", "Z", "3", "--format", "csv"], capsys)
+    assert_usage_error(["gen", "S", "1", "--format", "csv"], capsys)
+    # from_fib needs n >= 1: the builder's ValueError is a usage error, not exit 1
+    err = assert_usage_error(["gen", "L", "0", "--method", "from_fib"], capsys)
+    assert "needs n >= 1" in err
 
 
 # -- triangle -----------------------------------------------------------------
@@ -134,10 +143,49 @@ def test_eval_rational_literals(capsys):
 
 
 def test_eval_usage_errors(capsys):
-    assert run_cli(["eval", "Z", "3", "1"], capsys)[0] == 2  # missing s0
-    assert run_cli(["eval", "T", "3", "1", "2"], capsys)[0] == 2  # extra s0
-    assert run_cli(["eval", "Z", "3", "1.5", "2"], capsys)[0] == 2  # bad literal
-    assert run_cli(["eval", "Z", "3", "1/0", "2"], capsys)[0] == 2  # zero denominator
+    assert_usage_error(["eval", "Z", "3", "1"], capsys)  # missing s0
+    assert_usage_error(["eval", "Z", "3", "1/2"], capsys)  # missing s0, rational x0
+    assert_usage_error(["eval", "T", "3", "1", "2"], capsys)  # extra s0
+    assert_usage_error(["eval", "Z", "3", "1.5", "2"], capsys)  # bad literal
+    assert_usage_error(["eval", "Z", "3", "1/0", "2"], capsys)  # zero denominator
+
+
+def test_eval_degenerate_points(capsys):
+    # x = 0, s < 0 and x^2 + 4s = 0, where the Binet closed forms do not apply
+    assert run_cli(["eval", "F", "4", "0", "-3"], capsys)[1] == "0\n"  # x^3 + 2sx at x = 0
+    # x^4 + 4sx^2 + 2s^2 at x^2 + 4s = 0
+    assert run_cli(["eval", "L", "4", "2", "-1"], capsys)[1] == "2\n"
+    assert run_cli(["eval", "Z", "2", "-1/2", "-3"], capsys)[1] == "25/4\n"  # x^2 + 4sx
+
+
+def test_eval_past_the_int_str_limit(capsys):
+    # T(5000)(9) has 6270 digits, past Python's default 4300-digit int-to-str
+    # limit; T(n+1)(9) = 18 T(n)(9) - T(n-1)(9) gives it independently.
+    prev, cur = 1, 9
+    for _ in range(4999):
+        prev, cur = cur, 18 * cur - prev
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, _ = run_cli(["eval", "T", "5000", "9"], capsys)
+    assert code == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit  # restored
+    assert len(out) == 6271
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"{cur}\n"
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_eval_result_size_bound(capsys, monkeypatch):
+    def must_not_run(n, x0, s0):
+        raise AssertionError("evaluated past the result-size bound")
+
+    methods, builder, _ = cli_module._FAMILIES["T"]
+    monkeypatch.setitem(cli_module._FAMILIES, "T", (methods, builder, must_not_run))
+    err = assert_usage_error(["eval", "T", str(10**30), "9"], capsys)
+    assert "bits" in err and str(cli_module._EVAL_MAX_BITS) in err
 
 
 # -- series ---------------------------------------------------------------------

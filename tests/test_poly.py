@@ -208,6 +208,17 @@ def test_compose_hand_cases():
     assert UniPoly.x().compose(UniPoly({1: 1, 0: 2})) == UniPoly({1: 1, 0: 2})
 
 
+def test_compose_mixed_gaps():
+    # degree gaps 3, 1 and 3, then the trailing constant: the shared gap
+    # power is reused and must not leak between steps
+    p = UniPoly({7: 2, 4: -3, 3: 5, 0: 1})
+    r = UniPoly({2: 1, 1: Fraction(-1, 2), 0: 3})
+    direct = UniPoly.zero()
+    for k, c in p.terms():
+        direct = direct + (r ** k).scale(c)
+    assert p.compose(r) == direct
+
+
 def test_compose_rational_coefficients():
     half_shift = UniPoly({1: Fraction(1, 2), 0: 1})  # (x + 2)/2
     t2 = UniPoly({2: 2, 0: -1})

@@ -1,6 +1,11 @@
 """Tests for the polynomial family constructors and the coefficient triangle."""
 
+import functools
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spreadpoly import (
     BiPoly,
@@ -17,8 +22,18 @@ from spreadpoly import (
     wildberger_spread,
     z_polynomial,
 )
+from spreadpoly.cli import _BIVARIATE, _FAMILIES
 from spreadpoly.fixtures import a156308_rows
-from spreadpoly.sequences import Triangle, _fib_list, _lucas_list, _z_list
+from spreadpoly.sequences import (
+    Triangle,
+    _fib_list,
+    _lucas_list,
+    _z_list,
+    chebyshev_t_at,
+    fibonacci_at,
+    lucas_at,
+    point_bits_bound,
+)
 
 # First bivariate spread polynomials, typed out by hand.
 Z_FIRST = [
@@ -245,3 +260,126 @@ def test_all_families_integer_coefficients():
         assert spread_z_univariate(n).is_integral()
         assert wildberger_spread(n).is_integral()
         assert chebyshev_t(n).is_integral()
+
+
+# -- point values by doubling ----------------------------------------------------
+
+# Points where the Binet closed forms break down (x = 0, s < 0, x^2 + 4s = 0),
+# points where every term of a family has the same sign, and a generic one.
+EDGE_POINTS = [
+    (Fraction(0), Fraction(-3)),
+    (Fraction(0), Fraction(0)),
+    (Fraction(5, 2), Fraction(-7, 4)),
+    (Fraction(2), Fraction(-1)),
+    (Fraction(-3, 2), Fraction(-9, 16)),
+    (Fraction(1), Fraction(1)),
+    (Fraction(-1), Fraction(-1)),
+    (Fraction(-1), Fraction(1)),
+    (Fraction(2, 7), Fraction(-5, 3)),
+]
+
+small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@st.composite
+def points(draw):
+    """A rational (x0, s0): generic, x0 = 0, s0 < 0, or x0^2 + 4 s0 = 0."""
+    x0, s0 = draw(small_rationals), draw(small_rationals)
+    kind = draw(st.sampled_from(("generic", "x=0", "s<0", "degenerate")))
+    if kind == "x=0":
+        x0 = Fraction(0)
+    elif kind == "s<0":
+        s0 = -abs(s0) - Fraction(1, 9)
+    elif kind == "degenerate":
+        s0 = -x0 * x0 / 4
+    return x0, s0
+
+
+@functools.lru_cache(maxsize=None)
+def built(family, n):
+    return _FAMILIES[family][1](n, None)
+
+
+def evaluate_both(family, n, x0, s0):
+    """(the doubling evaluator's value, the built polynomial's value)."""
+    evaluator, poly = _FAMILIES[family][2], built(family, n)
+    if family in _BIVARIATE:
+        return evaluator(n, x0, s0), poly.evaluate(x0, s0)
+    return evaluator(n, x0, None), poly.evaluate(x0)
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_point_evaluator_matches_built_polynomial_at_edge_points(family):
+    for n in range(61):
+        for x0, s0 in EDGE_POINTS:
+            got, expected = evaluate_both(family, n, x0, s0)
+            assert got == expected, (family, n, x0, s0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_FAMILIES)), st.integers(0, 60), points())
+@example("Z", 0, (Fraction(0), Fraction(-1)))
+@example("Zx", 1, (Fraction(3), Fraction(-9, 4)))
+def test_point_evaluator_matches_built_polynomial(family, n, point):
+    got, expected = evaluate_both(family, n, *point)
+    assert got == expected
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_point_bits_bound_coefficient_lemma(family):
+    # point_bits_bound rests on degrees <= n and |coefficients| summing
+    # below 2^(4n+2); check both on the built polynomials.
+    for n in range(61):
+        poly = built(family, n)
+        assert sum(abs(c) for _, c in poly.terms()).bit_length() <= 4 * n + 2
+        for key, _ in poly.terms():
+            assert max(key if family in _BIVARIATE else (key,)) <= n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_FAMILIES)), st.integers(0, 2000), points())
+@example("S", 2000, (Fraction(-1), Fraction(0)))
+@example("Z", 2000, (Fraction(-9), Fraction(9)))
+def test_point_bits_bound_is_an_upper_bound(family, n, point):
+    x0, s0 = point
+    if family not in _BIVARIATE:
+        s0 = None
+    value = _FAMILIES[family][2](n, x0, s0)
+    bits = max(abs(value.numerator).bit_length(), value.denominator.bit_length())
+    assert bits <= point_bits_bound(n, x0, s0 or 0)
+
+
+def test_point_evaluators_reject_bad_input():
+    with pytest.raises(ValueError):
+        lucas_at(-1, 1, 1)
+    with pytest.raises(TypeError):
+        fibonacci_at(3, 0.5, 1)
+
+
+def _from_sympy(value):
+    return Fraction(int(value.p), int(value.q))
+
+
+def test_chebyshev_t_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in (0, 1, 2, 3, 10, 97, 500):
+        for x0 in (Fraction(1, 3), Fraction(-5, 7), Fraction(0), Fraction(1), Fraction(2)):
+            expected = sympy.chebyshevt(n, sympy.Rational(x0.numerator, x0.denominator))
+            assert chebyshev_t_at(n, x0) == _from_sympy(expected), (n, x0)
+    assert chebyshev_t_at(2000, Fraction(-4, 9)) == _from_sympy(
+        sympy.chebyshevt(2000, sympy.Rational(-4, 9))
+    )
+
+
+def test_fibonacci_at_s_one_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    # sympy expands its Fibonacci polynomials symbolically, which is slow
+    # past n ~ 100, so the large indices use its Fibonacci and Lucas numbers
+    # (x = s = 1).
+    for n in (1, 2, 5, 40, 120):
+        for x0 in (Fraction(1, 3), Fraction(-5, 7), Fraction(0), Fraction(2)):
+            expected = sympy.fibonacci(n, sympy.Rational(x0.numerator, x0.denominator))
+            assert fibonacci_at(n, x0, 1) == _from_sympy(expected), (n, x0)
+    for n in list(range(0, 2000, 37)) + [2000]:
+        assert fibonacci_at(n, 1, 1) == int(sympy.fibonacci(n))
+        assert lucas_at(n, 1, 1) == int(sympy.lucas(n))
