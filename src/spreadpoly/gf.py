@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import BiPoly
+from .poly import BiPoly, _index
 
 __all__ = ["MalformedGF", "RationalGF", "GF_KINDS", "gf_of", "expand"]
 
@@ -65,8 +65,7 @@ def gf_of(kind: str) -> RationalGF:
 
 def expand(gf: RationalGF, N: int) -> list[BiPoly]:
     """Coefficients a(0)..a(N) of the formal series N(z)/D(z), exactly."""
-    if not isinstance(N, int) or N < 0:
-        raise ValueError(f"need N >= 0, got {N!r}")
+    _index(N, what="N")
     if not gf.denominator or gf.denominator[0] != BiPoly.one():
         raise MalformedGF("denominator must have constant term 1")
     out: list[BiPoly] = []

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .poly import BiPoly, UniPoly
+from .poly import BiPoly, UniPoly, _index
 from .sequences import (
     _fib_list,
     _lucas_list,
+    _sign,
     _z_list,
     chebyshev_t,
     coefficient_c,
@@ -88,14 +89,9 @@ def compare_polynomials(
     )
 
 
-def _sign(k: int) -> int:
-    return -1 if k % 2 else 1
-
-
 def check_cassini(n: int) -> CheckResult:
     """F(n)^2 - F(n-1)*F(n+1) = (-s)^(n-1), exactly."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"cassini check needs n >= 1, got {n!r}")
+    _index(n, 1)
     fib = _fib_list(n + 1)
     lhs = fib[n] * fib[n] - fib[n - 1] * fib[n + 1]
     rhs = BiPoly.monomial(_sign(n - 1), 0, n - 1)
@@ -104,8 +100,7 @@ def check_cassini(n: int) -> CheckResult:
 
 def check_z_cassini(n: int) -> CheckResult:
     """Z(n-1)*Z(n+1) = (Z(n) - s^(n-1)*x)^2, exactly."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"z_cassini check needs n >= 1, got {n!r}")
+    _index(n, 1)
     z = _z_list(n + 1)
     lhs = z[n - 1] * z[n + 1]
     inner = z[n] - BiPoly.monomial(1, 1, n - 1)
@@ -120,8 +115,7 @@ def check_lucas_binomial(n: int, parity: str) -> CheckResult:
     """
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"lucas_binomial check needs n >= 0, got {n!r}")
+    _index(n)
     top = 2 * n if parity == "even" else 2 * n + 1
     lucas_polys = _lucas_list(top)
     total = BiPoly.zero()
@@ -140,10 +134,7 @@ def check_z_binomial(n: int) -> CheckResult:
     Holds for n >= 1.  At n = 0 the left side is Z(0) = 0 while the right is
     x^0 = 1, so that boundary index is excluded rather than reinterpreted.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(
-            f"z_binomial check needs n >= 1 (at n=0 the sum reads 0 = 1), got {n!r}"
-        )
+    _index(n, 1)
     z = _z_list(n)
     total = BiPoly.zero()
     for j in range(n + 1):
@@ -158,8 +149,7 @@ def check_symmetry(n: int) -> CheckResult:
     coefficient-wise: if Zx(n) = sum a_k x^k then -sum a_k (-1)^k s^(n-k) x^k
     must rebuild Z(n)(x, s).
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"symmetry check needs n >= 1, got {n!r}")
+    _index(n, 1)
     zx = spread_z_univariate(n, method="via_l")
     zb = z_polynomial(n, method="recurrence")
 
@@ -174,8 +164,7 @@ def check_symmetry(n: int) -> CheckResult:
 
 def check_coefficient_forms(n: int) -> CheckResult:
     """All four closed forms of the triangle entries c(n, k) agree for k = 1..n."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"coefficient check needs n >= 1, got {n!r}")
+    _index(n, 1)
     for k in range(1, n + 1):
         ratio_a = coefficient_c(n, k, form="ratio_binomial")
         ratio_b = Fraction(n, k) * comb(n + k - 1, 2 * k - 1)
@@ -201,8 +190,7 @@ def check_trig(n: int, num_samples: int = 100, tol: float = 1e-9) -> CheckResult
     angles spread through (0, pi/2).  Coefficient growth makes doubles
     meaningless much past n = 20, so callers sweep small n only.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"trig check needs n >= 1, got {n!r}")
+    _index(n, 1)
     if num_samples < 1 or tol <= 0:
         raise ValueError("need num_samples >= 1 and tol > 0")
     zx = spread_z_univariate(n, method="via_l")
@@ -225,8 +213,7 @@ def check_chebyshev_bala(n: int) -> CheckResult:
     2*T(n)((x+2)/2) - 2, l(n)(x+2) - 2, -Zx(n)(-x) and Z(n)(x, 1) are all the
     same polynomial, and 2*T(n)(x) = l(n)(2x) links the two ladders.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"chebyshev check needs n >= 1, got {n!r}")
+    _index(n, 1)
     t = chebyshev_t(n)
     ln = univariate_l(n)
 
@@ -249,8 +236,7 @@ def check_chebyshev_bala(n: int) -> CheckResult:
 
 def check_l_doubling(n: int) -> CheckResult:
     """l(2n)(x) = l(n)(x^2 - 2), plus the square-root form of Zx it justifies."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"doubling check needs n >= 1, got {n!r}")
+    _index(n, 1)
     doubled = univariate_l(2 * n)
     composed = univariate_l(n).compose(UniPoly({2: 1, 0: -2}))
     result = compare_polynomials("l_doubling", f"n={n}", n, doubled, composed)

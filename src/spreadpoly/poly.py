@@ -64,10 +64,12 @@ def _coeff(c: object) -> Rat:
     )
 
 
-def _exponent(e: object) -> int:
-    if isinstance(e, int) and not isinstance(e, bool) and e >= 0:
-        return e
-    raise ValueError(f"exponent must be a nonnegative integer, got {e!r}")
+def _index(value: object, least: int = 0, what: str = "index") -> int:
+    """The guard on every index, exponent and size argument: ``value`` itself
+    when it is an int (never a bool) of at least ``least``, else ValueError."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= least:
+        return value
+    raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
 def _canonical(terms: Mapping[Key, object]) -> dict[Key, Rat]:
@@ -76,7 +78,7 @@ def _canonical(terms: Mapping[Key, object]) -> dict[Key, Rat]:
     for (dx, ds), raw in terms.items():
         c = _coeff(raw)
         if c:
-            data[(_exponent(dx), _exponent(ds))] = c
+            data[(_index(dx, what="exponent"), _index(ds, what="exponent"))] = c
     return data
 
 
@@ -207,8 +209,7 @@ class _SparsePoly:
         return self._trusted({key: v * c for key, v in self._terms.items()})
 
     def __pow__(self: P, k: int) -> P:
-        if not isinstance(k, int) or k < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
+        _index(k, what="exponent")
         result = self.one()
         for _ in range(k):
             result = result * self
@@ -363,8 +364,8 @@ class BiPoly(_SparsePoly):
 
     def weighted_degree(self, w_x: int, w_s: int) -> tuple[int, bool]:
         """Max term weight under weights (w_x, w_s), and whether all terms share it."""
-        if not (isinstance(w_x, int) and w_x >= 1 and isinstance(w_s, int) and w_s >= 1):
-            raise ValueError("weights must be positive integers")
+        _index(w_x, 1, "weight")
+        _index(w_s, 1, "weight")
         if not self._terms:
             raise ZeroPolynomialError("the zero polynomial has no degree")
         weights = {w_x * dx + w_s * ds for dx, ds in self._terms}
@@ -388,12 +389,6 @@ class UniPoly(_SparsePoly):
     __neg__ = _SparsePoly.__neg__
     __mul__ = __rmul__ = _SparsePoly.__mul__
     render = _SparsePoly.render
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def monomial(cls, c: Rat, degree: int) -> UniPoly:
-        return cls({degree: c})
 
     # -- inspection --------------------------------------------------------
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .poly import BiPoly, Rat, UniPoly, _coeff
+from .poly import BiPoly, Rat, UniPoly, _coeff, _index
 
 __all__ = [
     "Triangle",
@@ -68,12 +68,6 @@ LUCAS_METHODS = ("recurrence", "closed", "from_fib")
 Z_METHODS = ("recurrence", "closed", "via_lucas", "via_fib", "parity")
 ZX_METHODS = ("via_l", "via_l2n", "from_bivariate")
 C_FORMS = ("ratio_binomial", "sum_binomials", "product")
-
-
-def _check_index(n: object) -> int:
-    if isinstance(n, int) and not isinstance(n, bool) and n >= 0:
-        return n
-    raise ValueError(f"index must be a nonnegative integer, got {n!r}")
 
 
 def _check_method(method: str, allowed: tuple[str, ...]) -> str:
@@ -140,7 +134,7 @@ def fibonacci(n: int, method: str = "recurrence") -> BiPoly:
     ``recurrence`` iterates F(n) = x F(n-1) + s F(n-2) from F(0) = 0,
     F(1) = 1.  ``closed`` sums C(n-1-k, k) s^k x^(n-1-2k) directly.
     """
-    n = _check_index(n)
+    n = _index(n)
     method = _check_method(method, FIBONACCI_METHODS)
     if method == "recurrence":
         return _fib_list(n)[n]
@@ -159,7 +153,7 @@ def lucas(n: int, method: str = "recurrence") -> BiPoly:
     entry is the constant 2 (the weight n/(n-k) is 0/0 there).  ``from_fib``
     uses L(n) = F(n+1) + s F(n-1) and therefore needs n >= 1.
     """
-    n = _check_index(n)
+    n = _index(n)
     method = _check_method(method, LUCAS_METHODS)
     if method == "recurrence":
         return _lucas_list(n)[n]
@@ -194,7 +188,7 @@ def z_polynomial(n: int, method: str = "recurrence") -> BiPoly:
         odd n: L(n)(y, s)^2 with y^2 -> x;
         even n: (x + 4s) * F(n)(y, s)^2 with y^2 -> x.
     """
-    n = _check_index(n)
+    n = _index(n)
     method = _check_method(method, Z_METHODS)
     if method == "recurrence":
         return _z_list(n)[n]
@@ -232,7 +226,7 @@ def coefficient_c(n: int, k: int, form: str = "ratio_binomial") -> int:
     * sum_binomials:  C(n+k, 2k) + C(n+k-1, 2k).
     * product:        (2/(2k)!) n^2 (n^2 - 1^2) ... (n^2 - (k-1)^2).
     """
-    if not (isinstance(n, int) and isinstance(k, int) and 1 <= k <= n):
+    if _index(k, 1, "k") > _index(n, 1, "n"):
         raise ValueError(f"need 1 <= k <= n, got n={n!r}, k={k!r}")
     form = _check_method(form, C_FORMS)
     if form == "ratio_binomial":
@@ -268,8 +262,7 @@ class Triangle:
 
 def triangle(N: int) -> Triangle:
     """The coefficient triangle for n = 1..N."""
-    if not isinstance(N, int) or N < 1:
-        raise ValueError(f"need N >= 1, got {N!r}")
+    _index(N, 1, "N")
     return Triangle(
         rows=tuple(
             tuple(coefficient_c(n, k) for k in range(1, n + 1)) for n in range(1, N + 1)
@@ -282,7 +275,7 @@ def triangle(N: int) -> Triangle:
 
 def univariate_l(n: int) -> UniPoly:
     """l(n)(x) = L(n)(x, -1), by specializing the two-variable Lucas polynomial."""
-    n = _check_index(n)
+    n = _index(n)
     return lucas(n, method="recurrence").substitute_s(-1)
 
 
@@ -298,7 +291,7 @@ def spread_z_univariate(n: int, method: str = "via_l") -> UniPoly:
         Fibonacci route so this path exercises the x F(n)^2(sqrt(x-4))
         closed form directly.
     """
-    n = _check_index(n)
+    n = _index(n)
     method = _check_method(method, ZX_METHODS)
     if method == "via_l":
         composed = univariate_l(n).compose(UniPoly({1: -1, 0: 2}))
@@ -315,7 +308,7 @@ def wildberger_spread(n: int) -> UniPoly:
     The division by 4 always clears: the result is integer-coefficient,
     which is checked (ArithmeticError otherwise).
     """
-    n = _check_index(n)
+    n = _index(n)
     rescaled = spread_z_univariate(n, method="via_l").compose(UniPoly({1: 4}))
     result = rescaled.scale(Fraction(1, 4))
     if not result.is_integral():
@@ -325,7 +318,7 @@ def wildberger_spread(n: int) -> UniPoly:
 
 def chebyshev_t(n: int) -> UniPoly:
     """Chebyshev polynomial of the first kind, T(n+1) = 2x T(n) - T(n-1)."""
-    n = _check_index(n)
+    n = _index(n)
     seq = [UniPoly.one(), UniPoly.x()]
     two_x = UniPoly({1: 2})
     for _ in range(max(n - 1, 0)):
@@ -360,7 +353,7 @@ def _integral_point(x0: Rat, s0: Rat) -> tuple[int, int, int]:
 
 def fibonacci_at(n: int, x0: Rat, s0: Rat) -> Fraction:
     """F(n)(x0, s0) by the doubling kernel, without building F(n)."""
-    n = _check_index(n)
+    n = _index(n)
     x, s, lam = _integral_point(x0, s0)
     if n == 0:
         return Fraction(0)
@@ -369,7 +362,7 @@ def fibonacci_at(n: int, x0: Rat, s0: Rat) -> Fraction:
 
 def lucas_at(n: int, x0: Rat, s0: Rat) -> Fraction:
     """L(n)(x0, s0) = 2 F(n+1) - x0 F(n), from the doubling kernel."""
-    n = _check_index(n)
+    n = _index(n)
     x, s, lam = _integral_point(x0, s0)
     f, g = _fib_pair(n, x, s)
     return Fraction(2 * g - x * f, lam**n)
@@ -419,5 +412,5 @@ def point_bits_bound(n: int, x0: Rat, s0: Rat = 0) -> int:
     2^(4n+2) max(|a|, b)^n max(|c|, d)^n and the denominator at most
     max(|a|, b)^n max(|c|, d)^n.
     """
-    n = _check_index(n)
+    n = _index(n)
     return n * (4 + _log2_height(x0) + _log2_height(s0)) + 2

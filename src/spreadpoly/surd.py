@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .identities import CheckResult, failure
-from .poly import BiPoly, Rat, _coeff
+from .poly import BiPoly, Rat, _coeff, _index
 
 __all__ = [
     "DiscriminantMismatch",
@@ -141,8 +141,7 @@ class QuadExt:
         return QuadExt.from_rational(other, self._d) / self
 
     def __pow__(self, n: int) -> QuadExt:
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {n!r}")
+        _index(n, what="exponent")
         result = QuadExt.from_rational(1, self._d)
         base = self
         while n:
@@ -203,16 +202,14 @@ def binet_fibonacci(n: int, x0: Rat, s0: Rat) -> Fraction:
     Exact; the sqrt parts always cancel, which is checked (ArithmeticError
     otherwise).
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"index must be a nonnegative integer, got {n!r}")
+    _index(n)
     g, gbar = characteristic_roots(x0, s0)
     return _rational(n, (g**n - gbar**n) / (g - gbar))
 
 
 def binet_lucas(n: int, x0: Rat, s0: Rat) -> Fraction:
     """g^n + gbar^n for the characteristic roots g, gbar.  Exact."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"index must be a nonnegative integer, got {n!r}")
+    _index(n)
     g, gbar = characteristic_roots(x0, s0)
     return _rational(n, g**n + gbar**n)
 
@@ -225,8 +222,7 @@ def binet_z(n: int, q: Rat, s0: Rat) -> Fraction:
     as q, keeps everything inside a single quadratic extension, where general
     x would need a second, nested square root.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"index must be a nonnegative integer, got {n!r}")
+    _index(n)
     alpha, abar = characteristic_roots(q, s0)
     return _rational(n, alpha ** (2 * n) + abar ** (2 * n) - 2 * Fraction(s0) ** n)
 

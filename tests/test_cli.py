@@ -4,9 +4,13 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+import spreadpoly
 from spreadpoly import BiPoly, Z_METHODS, z_polynomial
 from spreadpoly.cli import main
 import spreadpoly.cli as cli_module
+from spreadpoly import sequences, verify
 
 
 def run_cli(args, capsys):
@@ -56,6 +60,32 @@ def test_gen_json_round_trip(capsys):
     payload = json.loads(out)
     rebuilt = BiPoly({(t["x"], t["s"]): int(t["c"]) for t in payload["terms"]})
     assert rebuilt == z_polynomial(9)
+
+
+def test_gen_past_the_int_str_limit(capsys):
+    # F(3300) has a 688-digit coefficient; at the lowest settable limit (640)
+    # printing it fails unless main lifts the limit.  The coefficients sum to
+    # the Fibonacci number F(3300)(1, 1), computed here by integer recurrence.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit in this interpreter")
+    fib_prev, fib = 0, 1
+    for _ in range(3299):
+        fib_prev, fib = fib, fib + fib_prev
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        text = run_cli(["gen", "F", "3300", "--method", "closed"], capsys)
+        payload = run_cli(["gen", "F", "3300", "--method", "closed", "--format", "json"], capsys)
+        assert sys.get_int_max_str_digits() == 640  # restored
+        sys.set_int_max_str_digits(0)
+        assert text[0] == payload[0] == 0
+        poly = BiPoly({(t["x"], t["s"]): int(t["c"]) for t in json.loads(payload[1])["terms"]})
+        coeffs = [c for _, c in poly.terms()]
+        assert max(len(str(c)) for c in coeffs) == 688
+        assert sum(coeffs) == fib
+        assert text[1] == poly.render() + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_gen_univariate_family_json(capsys):
@@ -248,12 +278,41 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     from spreadpoly.identities import failure
 
     monkeypatch.setattr(
-        cli_module, "check_cassini", lambda n: failure("cassini", f"n={n}", n, "x", "s")
+        verify, "check_cassini", lambda n: failure("cassini", f"n={n}", n, "x", "s")
     )
     code, out, _ = run_cli(["verify", "cassini", "--max-n", "2"], capsys)
     assert code == 1
     assert "FAIL" in out
     assert "lhs: x" in out and "rhs: s" in out
+
+
+def test_verify_coefficients_against_the_recurrence(capsys, monkeypatch):
+    # c(12, 5) off by one wherever it is bound: Z(12) by its recurrence never
+    # reads the triangle, so coefficients_match_z must flag n = 12.
+    original = sequences.coefficient_c
+
+    def skewed(n, k, form="ratio_binomial"):
+        return original(n, k, form=form) + ((n, k) == (12, 5))
+
+    for module in (spreadpoly, sequences, verify, spreadpoly.identities):
+        monkeypatch.setattr(module, "coefficient_c", skewed)
+    code, out, _ = run_cli(["verify", "coefficients", "--max-n", "12"], capsys)
+    assert code == 1
+    assert "witness [coefficients_match_z n=12] index 12:" in out
+
+
+def test_one_suite_table():
+    # The tracer in perfbench wraps every module-level dict that holds all the
+    # suite names, so a second binding of the table would wrap each suite twice.
+    tables = [
+        (name, attr)
+        for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "spreadpoly"
+        for attr, value in vars(module).items()
+        if isinstance(value, dict) and all(s in value for s in verify.SUITES)
+    ]
+    assert tables == [("spreadpoly.verify", "SUITES")]
+    assert len(verify.SUITES) == 12
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -17,6 +17,16 @@ from spreadpoly import (
     check_z_cassini,
     compare_polynomials,
 )
+from spreadpoly import (
+    QuadExt,
+    binet_fibonacci,
+    binet_lucas,
+    binet_z,
+    coefficient_c,
+    expand,
+    gf_of,
+    triangle,
+)
 
 
 def _all_pass(results):
@@ -131,3 +141,33 @@ def test_witness_is_truncated():
     big = BiPoly({(k, 0): 1 for k in range(60)})
     result = compare_polynomials("demo", "n=1", 1, big, BiPoly.zero())
     assert "more terms" in result.witness[1]
+
+
+_INDEXED = {
+    "check_cassini": check_cassini,
+    "check_z_cassini": check_z_cassini,
+    "check_lucas_binomial": lambda n: check_lucas_binomial(n, "even"),
+    "check_z_binomial": check_z_binomial,
+    "check_symmetry": check_symmetry,
+    "check_coefficient_forms": check_coefficient_forms,
+    "check_trig": check_trig,
+    "check_chebyshev_bala": check_chebyshev_bala,
+    "check_l_doubling": check_l_doubling,
+    "binet_fibonacci": lambda n: binet_fibonacci(n, 1, 1),
+    "binet_lucas": lambda n: binet_lucas(n, 1, 1),
+    "binet_z": lambda n: binet_z(n, 1, 1),
+    "triangle": triangle,
+    "coefficient_c_n": lambda n: coefficient_c(n, 1),
+    "coefficient_c_k": lambda n: coefficient_c(1, n),
+    "expand": lambda n: expand(gf_of("fibonacci"), n),
+    "BiPoly.__pow__": lambda n: BiPoly.x() ** n,
+    "UniPoly.__pow__": lambda n: UniPoly.x() ** n,
+    "QuadExt.__pow__": lambda n: QuadExt(1, 1, 2) ** n,
+}
+
+
+@pytest.mark.parametrize("call", _INDEXED.values(), ids=_INDEXED.keys())
+def test_bool_index_rejected(call):
+    # bool is an int subclass; an index of True is a caller's mistake, never 1.
+    with pytest.raises(ValueError):
+        call(True)
