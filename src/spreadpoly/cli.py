@@ -79,9 +79,29 @@ _BIVARIATE = ("F", "L", "Z")
 _EVAL_MAX_BITS = 1 << 20
 
 
+# An integer literal as int() reads it.  int() refuses a well-formed one only
+# past the interpreter's str-to-int digit limit (Python 3.10.7 and later).
+_INT_LITERAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def _int(text: str) -> int:
+    """int(text), but a literal past the str-to-int digit limit is reported
+    as too long rather than as malformed."""
+    try:
+        return int(text)
+    except ValueError:
+        if not _INT_LITERAL.fullmatch(text):
+            raise
+    digits = sum(map(str.isdecimal, text))
+    raise argparse.ArgumentTypeError(
+        f"{digits}-digit integer is past Python's str-to-int limit of "
+        f"{sys.get_int_max_str_digits()} digits"
+    )
+
+
 def _nonneg(text: str) -> int:
     try:
-        value = int(text)
+        value = _int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if value < 0:
@@ -100,8 +120,8 @@ def _rational(text: str) -> Fraction:
     head, slash, tail = text.partition("/")
     try:
         if slash:
-            return Fraction(int(head), int(tail))
-        return Fraction(int(head))
+            return Fraction(_int(head), _int(tail))
+        return Fraction(_int(head))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational literal (p/q or integer): {text!r}")
 

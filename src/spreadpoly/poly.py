@@ -82,6 +82,16 @@ def _canonical(terms: Mapping[Key, object]) -> dict[Key, Rat]:
     return data
 
 
+def _scaled_powers(v: Rat, degrees: set[int]) -> tuple[dict[int, int], int]:
+    """The powers of v = num/den over one denominator: ``({e: num^e den^(top-e)},
+    den^top)`` for the given degrees, top the largest, so v^e = table[e] / den^top.
+    Only the degrees asked for are built, so a sparse polynomial of high degree
+    costs no more than its own terms."""
+    num, den = v.numerator, v.denominator
+    top = max(degrees)
+    return {e: num**e * den ** (top - e) for e in degrees}, den**top
+
+
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant for doubles
 
 
@@ -316,13 +326,19 @@ class BiPoly(_SparsePoly):
     # -- evaluation and substitution ----------------------------------------
 
     def evaluate(self, x0: Rat, s0: Rat) -> Fraction:
-        """Exact value of the polynomial at the rational point (x0, s0)."""
+        """Exact value of the polynomial at the rational point (x0, s0).
+
+        The sum runs over one common denominator, on integers for integral
+        coefficients, and one fraction is reduced at the end.
+        """
         x0 = _coeff(x0)
         s0 = _coeff(s0)
-        total: Rat = 0
-        for (dx, ds), c in self._terms.items():
-            total += c * x0**dx * s0**ds
-        return Fraction(total)
+        if not self._terms:
+            return Fraction(0)
+        px, den_x = _scaled_powers(x0, {dx for dx, _ in self._terms})
+        ps, den_s = _scaled_powers(s0, {ds for _, ds in self._terms})
+        total = sum(c * px[dx] * ps[ds] for (dx, ds), c in self._terms.items())
+        return Fraction(total, den_x * den_s)
 
     def substitute_s(self, s0: Rat) -> UniPoly:
         """Specialize s to a rational, leaving a polynomial in x alone."""
@@ -408,11 +424,12 @@ class UniPoly(_SparsePoly):
     # -- evaluation and substitution ----------------------------------------
 
     def evaluate(self, x0: Rat) -> Fraction:
+        """Exact value at the rational x0, over one common denominator."""
         x0 = _coeff(x0)
-        total: Rat = 0
-        for (k, _), c in self._terms.items():
-            total += c * x0**k
-        return Fraction(total)
+        if not self._terms:
+            return Fraction(0)
+        px, den = _scaled_powers(x0, {k for k, _ in self._terms})
+        return Fraction(sum(c * px[k] for (k, _), c in self._terms.items()), den)
 
     def eval_float(self, x: float) -> float:
         """Double-precision value by the compensated Horner scheme.

@@ -8,6 +8,12 @@ families can be compared against polynomial evaluation with exact equality.
 d is deliberately not normalized (no square-free reduction): an element with
 d = 9 simply behaves like a rational in disguise, and negative d works the
 same way since the arithmetic never orders elements.
+
+Powers run on integers.  With d = N/M, an element is (A + B sqrt(D)) / m for
+integers A, B, m and D = N M (sqrt(D) = M sqrt(d)); ``**`` squares and
+multiplies (A, B) in Z[sqrt(D)] and divides by m^n once, instead of reducing
+a fraction after every product.  The result keeps the same, unnormalized d
+and equals what repeated ``*`` gives.
 """
 
 from __future__ import annotations
@@ -141,15 +147,28 @@ class QuadExt:
         return QuadExt.from_rational(other, self._d) / self
 
     def __pow__(self, n: int) -> QuadExt:
+        """The integer kernel of the module docstring, with m = den(a) den(b) M,
+        A = a m and B = b m / M: (A + B sqrt(D))^n = P + Q sqrt(D), and the
+        result is P/m^n + (Q M/m^n) sqrt(d)."""
         _index(n, what="exponent")
-        result = QuadExt.from_rational(1, self._d)
-        base = self
+        a, b, d = self._a, self._b, self._d
+        big_m = d.denominator
+        m = a.denominator * b.denominator * big_m
+        big_d = d.numerator * big_m
+        divisor = m**n
+        p, q = 1, 0
+        base_p = a.numerator * b.denominator * big_m
+        base_q = b.numerator * a.denominator
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                p, q = p * base_p + q * base_q * big_d, p * base_q + q * base_p
             n >>= 1
-        return result
+            if n:
+                base_p, base_q = (
+                    base_p * base_p + base_q * base_q * big_d,
+                    2 * base_p * base_q,
+                )
+        return QuadExt(Fraction(p, divisor), Fraction(q * big_m, divisor), d)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadExt):

@@ -33,12 +33,17 @@ from .poly import BiPoly
 from .sequences import (
     Z_METHODS,
     ZX_METHODS,
+    _fib_list,
+    _lucas_list,
     _z_list,
     coefficient_c,
     fibonacci,
+    fibonacci_at,
     lucas,
+    lucas_at,
     spread_z_univariate,
     triangle,
+    z_at,
     z_polynomial,
 )
 from .surd import binet_fibonacci, binet_lucas, binet_z, check_root_relations
@@ -187,31 +192,39 @@ def _suite_binet(max_n: int) -> SuiteReport:
             )
             if x0 * x0 + 4 * s0 != 0:
                 points.append((x0, s0))
+        # Three routes per value: the closed form in Q(sqrt d), the polynomial
+        # from its recurrence ladder (built once for the sweep), evaluated, and
+        # the doubling kernel, which builds no polynomial.
+        fib, luc, z = _fib_list(max_n), _lucas_list(max_n), _z_list(max_n)
         for n in range(max_n + 1):
-            fib = fibonacci(n, method="recurrence")
-            luc = lucas(n, method="recurrence")
             for x0, s0 in points:
-                ok_f = binet_fibonacci(n, x0, s0) == fib.evaluate(x0, s0)
-                ok_l = binet_lucas(n, x0, s0) == luc.evaluate(x0, s0)
-                if ok_f and ok_l:
+                binet = (binet_fibonacci(n, x0, s0), binet_lucas(n, x0, s0))
+                evaluated = (fib[n].evaluate(x0, s0), luc[n].evaluate(x0, s0))
+                doubled = (fibonacci_at(n, x0, s0), lucas_at(n, x0, s0))
+                if binet == evaluated == doubled:
                     yield CheckResult("binet_fib_lucas", f"n={n} at ({x0},{s0})", True, None)
                 else:
                     yield failure(
                         "binet_fib_lucas",
                         f"n={n} at ({x0},{s0})",
                         n,
-                        f"binet F={binet_fibonacci(n, x0, s0)}, L={binet_lucas(n, x0, s0)}",
-                        f"evaluated F={fib.evaluate(x0, s0)}, L={luc.evaluate(x0, s0)}",
+                        f"binet F={binet[0]}, L={binet[1]}",
+                        f"evaluated F={evaluated[0]}, L={evaluated[1]}; "
+                        f"doubling F={doubled[0]}, L={doubled[1]}",
                     )
-            z = z_polynomial(n, method="recurrence")
             for q, s in _binet_grid():
-                expected = z.evaluate(q * q, s)
                 got = binet_z(n, q, s)
-                if got == expected:
+                evaluated_z = z[n].evaluate(q * q, s)
+                doubled_z = z_at(n, q * q, s)
+                if got == evaluated_z == doubled_z:
                     yield CheckResult("binet_z", f"n={n} at (q={q},s={s})", True, None)
                 else:
                     yield failure(
-                        "binet_z", f"n={n} at (q={q},s={s})", n, str(got), str(expected)
+                        "binet_z",
+                        f"n={n} at (q={q},s={s})",
+                        n,
+                        f"binet {got}",
+                        f"evaluated {evaluated_z}; doubling {doubled_z}",
                     )
         for q, s in _binet_grid():
             yield check_root_relations(q, s)
@@ -221,25 +234,16 @@ def _suite_binet(max_n: int) -> SuiteReport:
 
 def _suite_gf(max_n: int) -> SuiteReport:
     def run() -> Iterable[CheckResult]:
+        fib, luc, z = _fib_list(max_n), _lucas_list(max_n), _z_list(max_n)
         fib_series = expand(gf_of("fibonacci"), max_n)
         lucas_series = expand(gf_of("lucas"), max_n)
         for n in range(max_n + 1):
-            yield compare_polynomials(
-                "gf_fibonacci", f"n={n}", n, fib_series[n], fibonacci(n, method="recurrence")
-            )
-            yield compare_polynomials(
-                "gf_lucas", f"n={n}", n, lucas_series[n], lucas(n, method="recurrence")
-            )
+            yield compare_polynomials("gf_fibonacci", f"n={n}", n, fib_series[n], fib[n])
+            yield compare_polynomials("gf_lucas", f"n={n}", n, lucas_series[n], luc[n])
         if max_n >= 1:
             z_series = expand(gf_of("z_shifted"), max_n - 1)
             for n in range(max_n):
-                yield compare_polynomials(
-                    "gf_z_shifted",
-                    f"n={n}",
-                    n,
-                    z_series[n],
-                    z_polynomial(n + 1, method="recurrence"),
-                )
+                yield compare_polynomials("gf_z_shifted", f"n={n}", n, z_series[n], z[n + 1])
 
     return _collect("gf", f"series coefficients 0..{max_n}", run())
 

@@ -208,6 +208,31 @@ def test_eval_past_the_int_str_limit(capsys):
             sys.set_int_max_str_digits(limit)
 
 
+def test_integer_argument_past_the_str_to_int_limit(capsys):
+    # A well-formed integer longer than Python's str-to-int digit limit is
+    # named as such, not as "not an integer"; a malformed one still is.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no str-to-int digit limit in this interpreter")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        long_n = "9" * 4400
+        for args in (
+            ["eval", "T", long_n, "1"],
+            ["eval", "T", "5", f"-{long_n}/7"],
+            ["gen", "F", long_n],
+            ["verify", "all", "--max-n", long_n],
+        ):
+            err = assert_usage_error(args, capsys)
+            assert "4400-digit integer is past Python's str-to-int limit of 4300 digits" in err
+            assert "not an integer" not in err and "not a rational" not in err
+        err = assert_usage_error(["eval", "T", long_n + "x", "1"], capsys)
+        assert "not an integer" in err
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_eval_result_size_bound(capsys, monkeypatch):
     def must_not_run(n, x0, s0):
         raise AssertionError("evaluated past the result-size bound")
@@ -299,6 +324,32 @@ def test_verify_coefficients_against_the_recurrence(capsys, monkeypatch):
     code, out, _ = run_cli(["verify", "coefficients", "--max-n", "12"], capsys)
     assert code == 1
     assert "witness [coefficients_match_z n=12] index 12:" in out
+
+
+def test_verify_binet_against_the_doubling_kernel(capsys, monkeypatch):
+    # The doubling kernel is the binet suite's third route: F(3) off by one
+    # there alone fails binet_fib_lucas at every point at n = 3, Z(2) off by
+    # one fails binet_z at every grid point at n = 2, and each witness names
+    # all three values.
+    fibonacci_at, z_at = verify.fibonacci_at, verify.z_at
+    monkeypatch.setattr(verify, "fibonacci_at", lambda n, x, s: fibonacci_at(n, x, s) + (n == 3))
+    monkeypatch.setattr(verify, "z_at", lambda n, x, s: z_at(n, x, s) + (n == 2))
+    report = verify.SUITES["binet"](3)
+    fib_fails = [f for f in report.failures if f.name == "binet_fib_lucas"]
+    z_fails = [f for f in report.failures if f.name == "binet_z"]
+    assert len(fib_fails) == verify._BINET_POINTS and len(z_fails) == len(verify._binet_grid())
+    assert len(report.failures) == len(fib_fails) + len(z_fails)
+    assert {f.witness[0] for f in fib_fails} == {3} and {f.witness[0] for f in z_fails} == {2}
+    _, lhs, rhs = fib_fails[0].witness
+    binet_f = lhs.split("F=")[1].split(",")[0]
+    evaluated, doubled = rhs.split("; ")
+    assert evaluated.startswith(f"evaluated F={binet_f}, L=")
+    assert doubled.startswith("doubling F=") and doubled.split("F=")[1].split(",")[0] != binet_f
+    _, lhs, rhs = z_fails[0].witness
+    assert lhs.startswith("binet ") and rhs.startswith("evaluated ") and "; doubling " in rhs
+    code, out, _ = run_cli(["verify", "binet", "--max-n", "3"], capsys)
+    assert code == 1
+    assert "witness [binet_z n=2 at (q=0,s=-3)] index 2:" in out
 
 
 def test_one_suite_table():

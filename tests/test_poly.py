@@ -127,12 +127,54 @@ def test_evaluate_examples():
     assert BiPoly.zero().evaluate(17, Fraction(3, 5)) == 0
     z2 = BiPoly({(1, 1): 4, (2, 0): 1})
     assert z2.evaluate(1, 2) == 9  # (2^2 - 1)^2
+    # 0^0 = 1: the constant term survives at x0 = 0 and at s0 = 0.
+    p = BiPoly({(0, 0): Fraction(-2, 3), (2, 0): 5, (0, 3): Fraction(1, 2), (1, 1): 7})
+    assert p.evaluate(0, 0) == Fraction(-2, 3)
+    assert p.evaluate(0, Fraction(2, 3)) == Fraction(-2, 3) + Fraction(4, 27)
+    assert p.evaluate(Fraction(-3, 2), 0) == Fraction(-2, 3) + Fraction(45, 4)
+    assert type(BiPoly.zero().evaluate(0, 0)) is Fraction
+    assert UniPoly.zero().evaluate(Fraction(1, 3)) == 0
+    assert UniPoly({0: 4, 7: 1}).evaluate(0) == 4
+    assert UniPoly({40: Fraction(1, 2)}).evaluate(Fraction(-2, 3)) == Fraction(2**39, 3**40)
 
 
 @given(bipolys, bipolys, st.integers(-9, 9), st.integers(-9, 9))
 def test_evaluate_is_ring_homomorphism(p, q, a, b):
     assert (p * q).evaluate(a, b) == p.evaluate(a, b) * q.evaluate(a, b)
     assert (p + q).evaluate(a, b) == p.evaluate(a, b) + q.evaluate(a, b)
+
+
+# Sparse exponents up to 40 and Fraction coefficients, for evaluate's
+# common-denominator sum.
+rational_coeffs = st.one_of(coeffs, st.fractions(min_value=-9, max_value=9, max_denominator=12))
+sparse_exponents = st.one_of(exponents, st.integers(min_value=0, max_value=40))
+rational_bipolys = st.dictionaries(
+    st.tuples(sparse_exponents, sparse_exponents), rational_coeffs, max_size=8
+).map(BiPoly)
+rational_unipolys = st.dictionaries(sparse_exponents, rational_coeffs, max_size=8).map(UniPoly)
+points = st.one_of(
+    st.just(0), st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=12)
+)
+
+
+@given(rational_bipolys, points, points)
+def test_evaluate_is_the_naive_sum(p, x0, s0):
+    # Term by term on Fractions, where 0^0 = 1.
+    naive = sum(
+        (Fraction(c) * Fraction(x0) ** dx * Fraction(s0) ** ds for (dx, ds), c in p.terms()),
+        Fraction(0),
+    )
+    value = p.evaluate(x0, s0)
+    assert type(value) is Fraction
+    assert value == naive
+
+
+@given(rational_unipolys, points)
+def test_univariate_evaluate_is_the_naive_sum(p, x0):
+    naive = sum((Fraction(c) * Fraction(x0) ** k for k, c in p.terms()), Fraction(0))
+    value = p.evaluate(x0)
+    assert type(value) is Fraction
+    assert value == naive
 
 
 def test_substitute_s():

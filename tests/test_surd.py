@@ -89,10 +89,23 @@ def test_pow():
         g**-2
 
 
-@given(elements)
-def test_pow_consistency(u):
-    assert u**2 == u * u
-    assert u**5 == u * u * u * u * u
+# Any rational d, with 0, negative and non-integral values drawn on purpose:
+# the integer power kernel scales by d's denominator M and works in Z[sqrt(N*M)].
+any_discriminants = st.one_of(
+    st.sampled_from([0, -1, -12, Fraction(5, 4), Fraction(-7, 3), Fraction(1, 9)]),
+    st.fractions(min_value=-60, max_value=60, max_denominator=12),
+)
+
+
+@given(rationals, st.one_of(st.just(0), rationals), any_discriminants)
+def test_pow_consistency(a, b, d):
+    u = QuadExt(a, b, d)
+    product = QuadExt.from_rational(1, d)
+    for k in range(41):
+        power = u**k
+        assert power == product, k
+        assert repr(power) == repr(product), k  # same normalized int/Fraction parts
+        product = product * u
 
 
 @given(rationals, rationals)
