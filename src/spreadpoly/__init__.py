@@ -7,110 +7,13 @@ that all routes agree exactly.  No floating point is involved anywhere except
 the explicitly float-based trigonometric spot checks.
 """
 
-from .gf import GF_KINDS, MalformedGF, RationalGF, expand, gf_of
-from .identities import (
-    CheckResult,
-    check_cassini,
-    check_chebyshev_bala,
-    check_coefficient_forms,
-    check_l_doubling,
-    check_lucas_binomial,
-    check_symmetry,
-    check_trig,
-    check_z_binomial,
-    check_z_cassini,
-    compare_polynomials,
-)
-from .poly import BiPoly, OddDegreeError, Rat, UniPoly, ZeroPolynomialError
-from .sequences import (
-    C_FORMS,
-    FIBONACCI_METHODS,
-    LUCAS_METHODS,
-    Z_METHODS,
-    ZX_METHODS,
-    Triangle,
-    chebyshev_t,
-    chebyshev_t_at,
-    coefficient_c,
-    fibonacci,
-    fibonacci_at,
-    lucas,
-    lucas_at,
-    point_bits_bound,
-    spread_z_univariate,
-    spread_z_univariate_at,
-    triangle,
-    univariate_l,
-    univariate_l_at,
-    wildberger_spread,
-    wildberger_spread_at,
-    z_at,
-    z_polynomial,
-)
-from .surd import (
-    DegenerateDiscriminant,
-    DiscriminantMismatch,
-    QuadExt,
-    binet_fibonacci,
-    binet_lucas,
-    binet_z,
-    characteristic_roots,
-    check_root_relations,
-)
+from . import gf, identities, poly, sequences, surd
+from .gf import *
+from .identities import *
+from .poly import *
+from .sequences import *
+from .surd import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BiPoly",
-    "UniPoly",
-    "Rat",
-    "OddDegreeError",
-    "ZeroPolynomialError",
-    "QuadExt",
-    "DiscriminantMismatch",
-    "DegenerateDiscriminant",
-    "characteristic_roots",
-    "binet_fibonacci",
-    "binet_lucas",
-    "binet_z",
-    "check_root_relations",
-    "Triangle",
-    "fibonacci",
-    "lucas",
-    "z_polynomial",
-    "coefficient_c",
-    "triangle",
-    "univariate_l",
-    "spread_z_univariate",
-    "wildberger_spread",
-    "chebyshev_t",
-    "fibonacci_at",
-    "lucas_at",
-    "z_at",
-    "univariate_l_at",
-    "spread_z_univariate_at",
-    "wildberger_spread_at",
-    "chebyshev_t_at",
-    "point_bits_bound",
-    "FIBONACCI_METHODS",
-    "LUCAS_METHODS",
-    "Z_METHODS",
-    "ZX_METHODS",
-    "C_FORMS",
-    "RationalGF",
-    "MalformedGF",
-    "GF_KINDS",
-    "gf_of",
-    "expand",
-    "CheckResult",
-    "compare_polynomials",
-    "check_cassini",
-    "check_z_cassini",
-    "check_lucas_binomial",
-    "check_z_binomial",
-    "check_symmetry",
-    "check_coefficient_forms",
-    "check_trig",
-    "check_chebyshev_bala",
-    "check_l_doubling",
-]
+__all__ = poly.__all__ + surd.__all__ + sequences.__all__ + gf.__all__ + identities.__all__

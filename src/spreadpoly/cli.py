@@ -147,8 +147,6 @@ def _cmd_gen(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
                 f"family {args.family} accepts methods {', '.join(methods)}; got {args.method!r}"
             )
         parser.error(f"family {args.family} has a single construction; drop --method")
-    if args.format == "csv":
-        parser.error("csv output is only available for the triangle subcommand")
     try:
         poly = builder(args.n, args.method)
     except ValueError as exc:  # an index the construction does not cover
@@ -192,8 +190,6 @@ def _cmd_eval(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def _cmd_series(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if args.format == "csv":
-        parser.error("csv output is only available for the triangle subcommand")
     coeffs = expand(gf_of(args.kind), args.n)
     if args.format == "json":
         print(_dump([_terms_json(p) for p in coeffs]))
@@ -242,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("family", choices=sorted(_FAMILIES))
     gen.add_argument("n", type=_nonneg)
     gen.add_argument("--method", default=None)
-    gen.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    gen.add_argument("--format", choices=("text", "json"), default="text")
     gen.set_defaults(handler=functools.partial(_cmd_gen, gen))
 
     tri = sub.add_parser("triangle", help="coefficient triangle rows 1..N")
@@ -260,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     ser = sub.add_parser("series", help="generating-function expansion")
     ser.add_argument("kind", choices=GF_KINDS)
     ser.add_argument("n", metavar="N", type=_nonneg)
-    ser.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    ser.add_argument("--format", choices=("text", "json"), default="text")
     ser.set_defaults(handler=functools.partial(_cmd_series, ser))
 
     ver = sub.add_parser("verify", help="run cross-validation suites")

@@ -30,9 +30,7 @@ from .sequences import (
 
 __all__ = [
     "CheckResult",
-    "WITNESS_TERM_LIMIT",
     "compare_polynomials",
-    "failure",
     "check_cassini",
     "check_z_cassini",
     "check_lucas_binomial",
@@ -47,27 +45,30 @@ __all__ = [
 # Failure witnesses truncate both sides to this many terms for readability.
 WITNESS_TERM_LIMIT = 40
 
+# The float spot check's sample count and its bound on the deviation.
+_TRIG_SAMPLES = 100
+_TRIG_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of one identity check.
 
-    ``passed`` is True exactly when ``witness`` is None; a witness is the
-    failing index together with both sides rendered as text.
+    A witness is the failing index together with both sides rendered as
+    text; a check passed exactly when it has none.
     """
 
     name: str
     range: str
-    passed: bool
     witness: tuple[int, str, str] | None = None
 
-    def __post_init__(self) -> None:
-        if self.passed != (self.witness is None):
-            raise ValueError("passed must be True exactly when witness is absent")
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
 
 def failure(name: str, range_text: str, index: int, lhs: str, rhs: str) -> CheckResult:
-    return CheckResult(name=name, range=range_text, passed=False, witness=(index, lhs, rhs))
+    return CheckResult(name, range_text, (index, lhs, rhs))
 
 
 def compare_polynomials(
@@ -79,7 +80,7 @@ def compare_polynomials(
 ) -> CheckResult:
     """Exact comparison of two polynomials, rendered into a witness on mismatch."""
     if lhs == rhs:
-        return CheckResult(name=name, range=range_text, passed=True, witness=None)
+        return CheckResult(name, range_text)
     return failure(
         name,
         range_text,
@@ -179,32 +180,31 @@ def check_coefficient_forms(n: int) -> CheckResult:
                 f"c({n},{k}) forms gave {tuple(str(v) for v in values)}",
                 "a single integer",
             )
-    return CheckResult(name="coefficient_forms", range=f"n={n}", passed=True, witness=None)
+    return CheckResult("coefficient_forms", f"n={n}")
 
 
-def check_trig(n: int, num_samples: int = 100, tol: float = 1e-9) -> CheckResult:
+def check_trig(n: int) -> CheckResult:
     """Floating-point spot check of the defining trigonometric property.
 
     Zx(n)(4 sin^2 t) should equal 4 sin^2(n t) and S(n)(sin^2 t) should equal
-    sin^2(n t); both are evaluated by Horner in doubles over num_samples
-    angles spread through (0, pi/2).  Coefficient growth makes doubles
-    meaningless much past n = 20, so callers sweep small n only.
+    sin^2(n t); both are evaluated by Horner in doubles over _TRIG_SAMPLES
+    angles spread through (0, pi/2) and must agree to within _TRIG_TOL.
+    Coefficient growth makes doubles meaningless much past n = 20, so
+    callers sweep small n only.
     """
     _index(n, 1)
-    if num_samples < 1 or tol <= 0:
-        raise ValueError("need num_samples >= 1 and tol > 0")
     zx = spread_z_univariate(n, method="via_l")
     sp = wildberger_spread(n)
     worst = 0.0
-    for i in range(1, num_samples + 1):
-        theta = (math.pi / 2) * i / (num_samples + 1)
+    for i in range(1, _TRIG_SAMPLES + 1):
+        theta = (math.pi / 2) * i / (_TRIG_SAMPLES + 1)
         sin2 = math.sin(theta) ** 2
         target = math.sin(n * theta) ** 2
         worst = max(worst, abs(zx.eval_float(4 * sin2) - 4 * target))
         worst = max(worst, abs(sp.eval_float(sin2) - target))
-    if worst < tol:
-        return CheckResult(name="trig", range=f"n={n}", passed=True, witness=None)
-    return failure("trig", f"n={n}", n, f"max deviation {worst:.3e}", f"tolerance {tol:g}")
+    if worst < _TRIG_TOL:
+        return CheckResult("trig", f"n={n}")
+    return failure("trig", f"n={n}", n, f"max deviation {worst:.3e}", f"tolerance {_TRIG_TOL:g}")
 
 
 def check_chebyshev_bala(n: int) -> CheckResult:

@@ -121,7 +121,7 @@ class _SparsePoly:
     return new instances in canonical form.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     @classmethod
     def _trusted(cls: type[P], terms: Mapping[Key, Rat]) -> P:
@@ -138,7 +138,6 @@ class _SparsePoly:
             for key, c in terms.items()
             if c
         }
-        poly._hash = None
         return poly
 
     # -- constructors ------------------------------------------------------
@@ -225,6 +224,18 @@ class _SparsePoly:
             result = result * self
         return result
 
+    def halve_degrees(self: P) -> P:
+        """Replace x^(2k) by x^k; degrees in s pass through.
+
+        Raises OddDegreeError unless every term has even degree in x.
+        """
+        for dx, _ in self._terms:
+            if dx % 2:
+                raise OddDegreeError(
+                    f"term with x-degree {dx} is odd; polynomial is not even in x"
+                )
+        return self._trusted({(dx // 2, ds): c for (dx, ds), c in self._terms.items()})
+
     # -- comparison and rendering --------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -235,9 +246,10 @@ class _SparsePoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        # A constant equals its scalar, so it must hash as that scalar too.
+        if self._terms.keys() <= {(0, 0)}:
+            return hash(self._terms.get((0, 0), 0))
+        return hash(frozenset(self._terms.items()))
 
     def render(self, max_terms: int | None = None) -> str:
         """Canonical text form, e.g. ``x^3 + 6*s*x^2 + 9*s^2*x``.
@@ -292,7 +304,6 @@ class BiPoly(_SparsePoly):
 
     def __init__(self, terms: Mapping[Key, Rat] | None = None) -> None:
         self._terms = _canonical(terms) if terms else {}
-        self._hash = None
 
     # The shared operators, bound in this class's own namespace so that
     # per-class instrumentation (perfbench/tracer.py) finds each of them here.
@@ -358,22 +369,16 @@ class BiPoly(_SparsePoly):
         """
         if not isinstance(q, BiPoly):
             raise TypeError("substitution target must be a BiPoly")
-        if not self._terms:
+        halved = self.halve_degrees()
+        if not halved._terms:
             return BiPoly.zero()
-        half_degrees = []
-        for dx, _ in self._terms:
-            if dx % 2:
-                raise OddDegreeError(
-                    f"term with x-degree {dx} is odd; polynomial is not even in x"
-                )
-            half_degrees.append(dx // 2)
         # q^k by repeated multiplication, built once per power needed.
         powers = [BiPoly.one()]
-        for _ in range(max(half_degrees)):
+        for _ in range(max(k for k, _ in halved._terms)):
             powers.append(powers[-1] * q)
         acc: dict[Key, Rat] = {}
-        for (dx, ds), c in self._terms.items():
-            for (qx, qs), qc in powers[dx // 2]._terms.items():
+        for (k, ds), c in halved._terms.items():
+            for (qx, qs), qc in powers[k]._terms.items():
                 key = (qx, qs + ds)
                 acc[key] = acc.get(key, 0) + c * qc
         return BiPoly._trusted(acc)
@@ -395,7 +400,6 @@ class UniPoly(_SparsePoly):
 
     def __init__(self, coeffs: Mapping[int, Rat] | None = None) -> None:
         self._terms = _canonical({(k, 0): c for k, c in coeffs.items()}) if coeffs else {}
-        self._hash = None
 
     # The shared operators, bound in this class's own namespace so that
     # per-class instrumentation (perfbench/tracer.py) finds each of them here.
@@ -463,10 +467,3 @@ class UniPoly(_SparsePoly):
         for prev, cur in zip(degrees, degrees[1:]):
             acc = acc * power(prev - cur) + self._terms[cur, 0]
         return acc * power(degrees[-1])
-
-    def halve_degrees(self) -> UniPoly:
-        """Replace x^(2k) by x^k; raises OddDegreeError unless even throughout."""
-        for k, _ in self._terms:
-            if k % 2:
-                raise OddDegreeError(f"term of degree {k} is odd; polynomial is not even")
-        return UniPoly._trusted({(k // 2, 0): c for (k, _), c in self._terms.items()})

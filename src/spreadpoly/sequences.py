@@ -198,7 +198,7 @@ def z_polynomial(n: int, method: str = "recurrence") -> BiPoly:
         )
     if method == "via_lucas":
         doubled = _lucas_list(2 * n)[2 * n]
-        return doubled.even_substitute(BiPoly.x()) - BiPoly.monomial(2, 0, n)
+        return doubled.halve_degrees() - BiPoly.monomial(2, 0, n)
     if method == "via_fib":
         flipped = _negate_s(_fib_list(n)[n])
         squared = flipped * flipped
@@ -208,9 +208,9 @@ def z_polynomial(n: int, method: str = "recurrence") -> BiPoly:
     # parity
     if n % 2:
         odd = _lucas_list(n)[n]
-        return (odd * odd).even_substitute(BiPoly.x())
+        return (odd * odd).halve_degrees()
     even = _fib_list(n)[n]
-    return BiPoly({(1, 0): 1, (0, 1): 4}) * (even * even).even_substitute(BiPoly.x())
+    return BiPoly({(1, 0): 1, (0, 1): 4}) * (even * even).halve_degrees()
 
 
 # -- the coefficient triangle -------------------------------------------------

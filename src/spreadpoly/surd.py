@@ -298,4 +298,4 @@ def check_root_relations(q: Rat, s0: Rat) -> CheckResult:
     for index, (lhs, rhs) in enumerate(steps):
         if lhs != rhs:
             return failure(name, rng, index, str(lhs), str(rhs))
-    return CheckResult(name=name, range=rng, passed=True, witness=None)
+    return CheckResult(name, rng)

@@ -36,6 +36,7 @@ from spreadpoly import (
     z_polynomial,
 )
 from spreadpoly.fixtures import a156308_rows
+from spreadpoly.identities import _TRIG_SAMPLES, _TRIG_TOL
 
 # Hand-typed reference data: the first bivariate spread polynomials, the
 # 5x5 coefficient matrix, and the first univariate spread polynomials.
@@ -179,8 +180,9 @@ def test_criterion_6_binet_surd():
 
 
 def test_criterion_7_trig_property():
+    assert (_TRIG_SAMPLES, _TRIG_TOL) == (100, 1e-9)
     for n in range(1, 21):
-        result = check_trig(n, num_samples=100, tol=1e-9)
+        result = check_trig(n)
         assert result.passed, (n, result.witness)
     print("criterion 7 (trigonometric property, tol 1e-9): PASS")
 

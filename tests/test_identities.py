@@ -92,11 +92,9 @@ def test_coefficient_forms():
 def test_trig_small_n():
     assert check_trig(1).passed  # Z(1) is the identity polynomial
     assert check_trig(2).passed
-    _all_pass(check_trig(n, num_samples=50) for n in range(1, 11))
+    _all_pass(check_trig(n) for n in range(1, 11))
     with pytest.raises(ValueError):
         check_trig(0)
-    with pytest.raises(ValueError):
-        check_trig(2, tol=0.0)
 
 
 def test_trig_z2_hand_value():
@@ -131,10 +129,8 @@ def test_failing_comparison_builds_witness():
 
 
 def test_check_result_invariant():
-    with pytest.raises(ValueError):
-        CheckResult(name="bad", range="n=1", passed=True, witness=(1, "a", "b"))
-    with pytest.raises(ValueError):
-        CheckResult(name="bad", range="n=1", passed=False, witness=None)
+    assert not CheckResult(name="bad", range="n=1", witness=(1, "a", "b")).passed
+    assert CheckResult(name="good", range="n=1", witness=None).passed
 
 
 def test_witness_is_truncated():

@@ -272,6 +272,11 @@ def test_halve_degrees():
     assert UniPoly({4: 1, 2: -4, 0: 2}).halve_degrees() == UniPoly({2: 1, 1: -4, 0: 2})
     with pytest.raises(OddDegreeError):
         UniPoly({3: 1}).halve_degrees()
+    # degrees in s pass through: y^4 + 2sy^2 + s^3 becomes x^2 + 2sx + s^3
+    p = BiPoly({(4, 0): 1, (2, 1): 2, (0, 3): 1})
+    assert p.halve_degrees() == BiPoly({(2, 0): 1, (1, 1): 2, (0, 3): 1})
+    with pytest.raises(OddDegreeError):
+        BiPoly({(1, 2): 1}).halve_degrees()
 
 
 def test_univariate_degree_and_errors():
@@ -333,6 +338,11 @@ def test_equality_and_hash():
     assert hash(a) == hash(b)
     assert BiPoly.constant(5) == 5
     assert UniPoly.constant(Fraction(5, 1)) == 5
+    # equal objects hash equal, so a constant is found where its scalar is
+    assert 5 in {BiPoly.constant(5)}
+    assert hash(BiPoly.zero()) == hash(0)
+    assert hash(UniPoly.constant(Fraction(1, 3))) == hash(Fraction(1, 3))
+    assert UniPoly.constant(-2) in {-2: "two"}
 
 
 def test_canonical_term_order():
