@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Iterable
 
 from .poly import BiPoly, UniPoly, _index
 from .sequences import (
@@ -90,6 +91,17 @@ def compare_polynomials(
     )
 
 
+def _agree(
+    name: str, n: int, pairs: Iterable[tuple[BiPoly | UniPoly, BiPoly | UniPoly]]
+) -> CheckResult:
+    """The first failing comparison of the pairs, in order, or a pass."""
+    for lhs, rhs in pairs:
+        result = compare_polynomials(name, f"n={n}", n, lhs, rhs)
+        if not result.passed:
+            return result
+    return CheckResult(name, f"n={n}")
+
+
 def check_cassini(n: int) -> CheckResult:
     """F(n)^2 - F(n-1)*F(n+1) = (-s)^(n-1), exactly."""
     _index(n, 1)
@@ -155,12 +167,8 @@ def check_symmetry(n: int) -> CheckResult:
     zb = z_polynomial(n, method="recurrence")
 
     specialized = zb.substitute_s(-1).scale(_sign(n - 1))
-    result = compare_polynomials("symmetry", f"n={n}", n, zx, specialized)
-    if not result.passed:
-        return result
-
     rebuilt = BiPoly({(k, n - k): -c * _sign(k) for k, c in zx.terms()})
-    return compare_polynomials("symmetry", f"n={n}", n, rebuilt, zb)
+    return _agree("symmetry", n, [(zx, specialized), (rebuilt, zb)])
 
 
 def check_coefficient_forms(n: int) -> CheckResult:
@@ -218,34 +226,21 @@ def check_chebyshev_bala(n: int) -> CheckResult:
     ln = univariate_l(n)
 
     shifted_half = UniPoly({1: Fraction(1, 2), 0: 1})
-    chain = [
+    base, *links = (
         t.compose(shifted_half).scale(2) - 2,
         ln.compose(UniPoly({1: 1, 0: 2})) - 2,
         -spread_z_univariate(n, method="via_l").compose(UniPoly({1: -1})),
         z_polynomial(n, method="recurrence").substitute_s(1),
-    ]
-    base = chain[0]
-    for link in chain[1:]:
-        result = compare_polynomials("chebyshev_bala", f"n={n}", n, base, link)
-        if not result.passed:
-            return result
-    return compare_polynomials(
-        "chebyshev_bala", f"n={n}", n, t.scale(2), ln.compose(UniPoly({1: 2}))
     )
+    pairs = [(base, link) for link in links] + [(t.scale(2), ln.compose(UniPoly({1: 2})))]
+    return _agree("chebyshev_bala", n, pairs)
 
 
 def check_l_doubling(n: int) -> CheckResult:
     """l(2n)(x) = l(n)(x^2 - 2), plus the square-root form of Zx it justifies."""
     _index(n, 1)
-    doubled = univariate_l(2 * n)
-    composed = univariate_l(n).compose(UniPoly({2: 1, 0: -2}))
-    result = compare_polynomials("l_doubling", f"n={n}", n, doubled, composed)
-    if not result.passed:
-        return result
-    return compare_polynomials(
-        "l_doubling",
-        f"n={n}",
-        n,
-        spread_z_univariate(n, method="via_l2n"),
-        spread_z_univariate(n, method="via_l"),
-    )
+    pairs = [
+        (univariate_l(2 * n), univariate_l(n).compose(UniPoly({2: 1, 0: -2}))),
+        (spread_z_univariate(n, method="via_l2n"), spread_z_univariate(n, method="via_l")),
+    ]
+    return _agree("l_doubling", n, pairs)

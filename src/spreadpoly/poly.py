@@ -12,8 +12,9 @@ string.
 
 ``BiPoly`` and ``UniPoly`` share one sparse ring implementation that keys
 terms by ``(deg_x, deg_s)``; a ``UniPoly`` stores its terms as ``(k, 0)``.
-Only the public constructors validate their input.  Operation results are
-canonical by construction and skip those checks.
+Both evaluate through one body, and ``compose`` and ``even_substitute`` are
+one Horner pass in x.  Only the public constructors validate their input.
+Operation results are canonical by construction and skip those checks.
 """
 
 from __future__ import annotations
@@ -55,8 +56,6 @@ def _coeff(c: object) -> Rat:
         return c
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
-    if isinstance(c, bool):
-        return int(c)
     if isinstance(c, int):
         return int(c)
     raise TypeError(
@@ -236,6 +235,38 @@ class _SparsePoly:
                 )
         return self._trusted({(dx // 2, ds): c for (dx, ds), c in self._terms.items()})
 
+    # -- evaluation and substitution ----------------------------------------
+
+    def _evaluate(self, x0: Rat, s0: Rat) -> Fraction:
+        """Exact value of the polynomial at the rational point (x0, s0).
+
+        The sum runs over one common denominator, on integers for integral
+        coefficients, and one fraction is reduced at the end.
+        """
+        x0 = _coeff(x0)
+        s0 = _coeff(s0)
+        if not self._terms:
+            return Fraction(0)
+        px, den_x = _scaled_powers(x0, {dx for dx, _ in self._terms})
+        ps, den_s = _scaled_powers(s0, {ds for _, ds in self._terms})
+        total = sum(c * px[dx] * ps[ds] for (dx, ds), c in self._terms.items())
+        return Fraction(total, den_x * den_s)
+
+    def _horner(self: P, r: P) -> P:
+        """p(r, s) by Horner's scheme in x: the terms are grouped by x-degree into
+        rows, polynomials in s, and x^k becomes r^k one degree gap at a time."""
+        rows: dict[int, dict[Key, Rat]] = {}
+        for (dx, ds), c in self._terms.items():
+            rows.setdefault(dx, {})[0, ds] = c
+        if not rows:
+            return self.zero()
+        degrees = sorted(rows, reverse=True)
+        power = functools.cache(r.__pow__)  # each distinct gap r^g is built once
+        acc = self._trusted(rows[degrees[0]])
+        for prev, cur in zip(degrees, degrees[1:]):
+            acc = acc * power(prev - cur) + self._trusted(rows[cur])
+        return acc * power(degrees[-1])
+
     # -- comparison and rendering --------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -313,6 +344,7 @@ class BiPoly(_SparsePoly):
     __neg__ = _SparsePoly.__neg__
     __mul__ = __rmul__ = _SparsePoly.__mul__
     render = _SparsePoly.render
+    evaluate = _SparsePoly._evaluate
 
     # -- constructors ------------------------------------------------------
 
@@ -336,21 +368,6 @@ class BiPoly(_SparsePoly):
 
     # -- evaluation and substitution ----------------------------------------
 
-    def evaluate(self, x0: Rat, s0: Rat) -> Fraction:
-        """Exact value of the polynomial at the rational point (x0, s0).
-
-        The sum runs over one common denominator, on integers for integral
-        coefficients, and one fraction is reduced at the end.
-        """
-        x0 = _coeff(x0)
-        s0 = _coeff(s0)
-        if not self._terms:
-            return Fraction(0)
-        px, den_x = _scaled_powers(x0, {dx for dx, _ in self._terms})
-        ps, den_s = _scaled_powers(s0, {ds for _, ds in self._terms})
-        total = sum(c * px[dx] * ps[ds] for (dx, ds), c in self._terms.items())
-        return Fraction(total, den_x * den_s)
-
     def substitute_s(self, s0: Rat) -> UniPoly:
         """Specialize s to a rational, leaving a polynomial in x alone."""
         s0 = _coeff(s0)
@@ -369,19 +386,7 @@ class BiPoly(_SparsePoly):
         """
         if not isinstance(q, BiPoly):
             raise TypeError("substitution target must be a BiPoly")
-        halved = self.halve_degrees()
-        if not halved._terms:
-            return BiPoly.zero()
-        # q^k by repeated multiplication, built once per power needed.
-        powers = [BiPoly.one()]
-        for _ in range(max(k for k, _ in halved._terms)):
-            powers.append(powers[-1] * q)
-        acc: dict[Key, Rat] = {}
-        for (k, ds), c in halved._terms.items():
-            for (qx, qs), qc in powers[k]._terms.items():
-                key = (qx, qs + ds)
-                acc[key] = acc.get(key, 0) + c * qc
-        return BiPoly._trusted(acc)
+        return self.halve_degrees()._horner(q)
 
     def weighted_degree(self, w_x: int, w_s: int) -> tuple[int, bool]:
         """Max term weight under weights (w_x, w_s), and whether all terms share it."""
@@ -429,11 +434,7 @@ class UniPoly(_SparsePoly):
 
     def evaluate(self, x0: Rat) -> Fraction:
         """Exact value at the rational x0, over one common denominator."""
-        x0 = _coeff(x0)
-        if not self._terms:
-            return Fraction(0)
-        px, den = _scaled_powers(x0, {k for k, _ in self._terms})
-        return Fraction(sum(c * px[k] for (k, _), c in self._terms.items()), den)
+        return self._evaluate(x0, 0)
 
     def eval_float(self, x: float) -> float:
         """Double-precision value by the compensated Horner scheme.
@@ -459,11 +460,4 @@ class UniPoly(_SparsePoly):
         """Exact polynomial composition p(r(x)), by Horner's scheme."""
         if not isinstance(r, UniPoly):
             raise TypeError("composition target must be a UniPoly")
-        if not self._terms:
-            return UniPoly.zero()
-        degrees = sorted((k for k, _ in self._terms), reverse=True)
-        power = functools.cache(r.__pow__)  # each distinct gap r^g is built once
-        acc = UniPoly.constant(self._terms[degrees[0], 0])
-        for prev, cur in zip(degrees, degrees[1:]):
-            acc = acc * power(prev - cur) + self._terms[cur, 0]
-        return acc * power(degrees[-1])
+        return self._horner(r)

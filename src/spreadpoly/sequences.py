@@ -122,7 +122,7 @@ def _z_list(m: int) -> list[BiPoly]:
 
 def _negate_s(p: BiPoly) -> BiPoly:
     """The substitution s -> -s."""
-    return BiPoly._trusted({(dx, ds): c * _sign(ds) for (dx, ds), c in p._terms.items()})
+    return BiPoly({(dx, ds): c * _sign(ds) for (dx, ds), c in p.terms()})
 
 
 # -- bivariate families -------------------------------------------------------
@@ -138,8 +138,6 @@ def fibonacci(n: int, method: str = "recurrence") -> BiPoly:
     method = _check_method(method, FIBONACCI_METHODS)
     if method == "recurrence":
         return _fib_list(n)[n]
-    if n == 0:
-        return BiPoly.zero()
     return BiPoly(
         {(n - 1 - 2 * k, k): comb(n - 1 - k, k) for k in range((n - 1) // 2 + 1)}
     )
@@ -323,7 +321,7 @@ def chebyshev_t(n: int) -> UniPoly:
     two_x = UniPoly({1: 2})
     for _ in range(max(n - 1, 0)):
         seq.append(two_x * seq[-1] - seq[-2])
-    return seq[n] if n < 2 else seq[-1]
+    return seq[n]
 
 
 # -- point values by Lucas-sequence doubling ----------------------------------

@@ -33,6 +33,8 @@ from .identities import (
 )
 from .poly import BiPoly
 from .sequences import (
+    FIBONACCI_METHODS,
+    LUCAS_METHODS,
     Z_METHODS,
     ZX_METHODS,
     _fib_list,
@@ -139,33 +141,22 @@ def _suite_trig(max_n: int) -> SuiteReport:
 
 def _suite_cross_method(max_n: int) -> SuiteReport:
     def run() -> Iterable[CheckResult]:
+        # Bound when the sweep runs, not at import, so a patched builder is called.
+        routes = (
+            ("z", z_polynomial, Z_METHODS),
+            ("fibonacci", fibonacci, FIBONACCI_METHODS),
+            ("lucas", lucas, LUCAS_METHODS),
+            ("zx", spread_z_univariate, ZX_METHODS),
+        )
         for n in range(max_n + 1):
-            base = z_polynomial(n, method="recurrence")
-            for method in Z_METHODS[1:]:
-                yield compare_polynomials(
-                    f"z:{method}", f"n={n}", n, z_polynomial(n, method=method), base
-                )
-            fib = fibonacci(n, method="recurrence")
-            yield compare_polynomials(
-                "fibonacci:closed", f"n={n}", n, fibonacci(n, method="closed"), fib
-            )
-            luc = lucas(n, method="recurrence")
-            yield compare_polynomials(
-                "lucas:closed", f"n={n}", n, lucas(n, method="closed"), luc
-            )
-            if n >= 1:
-                yield compare_polynomials(
-                    "lucas:from_fib", f"n={n}", n, lucas(n, method="from_fib"), luc
-                )
-            zx = spread_z_univariate(n, method="via_l")
-            for method in ZX_METHODS[1:]:
-                yield compare_polynomials(
-                    f"zx:{method}",
-                    f"n={n}",
-                    n,
-                    spread_z_univariate(n, method=method),
-                    zx,
-                )
+            for family, build, methods in routes:
+                base = build(n, method=methods[0])
+                for method in methods[1:]:
+                    if n == 0 and method == "from_fib":
+                        continue  # L(n) = F(n+1) + s F(n-1) needs n >= 1
+                    yield compare_polynomials(
+                        f"{family}:{method}", f"n={n}", n, build(n, method=method), base
+                    )
 
     return _collect("cross_method", f"n=0..{max_n}, all constructions", run())
 

@@ -4,7 +4,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spreadpoly import BiPoly, OddDegreeError, UniPoly, ZeroPolynomialError
@@ -47,6 +47,16 @@ def test_integral_fractions_normalize():
     ]
     assert results == [1, 1, 2, 2, 1, 1, 1]
     assert all(type(c) is int for c in results)
+
+
+def test_bool_coefficient_stored_as_int():
+    stored = [
+        BiPoly({(1, 0): True}).coefficient(1, 0),
+        BiPoly.constant(True).coefficient(0, 0),
+        UniPoly({2: True}).coefficient(2),
+    ]
+    assert stored == [1, 1, 1]
+    assert all(type(c) is int for c in stored)
 
 
 def test_float_coefficients_rejected():
@@ -214,6 +224,28 @@ def test_even_substitute_odd_degree_rejected():
 def test_even_substitute_round_trip(h):
     doubled = BiPoly({(2 * dx, ds): c for (dx, ds), c in h.terms()})
     assert doubled.even_substitute(X) == h
+
+
+# Rows of one to three s-degrees at x-degrees with mixed gaps, and targets of
+# several terms, with Fraction coefficients throughout.
+row_bipolys = st.dictionaries(
+    st.integers(min_value=0, max_value=9),
+    st.dictionaries(st.integers(min_value=0, max_value=4), rational_coeffs, min_size=1, max_size=3),
+    max_size=5,
+).map(lambda rows: BiPoly({(dx, ds): c for dx, row in rows.items() for ds, c in row.items()}))
+targets = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), rational_coeffs, min_size=2, max_size=4
+).map(BiPoly)
+
+
+@given(row_bipolys, targets)
+@example(BiPoly.zero(), BiPoly({(1, 0): 1, (0, 1): 4}))
+@example(BiPoly({(5, 2): Fraction(1, 3), (5, 0): -2, (2, 1): 7, (0, 3): 1}), X + 4 * S)
+def test_even_substitute_is_the_naive_sum(h, q):
+    # x^(2k) s^ds -> q^k s^ds, term by term
+    doubled = BiPoly({(2 * dx, ds): c for (dx, ds), c in h.terms()})
+    naive = sum((q**k * BiPoly.monomial(c, 0, ds) for (k, ds), c in h.terms()), BiPoly.zero())
+    assert doubled.even_substitute(q) == naive
 
 
 # -- weighted degree -------------------------------------------------------------
