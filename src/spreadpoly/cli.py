@@ -268,12 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
     # Each handler is bound to its own subparser, so a usage error it raises
-    # prints that subcommand's usage line.  Output is exact, so the
-    # interpreter's int-to-str digit limit (Python 3.10.7 and later) is
-    # lifted while the handler runs.
+    # prints that subcommand's usage line; so do extra arguments.  Output is
+    # exact, so the interpreter's int-to-str digit limit (Python 3.10.7 and
+    # later) is lifted while the handler runs.
+    if extra:
+        args.handler.args[0].error(f"unrecognized arguments: {' '.join(extra)}")
     set_limit = getattr(sys, "set_int_max_str_digits", None)
     if set_limit is None:
         return args.handler(args)

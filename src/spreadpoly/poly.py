@@ -265,7 +265,7 @@ class _SparsePoly:
         acc = self._trusted(rows[degrees[0]])
         for prev, cur in zip(degrees, degrees[1:]):
             acc = acc * power(prev - cur) + self._trusted(rows[cur])
-        return acc * power(degrees[-1])
+        return acc * power(degrees[-1]) if degrees[-1] else acc
 
     # -- comparison and rendering --------------------------------------------
 

@@ -16,6 +16,11 @@ Families:
 * c(n, k): the integer coefficient triangle of Z(n) (OEIS A156308), by three
   closed forms.
 
+Each recurrence route is a ladder, data (seeds, weights) for a(k) = w0 a(k-1)
++ w1 a(k-2) + ..., run by one generator that holds only the last len(seeds)
+members; a builder streams to its member and keeps no list.  via_fib runs the
+Fibonacci ladder with weight -s, which yields F(n)(x, -s) directly.
+
 Point values (the ``*_at`` functions) take a route of their own that never
 builds a polynomial: one doubling kernel for the pair (F(n), F(n+1)) at a
 rational point, seeded only from F(0) = 0, F(1) = 1,
@@ -31,11 +36,14 @@ divides by the discriminant x^2 + 4s, so every rational point works.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial
+from typing import Iterator
 
-from .poly import BiPoly, Rat, UniPoly, _coeff, _index
+from .poly import P, BiPoly, Rat, UniPoly, _coeff, _index
 
 __all__ = [
     "Triangle",
@@ -80,49 +88,46 @@ def _sign(k: int) -> int:
     return -1 if k % 2 else 1
 
 
-# -- shared recurrence passes -------------------------------------------------
+# -- recurrence ladders -------------------------------------------------------
+
+# A ladder is (seeds, weights): past the seeds, a(k) = w0 a(k-1) + w1 a(k-2) + ...
+_X, _S = BiPoly.x(), BiPoly.s()
+_FIB = ((BiPoly.zero(), BiPoly.one()), (_X, _S))
+_LUCAS = ((BiPoly.constant(2), _X), (_X, _S))
+_Z = ((BiPoly.zero(), _X, _X * _X + 4 * _S * _X), (_X + 3 * _S, -_S * (_X + 3 * _S), _S**3))
+# The int -1 is a scale, not a product by the constant polynomial.
+_CHEBYSHEV = ((UniPoly.one(), UniPoly.x()), (UniPoly({1: 2}), -1))
+
+
+def _ladder(seeds: tuple[P, ...], weights: tuple[P | int, ...]) -> Iterator[P]:
+    """a(0), a(1), ... of one ladder, holding only the last len(seeds) members."""
+    window = deque(seeds, maxlen=len(seeds))
+    yield from seeds
+    while True:
+        terms = (w * a for w, a in zip(weights, reversed(window)))
+        window.append(sum(terms, next(terms)))
+        yield window[-1]
+
+
+def _member(n: int, seeds: tuple[P, ...], weights: tuple[P | int, ...]) -> P:
+    """a(n), streamed: no member before it outlives the step that reads it."""
+    return next(islice(_ladder(seeds, weights), n, None))
 
 
 def _fib_list(m: int) -> list[BiPoly]:
     """F(0)..F(m) by the defining recurrence."""
-    seq = [BiPoly.zero(), BiPoly.one()]
-    x, s = BiPoly.x(), BiPoly.s()
-    for _ in range(max(m - 1, 0)):
-        seq.append(x * seq[-1] + s * seq[-2])
-    return seq[: m + 1]
+    return list(islice(_ladder(*_FIB), m + 1))
 
 
 def _lucas_list(m: int) -> list[BiPoly]:
     """L(0)..L(m) by the defining recurrence."""
-    seq = [BiPoly.constant(2), BiPoly.x()]
-    x, s = BiPoly.x(), BiPoly.s()
-    for _ in range(max(m - 1, 0)):
-        seq.append(x * seq[-1] + s * seq[-2])
-    return seq[: m + 1]
+    return list(islice(_ladder(*_LUCAS), m + 1))
 
 
 def _z_list(m: int) -> list[BiPoly]:
-    """Z(0)..Z(m) by the third-order recurrence, seeded from the first terms.
-
-    Z(n+3) = (x+3s) Z(n+2) - s(x+3s) Z(n+1) + s^3 Z(n), with seeds
-    Z(0) = 0, Z(1) = x, Z(2) = 4sx + x^2.
-    """
-    seq = [
-        BiPoly.zero(),
-        BiPoly.x(),
-        BiPoly({(1, 1): 4, (2, 0): 1}),
-    ]
-    a = BiPoly({(1, 0): 1, (0, 1): 3})  # x + 3s
-    b = BiPoly.s() * a
-    c = BiPoly.monomial(1, 0, 3)
-    for _ in range(max(m - 2, 0)):
-        seq.append(a * seq[-1] - b * seq[-2] + c * seq[-3])
-    return seq[: m + 1]
-
-
-def _negate_s(p: BiPoly) -> BiPoly:
-    """The substitution s -> -s."""
-    return BiPoly({(dx, ds): c * _sign(ds) for (dx, ds), c in p.terms()})
+    """Z(0)..Z(m) by the third-order recurrence Z(n+3) = (x+3s) Z(n+2)
+    - s(x+3s) Z(n+1) + s^3 Z(n), seeded Z(0) = 0, Z(1) = x, Z(2) = 4sx + x^2."""
+    return list(islice(_ladder(*_Z), m + 1))
 
 
 # -- bivariate families -------------------------------------------------------
@@ -137,7 +142,7 @@ def fibonacci(n: int, method: str = "recurrence") -> BiPoly:
     n = _index(n)
     method = _check_method(method, FIBONACCI_METHODS)
     if method == "recurrence":
-        return _fib_list(n)[n]
+        return _member(n, *_FIB)
     return BiPoly(
         {(n - 1 - 2 * k, k): comb(n - 1 - k, k) for k in range((n - 1) // 2 + 1)}
     )
@@ -154,12 +159,12 @@ def lucas(n: int, method: str = "recurrence") -> BiPoly:
     n = _index(n)
     method = _check_method(method, LUCAS_METHODS)
     if method == "recurrence":
-        return _lucas_list(n)[n]
+        return _member(n, *_LUCAS)
     if method == "from_fib":
         if n == 0:
             raise ValueError("from_fib references F(n-1) and needs n >= 1")
-        fib = _fib_list(n + 1)
-        return fib[n + 1] + BiPoly.s() * fib[n - 1]
+        before, _, after = islice(_ladder(*_FIB), n - 1, n + 2)
+        return after + _S * before
     if n == 0:
         return BiPoly.constant(2)
     return BiPoly(
@@ -189,25 +194,25 @@ def z_polynomial(n: int, method: str = "recurrence") -> BiPoly:
     n = _index(n)
     method = _check_method(method, Z_METHODS)
     if method == "recurrence":
-        return _z_list(n)[n]
+        return _member(n, *_Z)
     if method == "closed":
         return BiPoly(
             {(k, n - k): coefficient_c(n, k, form="ratio_binomial") for k in range(1, n + 1)}
         )
     if method == "via_lucas":
-        doubled = _lucas_list(2 * n)[2 * n]
+        doubled = _member(2 * n, *_LUCAS)
         return doubled.halve_degrees() - BiPoly.monomial(2, 0, n)
     if method == "via_fib":
-        flipped = _negate_s(_fib_list(n)[n])
+        flipped = _member(n, _FIB[0], (_X, -_S))  # F(n)(x, -s)
         squared = flipped * flipped
         return BiPoly.x() * squared.even_substitute(
             BiPoly({(1, 0): 1, (0, 1): 4})
         )
     # parity
     if n % 2:
-        odd = _lucas_list(n)[n]
+        odd = _member(n, *_LUCAS)
         return (odd * odd).halve_degrees()
-    even = _fib_list(n)[n]
+    even = _member(n, *_FIB)
     return BiPoly({(1, 0): 1, (0, 1): 4}) * (even * even).halve_degrees()
 
 
@@ -316,12 +321,7 @@ def wildberger_spread(n: int) -> UniPoly:
 
 def chebyshev_t(n: int) -> UniPoly:
     """Chebyshev polynomial of the first kind, T(n+1) = 2x T(n) - T(n-1)."""
-    n = _index(n)
-    seq = [UniPoly.one(), UniPoly.x()]
-    two_x = UniPoly({1: 2})
-    for _ in range(max(n - 1, 0)):
-        seq.append(two_x * seq[-1] - seq[-2])
-    return seq[n]
+    return _member(_index(n), *_CHEBYSHEV)
 
 
 # -- point values by Lucas-sequence doubling ----------------------------------

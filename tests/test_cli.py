@@ -114,6 +114,8 @@ def test_gen_usage_errors(capsys):
     # from_fib needs n >= 1: the builder's ValueError is a usage error, not exit 1
     err = assert_usage_error(["gen", "L", "0", "--method", "from_fib"], capsys)
     assert "needs n >= 1" in err
+    err = assert_usage_error(["gen", "Z", "3", "extra"], capsys)
+    assert "unrecognized arguments: extra" in err
 
 
 # -- triangle -----------------------------------------------------------------
@@ -178,6 +180,7 @@ def test_eval_usage_errors(capsys):
     assert_usage_error(["eval", "T", "3", "1", "2"], capsys)  # extra s0
     assert_usage_error(["eval", "Z", "3", "1.5", "2"], capsys)  # bad literal
     assert_usage_error(["eval", "Z", "3", "1/0", "2"], capsys)  # zero denominator
+    assert_usage_error(["eval", "Z", "3", "1", "2", "3"], capsys)  # one argument too many
 
 
 def test_eval_degenerate_points(capsys):
@@ -297,6 +300,7 @@ def test_verify_cross_method(capsys):
 def test_verify_usage_errors(capsys):
     assert run_cli(["verify", "everything"], capsys)[0] == 2
     assert run_cli(["verify", "cassini", "--max-n", "0"], capsys)[0] == 2
+    assert_usage_error(["verify", "all", "--maxn", "5"], capsys)  # misspelt option
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):

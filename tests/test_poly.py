@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from spreadpoly import BiPoly, OddDegreeError, UniPoly, ZeroPolynomialError
+from spreadpoly import BiPoly, OddDegreeError, UniPoly, ZeroPolynomialError, poly
 
 X = BiPoly.x()
 S = BiPoly.s()
@@ -291,6 +291,27 @@ def test_compose_mixed_gaps():
     for k, c in p.terms():
         direct = direct + (r ** k).scale(c)
     assert p.compose(r) == direct
+
+
+def test_horner_builds_no_zeroth_power(monkeypatch):
+    # x^0 -> r^0 is the polynomial 1: a constant row ends the Horner pass
+    # without a product by it.
+    seen = []
+    original = poly._SparsePoly.__pow__
+
+    def recording(self, k):
+        seen.append(k)
+        return original(self, k)
+
+    monkeypatch.setattr(poly._SparsePoly, "__pow__", recording)
+    # p(x + 1) with p = x^3 - 2x + 5
+    assert UniPoly({3: 1, 1: -2, 0: 5}).compose(UniPoly({1: 1, 0: 1})) == UniPoly(
+        {3: 1, 2: 3, 1: 1, 0: 4}
+    )
+    # x^4 + 3sx^2 + 7s^2 with x^2 -> x + 4s
+    h = BiPoly({(4, 0): 1, (2, 1): 3, (0, 2): 7})
+    assert h.even_substitute(X + 4 * S) == BiPoly({(2, 0): 1, (1, 1): 11, (0, 2): 35})
+    assert seen and 0 not in seen
 
 
 def test_compose_rational_coefficients():

@@ -1,6 +1,7 @@
 """Tests for the polynomial family constructors and the coefficient triangle."""
 
 import functools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -249,6 +250,37 @@ def test_chebyshev_values():
     assert chebyshev_t(1) == UniPoly.x()
     assert chebyshev_t(2) == UniPoly({2: 2, 0: -1})
     assert chebyshev_t(3) == UniPoly({3: 4, 1: -3})
+
+
+# The tracemalloc peak of each recurrence route below, on Python 3.11.7.  When
+# every builder kept its whole ladder until it returned, the peaks ran from
+# 1,265,000 bytes (z via_fib and z parity) to 6,700,707 (chebyshev_t); streamed,
+# they run from 65,264 (z parity) to 171,464 (z via_fib).  The bound sits over
+# 2x above the streamed peaks and over 2x below the ladder-holding ones.
+LADDER_PEAK_BOUND = 500_000  # bytes
+LADDER_ROUTES = {
+    "fibonacci": lambda: fibonacci(400),
+    "lucas": lambda: lucas(400),
+    "z recurrence": lambda: z_polynomial(200),
+    "lucas from_fib": lambda: lucas(400, "from_fib"),
+    "z via_lucas": lambda: z_polynomial(200, "via_lucas"),
+    "z via_fib": lambda: z_polynomial(200, "via_fib"),
+    "z parity": lambda: z_polynomial(200, "parity"),
+    "univariate_l": lambda: univariate_l(400),
+    "chebyshev_t": lambda: chebyshev_t(400),
+    "zx via_l2n": lambda: spread_z_univariate(200, "via_l2n"),
+}
+
+
+@pytest.mark.parametrize("route", sorted(LADDER_ROUTES))
+def test_builders_hold_no_ladder(route):
+    tracemalloc.start()
+    try:
+        LADDER_ROUTES[route]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < LADDER_PEAK_BOUND, f"{route} peaked at {peak} bytes"
 
 
 def test_all_families_integer_coefficients():
