@@ -1,10 +1,13 @@
 """Executable checks for the identities tying the polynomial families together.
 
-Every check takes a single index n, builds both sides of the identity from
+Every check takes an index n, compares both sides of the identity built from
 independent constructions, and returns a CheckResult.  A failing result
 carries a witness (the index and both sides rendered in canonical form) so a
-regression is immediately inspectable.  Sweeping over n is left to the caller,
-which keeps each check a pure function.
+regression is immediately inspectable.  Sweeping over n is left to the caller:
+a check that reads ladder members also takes them as ``members``, which a
+sweep streams once for all n from one generator per route
+(``spreadpoly.verify``); called with n alone, the check builds them itself.
+The identity body is the same either way.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .poly import BiPoly, UniPoly, _index
 from .sequences import (
@@ -102,35 +105,37 @@ def _agree(
     return CheckResult(name, f"n={n}")
 
 
-def check_cassini(n: int) -> CheckResult:
-    """F(n)^2 - F(n-1)*F(n+1) = (-s)^(n-1), exactly."""
+def check_cassini(n: int, members: Sequence[BiPoly] = ()) -> CheckResult:
+    """F(n)^2 - F(n-1)*F(n+1) = (-s)^(n-1), exactly; members (F(n-1), F(n), F(n+1))."""
     _index(n, 1)
-    fib = _fib_list(n + 1)
-    lhs = fib[n] * fib[n] - fib[n - 1] * fib[n + 1]
+    before, mid, after = members or _fib_list(n + 1)[n - 1 :]
+    lhs = mid * mid - before * after
     rhs = BiPoly.monomial(_sign(n - 1), 0, n - 1)
     return compare_polynomials("cassini", f"n={n}", n, lhs, rhs)
 
 
-def check_z_cassini(n: int) -> CheckResult:
-    """Z(n-1)*Z(n+1) = (Z(n) - s^(n-1)*x)^2, exactly."""
+def check_z_cassini(n: int, members: Sequence[BiPoly] = ()) -> CheckResult:
+    """Z(n-1)*Z(n+1) = (Z(n) - s^(n-1)*x)^2, exactly; members (Z(n-1), Z(n), Z(n+1))."""
     _index(n, 1)
-    z = _z_list(n + 1)
-    lhs = z[n - 1] * z[n + 1]
-    inner = z[n] - BiPoly.monomial(1, 1, n - 1)
+    before, mid, after = members or _z_list(n + 1)[n - 1 :]
+    lhs = before * after
+    inner = mid - BiPoly.monomial(1, 1, n - 1)
     return compare_polynomials("z_cassini", f"n={n}", n, lhs, inner * inner)
 
 
-def check_lucas_binomial(n: int, parity: str) -> CheckResult:
+def check_lucas_binomial(n: int, parity: str, members: Sequence[BiPoly] = ()) -> CheckResult:
     """Alternating binomial sums of Lucas polynomials collapse to powers of x.
 
     even:  sum_j (-s)^j C(2n, j)   L(2n-2j)   = x^(2n) + (-s)^n C(2n, n)
     odd:   sum_j (-s)^j C(2n+1, j) L(2n+1-2j) = x^(2n+1)
+
+    members[k] is L(k), for k up to at least the top index 2n or 2n+1.
     """
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     _index(n)
     top = 2 * n if parity == "even" else 2 * n + 1
-    lucas_polys = _lucas_list(top)
+    lucas_polys = members or _lucas_list(top)
     total = BiPoly.zero()
     for j in range(n + 1):
         total = total + BiPoly.monomial(_sign(j) * comb(top, j), 0, j) * lucas_polys[top - 2 * j]
@@ -141,30 +146,29 @@ def check_lucas_binomial(n: int, parity: str) -> CheckResult:
     return compare_polynomials(f"lucas_binomial_{parity}", f"n={n}", n, total, rhs)
 
 
-def check_z_binomial(n: int) -> CheckResult:
-    """sum_j (-s)^j C(2n, j) Z(n-j) = x^n, exactly.
+def check_z_binomial(n: int, members: Sequence[BiPoly] = ()) -> CheckResult:
+    """sum_j (-s)^j C(2n, j) Z(n-j) = x^n, exactly; members[k] is Z(k), k <= n at least.
 
     Holds for n >= 1.  At n = 0 the left side is Z(0) = 0 while the right is
     x^0 = 1, so that boundary index is excluded rather than reinterpreted.
     """
     _index(n, 1)
-    z = _z_list(n)
+    z = members or _z_list(n)
     total = BiPoly.zero()
     for j in range(n + 1):
         total = total + BiPoly.monomial(_sign(j) * comb(2 * n, j), 0, j) * z[n - j]
     return compare_polynomials("z_binomial", f"n={n}", n, total, BiPoly.monomial(1, n, 0))
 
 
-def check_symmetry(n: int) -> CheckResult:
+def check_symmetry(n: int, members: Sequence[UniPoly | BiPoly] = ()) -> CheckResult:
     """The univariate and two-variable spread polynomials determine each other.
 
     First: Zx(n) = (-1)^(n-1) * Z(n)(x, -1) as polynomials in x.  Second,
     coefficient-wise: if Zx(n) = sum a_k x^k then -sum a_k (-1)^k s^(n-k) x^k
-    must rebuild Z(n)(x, s).
+    must rebuild Z(n)(x, s).  members: (Zx(n) via_l, Z(n) by its recurrence).
     """
     _index(n, 1)
-    zx = spread_z_univariate(n, method="via_l")
-    zb = z_polynomial(n, method="recurrence")
+    zx, zb = members or (spread_z_univariate(n, method="via_l"), z_polynomial(n))
 
     specialized = zb.substitute_s(-1).scale(_sign(n - 1))
     rebuilt = BiPoly({(k, n - k): -c * _sign(k) for k, c in zx.terms()})
@@ -215,32 +219,40 @@ def check_trig(n: int) -> CheckResult:
     return failure("trig", f"n={n}", n, f"max deviation {worst:.3e}", f"tolerance {_TRIG_TOL:g}")
 
 
-def check_chebyshev_bala(n: int) -> CheckResult:
+def check_chebyshev_bala(n: int, members: Sequence[UniPoly | BiPoly] = ()) -> CheckResult:
     """The Chebyshev route to the same polynomials.
 
     2*T(n)((x+2)/2) - 2, l(n)(x+2) - 2, -Zx(n)(-x) and Z(n)(x, 1) are all the
     same polynomial, and 2*T(n)(x) = l(n)(2x) links the two ladders.
+    members: (T(n), l(n), Zx(n) via_l, Z(n) by its recurrence).
     """
     _index(n, 1)
-    t = chebyshev_t(n)
-    ln = univariate_l(n)
+    t, ln, zx, zb = members or (
+        chebyshev_t(n), univariate_l(n), spread_z_univariate(n, method="via_l"), z_polynomial(n)
+    )
 
     shifted_half = UniPoly({1: Fraction(1, 2), 0: 1})
     base, *links = (
         t.compose(shifted_half).scale(2) - 2,
         ln.compose(UniPoly({1: 1, 0: 2})) - 2,
-        -spread_z_univariate(n, method="via_l").compose(UniPoly({1: -1})),
-        z_polynomial(n, method="recurrence").substitute_s(1),
+        -zx.compose(UniPoly({1: -1})),
+        zb.substitute_s(1),
     )
     pairs = [(base, link) for link in links] + [(t.scale(2), ln.compose(UniPoly({1: 2})))]
     return _agree("chebyshev_bala", n, pairs)
 
 
-def check_l_doubling(n: int) -> CheckResult:
-    """l(2n)(x) = l(n)(x^2 - 2), plus the square-root form of Zx it justifies."""
+def check_l_doubling(n: int, members: Sequence[UniPoly] = ()) -> CheckResult:
+    """l(2n)(x) = l(n)(x^2 - 2), plus the square-root form of Zx it justifies.
+
+    members: (l(2n), l(n), Zx(n) via_l2n, Zx(n) via_l).
+    """
     _index(n, 1)
-    pairs = [
-        (univariate_l(2 * n), univariate_l(n).compose(UniPoly({2: 1, 0: -2}))),
-        (spread_z_univariate(n, method="via_l2n"), spread_z_univariate(n, method="via_l")),
-    ]
+    doubled, ln, zx_l2n, zx_l = members or (
+        univariate_l(2 * n),
+        univariate_l(n),
+        spread_z_univariate(n, method="via_l2n"),
+        spread_z_univariate(n, method="via_l"),
+    )
+    pairs = [(doubled, ln.compose(UniPoly({2: 1, 0: -2}))), (zx_l2n, zx_l)]
     return _agree("l_doubling", n, pairs)

@@ -19,7 +19,10 @@ Families:
 Each recurrence route is a ladder, data (seeds, weights) for a(k) = w0 a(k-1)
 + w1 a(k-2) + ..., run by one generator that holds only the last len(seeds)
 members; a builder streams to its member and keeps no list.  via_fib runs the
-Fibonacci ladder with weight -s, which yields F(n)(x, -s) directly.
+Fibonacci ladder with weight -s, which yields F(n)(x, -s) directly.  Each
+route's per-member step (Z(n) from L(2n) for via_lucas, say) is one function,
+which the single-n builder applies to the member it streamed and which the
+route's sweep stream (``_stream``) applies at every n, on ladders of its own.
 
 Point values (the ``*_at`` functions) take a route of their own that never
 builds a polynomial: one doubling kernel for the pair (F(n), F(n+1)) at a
@@ -39,7 +42,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from math import comb, factorial
 from typing import Iterator
 
@@ -93,6 +96,7 @@ def _sign(k: int) -> int:
 # A ladder is (seeds, weights): past the seeds, a(k) = w0 a(k-1) + w1 a(k-2) + ...
 _X, _S = BiPoly.x(), BiPoly.s()
 _FIB = ((BiPoly.zero(), BiPoly.one()), (_X, _S))
+_FLIPPED_FIB = (_FIB[0], (_X, -_S))  # F(n)(x, -s)
 _LUCAS = ((BiPoly.constant(2), _X), (_X, _S))
 _Z = ((BiPoly.zero(), _X, _X * _X + 4 * _S * _X), (_X + 3 * _S, -_S * (_X + 3 * _S), _S**3))
 # The int -1 is a scale, not a product by the constant polynomial.
@@ -114,6 +118,14 @@ def _member(n: int, seeds: tuple[P, ...], weights: tuple[P | int, ...]) -> P:
     return next(islice(_ladder(seeds, weights), n, None))
 
 
+def _windows(stream: Iterator[P], size: int) -> Iterator[tuple[P, ...]]:
+    """(a(k), ..., a(k+size-1)) for k = 0, 1, ...: a window, never the whole stream."""
+    window = deque(islice(stream, size - 1), maxlen=size)
+    for member in stream:
+        window.append(member)
+        yield tuple(window)
+
+
 def _fib_list(m: int) -> list[BiPoly]:
     """F(0)..F(m) by the defining recurrence."""
     return list(islice(_ladder(*_FIB), m + 1))
@@ -128,6 +140,33 @@ def _z_list(m: int) -> list[BiPoly]:
     """Z(0)..Z(m) by the third-order recurrence Z(n+3) = (x+3s) Z(n+2)
     - s(x+3s) Z(n+1) + s^3 Z(n), seeded Z(0) = 0, Z(1) = x, Z(2) = 4sx + x^2."""
     return list(islice(_ladder(*_Z), m + 1))
+
+
+# -- route steps: one member from the ladder members it reads ------------------
+
+_LIFT = _X + 4 * _S  # x + 4s
+
+
+def _lucas_from_fib(window: tuple[BiPoly, BiPoly, BiPoly]) -> BiPoly:
+    """L(n) from the window (F(n-1), F(n), F(n+1))."""
+    before, _, after = window
+    return after + _S * before
+
+
+def _z_via_lucas(n: int, doubled: BiPoly) -> BiPoly:
+    """Z(n) from L(2n)."""
+    return doubled.halve_degrees() - BiPoly.monomial(2, 0, n)
+
+
+def _z_via_fib(flipped: BiPoly) -> BiPoly:
+    """Z(n) from F(n)(x, -s)."""
+    return _X * (flipped * flipped).even_substitute(_LIFT)
+
+
+def _z_parity(n: int, member: BiPoly) -> BiPoly:
+    """Z(n) from L(n) at odd n, from F(n) at even n."""
+    squared = (member * member).halve_degrees()
+    return squared if n % 2 else _LIFT * squared
 
 
 # -- bivariate families -------------------------------------------------------
@@ -163,8 +202,7 @@ def lucas(n: int, method: str = "recurrence") -> BiPoly:
     if method == "from_fib":
         if n == 0:
             raise ValueError("from_fib references F(n-1) and needs n >= 1")
-        before, _, after = islice(_ladder(*_FIB), n - 1, n + 2)
-        return after + _S * before
+        return _lucas_from_fib(tuple(islice(_ladder(*_FIB), n - 1, n + 2)))
     if n == 0:
         return BiPoly.constant(2)
     return BiPoly(
@@ -200,20 +238,10 @@ def z_polynomial(n: int, method: str = "recurrence") -> BiPoly:
             {(k, n - k): coefficient_c(n, k, form="ratio_binomial") for k in range(1, n + 1)}
         )
     if method == "via_lucas":
-        doubled = _member(2 * n, *_LUCAS)
-        return doubled.halve_degrees() - BiPoly.monomial(2, 0, n)
+        return _z_via_lucas(n, _member(2 * n, *_LUCAS))
     if method == "via_fib":
-        flipped = _member(n, _FIB[0], (_X, -_S))  # F(n)(x, -s)
-        squared = flipped * flipped
-        return BiPoly.x() * squared.even_substitute(
-            BiPoly({(1, 0): 1, (0, 1): 4})
-        )
-    # parity
-    if n % 2:
-        odd = _member(n, *_LUCAS)
-        return (odd * odd).halve_degrees()
-    even = _member(n, *_FIB)
-    return BiPoly({(1, 0): 1, (0, 1): 4}) * (even * even).halve_degrees()
+        return _z_via_fib(_member(n, *_FLIPPED_FIB))
+    return _z_parity(n, _member(n, *(_LUCAS if n % 2 else _FIB)))
 
 
 # -- the coefficient triangle -------------------------------------------------
@@ -279,7 +307,12 @@ def triangle(N: int) -> Triangle:
 def univariate_l(n: int) -> UniPoly:
     """l(n)(x) = L(n)(x, -1), by specializing the two-variable Lucas polynomial."""
     n = _index(n)
-    return lucas(n, method="recurrence").substitute_s(-1)
+    return _l_from_lucas(lucas(n, method="recurrence"))
+
+
+def _l_from_lucas(member: BiPoly) -> UniPoly:
+    """l(n) from L(n)."""
+    return member.substitute_s(-1)
 
 
 def spread_z_univariate(n: int, method: str = "via_l") -> UniPoly:
@@ -297,12 +330,25 @@ def spread_z_univariate(n: int, method: str = "via_l") -> UniPoly:
     n = _index(n)
     method = _check_method(method, ZX_METHODS)
     if method == "via_l":
-        composed = univariate_l(n).compose(UniPoly({1: -1, 0: 2}))
-        return 2 - composed
+        return _zx_via_l(univariate_l(n))
     if method == "via_l2n":
-        halved = univariate_l(2 * n).halve_degrees()
-        return (halved - 2 * _sign(n)).scale(_sign(n - 1))
-    return z_polynomial(n, method="via_fib").substitute_s(-1).scale(_sign(n - 1))
+        return _zx_via_l2n(n, univariate_l(2 * n))
+    return _zx_from_bivariate(n, z_polynomial(n, method="via_fib"))
+
+
+def _zx_via_l(ln: UniPoly) -> UniPoly:
+    """Zx(n) from l(n)."""
+    return 2 - ln.compose(UniPoly({1: -1, 0: 2}))
+
+
+def _zx_via_l2n(n: int, doubled: UniPoly) -> UniPoly:
+    """Zx(n) from l(2n)."""
+    return (doubled.halve_degrees() - 2 * _sign(n)).scale(_sign(n - 1))
+
+
+def _zx_from_bivariate(n: int, z: BiPoly) -> UniPoly:
+    """Zx(n) from Z(n)."""
+    return z.substitute_s(-1).scale(_sign(n - 1))
 
 
 def wildberger_spread(n: int) -> UniPoly:
@@ -322,6 +368,56 @@ def wildberger_spread(n: int) -> UniPoly:
 def chebyshev_t(n: int) -> UniPoly:
     """Chebyshev polynomial of the first kind, T(n+1) = 2x T(n) - T(n-1)."""
     return _member(_index(n), *_CHEBYSHEV)
+
+
+# -- route streams for sweeps -------------------------------------------------
+
+
+def _stream(family: str, method: str = "recurrence") -> Iterator[BiPoly | UniPoly]:
+    """Members 0, 1, 2, ... of one construction route, for a sweep.
+
+    Each member comes from the step the route's single-n builder takes, on
+    ladders this stream starts from their own seeds: no two streams share a
+    ladder, and each holds only its ladders' windows.  Families are
+    ``fibonacci``, ``lucas``, ``z`` and ``zx``, with the methods of their
+    builders, plus ``l`` (univariate_l) and ``t`` (chebyshev_t) by their
+    recurrences.  ``lucas`` ``from_fib`` starts at n = 1, as L(0) has no F(-1).
+    """
+    n = count()
+    match family, method:
+        case "fibonacci", "recurrence":
+            return _ladder(*_FIB)
+        case "fibonacci", "closed":
+            return (fibonacci(k, "closed") for k in n)
+        case "lucas", "recurrence":
+            return _ladder(*_LUCAS)
+        case "lucas", "closed":
+            return (lucas(k, "closed") for k in n)
+        case "lucas", "from_fib":
+            return map(_lucas_from_fib, _windows(_ladder(*_FIB), 3))
+        case "z", "recurrence":
+            return _ladder(*_Z)
+        case "z", "closed":
+            return (z_polynomial(k, "closed") for k in n)
+        case "z", "via_lucas":
+            return map(_z_via_lucas, n, islice(_ladder(*_LUCAS), 0, None, 2))
+        case "z", "via_fib":
+            return map(_z_via_fib, _ladder(*_FLIPPED_FIB))
+        case "z", "parity":
+            pairs = zip(n, _ladder(*_LUCAS), _ladder(*_FIB))
+            return (_z_parity(k, odd if k % 2 else even) for k, odd, even in pairs)
+        case "zx", "via_l":
+            return map(_zx_via_l, map(_l_from_lucas, _ladder(*_LUCAS)))
+        case "zx", "via_l2n":
+            doubled = map(_l_from_lucas, islice(_ladder(*_LUCAS), 0, None, 2))
+            return map(_zx_via_l2n, n, doubled)
+        case "zx", "from_bivariate":
+            return map(_zx_from_bivariate, n, _stream("z", "via_fib"))
+        case "l", "recurrence":
+            return map(_l_from_lucas, _ladder(*_LUCAS))
+        case "t", "recurrence":
+            return _ladder(*_CHEBYSHEV)
+    raise ValueError(f"no route {method!r} for {family!r}")
 
 
 # -- point values by Lucas-sequence doubling ----------------------------------

@@ -218,12 +218,14 @@ def _rational(n: int, value: QuadExt) -> Fraction:
 def binet_fibonacci(n: int, x0: Rat, s0: Rat) -> Fraction:
     """(g^n - gbar^n) / (g - gbar) for the characteristic roots g, gbar.
 
-    Exact; the sqrt parts always cancel, which is checked (ArithmeticError
-    otherwise).
+    g - gbar is the pure surd sqrt(d), so the quotient is taken directly:
+    (a + b sqrt(d)) / sqrt(d) = b + (a/d) sqrt(d).  Exact; the sqrt parts
+    always cancel, which is checked (ArithmeticError otherwise).
     """
     _index(n)
     g, gbar = characteristic_roots(x0, s0)
-    return _rational(n, (g**n - gbar**n) / (g - gbar))
+    diff = g**n - gbar**n
+    return _rational(n, QuadExt(diff.b, Fraction(diff.a) / diff.d, diff.d))
 
 
 def binet_lucas(n: int, x0: Rat, s0: Rat) -> Fraction:

@@ -4,6 +4,12 @@ Each suite runs its checks for n up to a bound and gathers the results into
 a SuiteReport; ``SUITES`` maps every suite name to its sweep, in the order
 ``spreadpoly verify all`` runs them.  Printing and exit codes are left to
 the caller.
+
+A sweep runs each route's ladder once, for n = 0..max_n, and hands every
+check the members it streamed (``sequences._stream``), so a sweep to N takes
+O(N) ladder steps.  Every route has a stream of its own, started from its own
+seeds: two routes never share a generator, which keeps their agreement a
+cross-validation.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, repeat
 from typing import Callable, Iterable
 
 from .fixtures import a156308_rows
@@ -39,6 +46,8 @@ from .sequences import (
     ZX_METHODS,
     _fib_list,
     _lucas_list,
+    _stream,
+    _windows,
     _z_list,
     coefficient_c,
     fibonacci,
@@ -88,17 +97,26 @@ def _collect(name: str, detail: str, results: Iterable[CheckResult]) -> SuiteRep
     return SuiteReport(name, detail, len(results), tuple(r for r in results if not r.passed))
 
 
-def _suite_each_n(name: str, check: Callable[[int], CheckResult], max_n: int) -> SuiteReport:
-    """The suites that run one check per n = 1..max_n."""
-    return _collect(name, f"n=1..{max_n}", (check(n) for n in range(1, max_n + 1)))
+def _suite_each_n(
+    name: str, check: Callable[[int, object], CheckResult], max_n: int, members: Iterable
+) -> SuiteReport:
+    """The suites that run one check per n = 1..max_n; ``members`` yields the
+    members of n = 1, 2, ... that each check reads."""
+    return _collect(name, f"n=1..{max_n}", map(check, range(1, max_n + 1), members))
+
+
+def _from_one(*streams: Iterable) -> Iterable[tuple]:
+    """The streams' members of n = 1, 2, ..., zipped."""
+    return islice(zip(*streams), 1, None)
 
 
 def _suite_lucas_binomial(max_n: int) -> SuiteReport:
+    lucas_polys = _lucas_list(2 * max_n + 1)
     return _collect(
         "lucas_binomial",
         f"n=0..{max_n}, both parities",
         (
-            check_lucas_binomial(n, parity)
+            check_lucas_binomial(n, parity, lucas_polys)
             for n in range(max_n + 1)
             for parity in ("even", "odd")
         ),
@@ -141,22 +159,38 @@ def _suite_trig(max_n: int) -> SuiteReport:
 
 def _suite_cross_method(max_n: int) -> SuiteReport:
     def run() -> Iterable[CheckResult]:
-        # Bound when the sweep runs, not at import, so a patched builder is called.
-        routes = (
-            ("z", z_polynomial, Z_METHODS),
-            ("fibonacci", fibonacci, FIBONACCI_METHODS),
-            ("lucas", lucas, LUCAS_METHODS),
-            ("zx", spread_z_univariate, ZX_METHODS),
-        )
+        # Builders bound when the sweep runs, not at import, so a patched
+        # builder is called.
+        routes = [
+            (family, build, [(method, _stream(family, method)) for method in methods])
+            for family, build, methods in (
+                ("z", z_polynomial, Z_METHODS),
+                ("fibonacci", fibonacci, FIBONACCI_METHODS),
+                ("lucas", lucas, LUCAS_METHODS),
+                ("zx", spread_z_univariate, ZX_METHODS),
+            )
+        ]
         for n in range(max_n + 1):
-            for family, build, methods in routes:
-                base = build(n, method=methods[0])
-                for method in methods[1:]:
-                    if n == 0 and method == "from_fib":
-                        continue  # L(n) = F(n+1) + s F(n-1) needs n >= 1
-                    yield compare_polynomials(
-                        f"{family}:{method}", f"n={n}", n, build(n, method=method), base
-                    )
+            for family, build, streams in routes:
+                members = [
+                    (method, next(stream))
+                    for method, stream in streams
+                    # L(n) = F(n+1) + s F(n-1) needs n >= 1
+                    if n or method != "from_fib"
+                ]
+                if n == max_n:
+                    # The streams stand in for the single-n builders that
+                    # `gen` runs, so their last members must be the
+                    # builders'.  Only a mismatch adds a result.
+                    for method, member in members:
+                        built = build(n, method=method)
+                        if member != built:
+                            yield compare_polynomials(
+                                f"{family}:{method}", f"n={n} builder", n, member, built
+                            )
+                (_, base), *others = members
+                for method, member in others:
+                    yield compare_polynomials(f"{family}:{method}", f"n={n}", n, member, base)
 
     return _collect("cross_method", f"n=0..{max_n}, all constructions", run())
 
@@ -241,17 +275,41 @@ def _suite_gf(max_n: int) -> SuiteReport:
 
 # Every suite by name, in the order ``verify all`` runs them.  The per-n
 # suites name their check inside a lambda, so the check is looked up in this
-# module when the suite runs and a patched check_* takes effect.
+# module when the suite runs and a patched check_* takes effect.  Each builds
+# its members' streams when it runs, so no stream outlives its sweep.
 SUITES: dict[str, Callable[[int], SuiteReport]] = {
-    "cassini": lambda max_n: _suite_each_n("cassini", check_cassini, max_n),
-    "z_cassini": lambda max_n: _suite_each_n("z_cassini", check_z_cassini, max_n),
+    "cassini": lambda max_n: _suite_each_n(
+        "cassini", check_cassini, max_n, _windows(_stream("fibonacci"), 3)
+    ),
+    "z_cassini": lambda max_n: _suite_each_n(
+        "z_cassini", check_z_cassini, max_n, _windows(_stream("z"), 3)
+    ),
     "lucas_binomial": _suite_lucas_binomial,
-    "z_binomial": lambda max_n: _suite_each_n("z_binomial", check_z_binomial, max_n),
-    "symmetry": lambda max_n: _suite_each_n("symmetry", check_symmetry, max_n),
+    "z_binomial": lambda max_n: _suite_each_n(
+        "z_binomial", check_z_binomial, max_n, repeat(_z_list(max_n))
+    ),
+    "symmetry": lambda max_n: _suite_each_n(
+        "symmetry", check_symmetry, max_n, _from_one(_stream("zx", "via_l"), _stream("z"))
+    ),
     "coefficients": _suite_coefficients,
     "trig": _suite_trig,
-    "chebyshev": lambda max_n: _suite_each_n("chebyshev", check_chebyshev_bala, max_n),
-    "doubling": lambda max_n: _suite_each_n("doubling", check_l_doubling, max_n),
+    "chebyshev": lambda max_n: _suite_each_n(
+        "chebyshev",
+        check_chebyshev_bala,
+        max_n,
+        _from_one(_stream("t"), _stream("l"), _stream("zx", "via_l"), _stream("z")),
+    ),
+    "doubling": lambda max_n: _suite_each_n(
+        "doubling",
+        check_l_doubling,
+        max_n,
+        _from_one(
+            islice(_stream("l"), 0, None, 2),
+            _stream("l"),
+            _stream("zx", "via_l2n"),
+            _stream("zx", "via_l"),
+        ),
+    ),
     "cross_method": _suite_cross_method,
     "binet": _suite_binet,
     "gf": _suite_gf,

@@ -307,7 +307,9 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     from spreadpoly.identities import failure
 
     monkeypatch.setattr(
-        verify, "check_cassini", lambda n: failure("cassini", f"n={n}", n, "x", "s")
+        verify,
+        "check_cassini",
+        lambda n, members=None: failure("cassini", f"n={n}", n, "x", "s"),
     )
     code, out, _ = run_cli(["verify", "cassini", "--max-n", "2"], capsys)
     assert code == 1

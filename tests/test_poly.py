@@ -111,6 +111,32 @@ def test_pow():
         X**-1
 
 
+rational_coeffs = st.one_of(coeffs, st.fractions(min_value=-9, max_value=9, max_denominator=4))
+rational_polys = st.one_of(
+    st.dictionaries(st.tuples(exponents, exponents), rational_coeffs, max_size=5).map(BiPoly),
+    st.dictionaries(exponents, rational_coeffs, max_size=5).map(UniPoly),
+)
+
+
+@given(
+    rational_polys,
+    st.one_of(
+        st.sampled_from([0, 1, -1, 2, -4, Fraction(0), Fraction(6, 3)]),
+        st.integers(min_value=-12, max_value=12),
+        st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    ),
+)
+@example(UniPoly({1: Fraction(1, 2), 0: Fraction(3, 4)}), 4)
+@example(BiPoly({(1, 1): Fraction(-5, 2)}), Fraction(2, 5))
+def test_scale_is_canonical(p, c):
+    # No zero coefficient and no integral Fraction survives, whatever the factor.
+    scaled = p.scale(c)
+    for _, v in scaled.terms():
+        assert v != 0
+        assert type(v) is int or v.denominator != 1
+    assert scaled == type(p)({key: v * c for key, v in p.terms()})
+
+
 @given(bipolys, bipolys)
 def test_mul_commutative(p, q):
     assert p * q == q * p

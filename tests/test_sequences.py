@@ -3,6 +3,7 @@
 import functools
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from spreadpoly import (
     BiPoly,
     UniPoly,
+    FIBONACCI_METHODS,
+    LUCAS_METHODS,
     Z_METHODS,
     ZX_METHODS,
     chebyshev_t,
@@ -29,6 +32,7 @@ from spreadpoly.sequences import (
     Triangle,
     _fib_list,
     _lucas_list,
+    _stream,
     _z_list,
     chebyshev_t_at,
     fibonacci_at,
@@ -270,6 +274,31 @@ LADDER_ROUTES = {
     "chebyshev_t": lambda: chebyshev_t(400),
     "zx via_l2n": lambda: spread_z_univariate(200, "via_l2n"),
 }
+
+
+STREAMED_ROUTES = {
+    **{("fibonacci", m): functools.partial(fibonacci, method=m) for m in FIBONACCI_METHODS},
+    **{("lucas", m): functools.partial(lucas, method=m) for m in LUCAS_METHODS},
+    **{("z", m): functools.partial(z_polynomial, method=m) for m in Z_METHODS},
+    **{("zx", m): functools.partial(spread_z_univariate, method=m) for m in ZX_METHODS},
+    ("l", "recurrence"): univariate_l,
+    ("t", "recurrence"): chebyshev_t,
+}
+
+
+@pytest.mark.parametrize("route", sorted(STREAMED_ROUTES), ids=":".join)
+def test_stream_is_the_single_n_builder(route):
+    # A sweep's stream yields member n for n = 0, 1, ... (from n = 1 for
+    # from_fib, which needs F(n-1)): exactly what the builder gives at each n.
+    first = 1 if route[1] == "from_fib" else 0
+    build = STREAMED_ROUTES[route]
+    streamed = list(islice(_stream(*route), 31 - first))
+    assert streamed == [build(n) for n in range(first, 31)]
+
+
+def test_stream_unknown_route():
+    with pytest.raises(ValueError):
+        _stream("z", "binet")
 
 
 @pytest.mark.parametrize("route", sorted(LADDER_ROUTES))

@@ -17,6 +17,7 @@ from spreadpoly import (
     characteristic_roots,
     check_root_relations,
     fibonacci,
+    fibonacci_at,
     lucas,
     z_polynomial,
 )
@@ -155,6 +156,21 @@ def test_binet_matches_recurrence_at_sampled_points():
         for x0, s0 in points:
             assert binet_fibonacci(n, x0, s0) == fib.evaluate(x0, s0)
             assert binet_lucas(n, x0, s0) == luc.evaluate(x0, s0)
+
+
+def test_binet_fibonacci_is_the_doubling_kernel():
+    # Grid points of either sign of the discriminant x^2 + 4s, including
+    # non-square, rational-square and fractional ones.
+    grid = [
+        (x0, s0)
+        for x0 in (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 2), Fraction(-5, 3))
+        for s0 in (Fraction(-3), Fraction(-1), Fraction(-2, 7), Fraction(1, 4), Fraction(2))
+        if x0 * x0 + 4 * s0 != 0
+    ]
+    assert any(x0 * x0 + 4 * s0 < 0 for x0, s0 in grid)
+    for n in range(41):
+        for x0, s0 in grid:
+            assert binet_fibonacci(n, x0, s0) == fibonacci_at(n, x0, s0), (n, x0, s0)
 
 
 def test_binet_z_values():

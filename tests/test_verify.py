@@ -1,0 +1,166 @@
+"""The verify sweeps: each streams its ladders once and hands every check the
+members a standalone call would build for itself."""
+
+import pytest
+
+from spreadpoly import (
+    FIBONACCI_METHODS,
+    LUCAS_METHODS,
+    Z_METHODS,
+    ZX_METHODS,
+    chebyshev_t,
+    fibonacci,
+    lucas,
+    spread_z_univariate,
+    univariate_l,
+    z_polynomial,
+)
+from spreadpoly import identities, sequences, verify
+from spreadpoly.identities import compare_polynomials
+
+N = 15
+
+# Per-n suite -> (its check, the members check n reads, by single-n builders).
+PER_N = {
+    "cassini": (
+        "check_cassini",
+        lambda n: (fibonacci(n - 1), fibonacci(n), fibonacci(n + 1)),
+    ),
+    "z_cassini": (
+        "check_z_cassini",
+        lambda n: (z_polynomial(n - 1), z_polynomial(n), z_polynomial(n + 1)),
+    ),
+    "z_binomial": ("check_z_binomial", lambda n: [z_polynomial(k) for k in range(n + 1)]),
+    "symmetry": (
+        "check_symmetry",
+        lambda n: (spread_z_univariate(n, "via_l"), z_polynomial(n)),
+    ),
+    "chebyshev": (
+        "check_chebyshev_bala",
+        lambda n: (
+            chebyshev_t(n),
+            univariate_l(n),
+            spread_z_univariate(n, "via_l"),
+            z_polynomial(n),
+        ),
+    ),
+    "doubling": (
+        "check_l_doubling",
+        lambda n: (
+            univariate_l(2 * n),
+            univariate_l(n),
+            spread_z_univariate(n, "via_l2n"),
+            spread_z_univariate(n, "via_l"),
+        ),
+    ),
+}
+
+
+def _recording(check, calls):
+    def recorded(*args):
+        calls.append(args)
+        return check(*args)
+
+    return recorded
+
+
+def _same_members(streamed, built):
+    # A binomial check reads a prefix of the list its sweep holds.
+    if isinstance(built, list):
+        return list(streamed[: len(built)]) == built
+    return tuple(streamed) == built
+
+
+@pytest.mark.parametrize("suite", sorted(PER_N))
+def test_sweep_hands_each_check_its_own_members(suite, monkeypatch):
+    name, members_of = PER_N[suite]
+    check = getattr(identities, name)
+    calls = []
+    monkeypatch.setattr(verify, name, _recording(check, calls))
+    report = verify.SUITES[suite](N)
+    assert [n for n, _ in calls] == list(range(1, N + 1))
+    for n, members in calls:
+        assert _same_members(members, members_of(n)), n
+    standalone = [check(n) for n in range(1, N + 1)]
+    assert report == verify._collect(suite, report.detail, standalone)
+
+
+def test_lucas_binomial_sweep_hands_each_check_its_own_members(monkeypatch):
+    check = identities.check_lucas_binomial
+    calls = []
+    monkeypatch.setattr(verify, "check_lucas_binomial", _recording(check, calls))
+    report = verify.SUITES["lucas_binomial"](N)
+    expected = [(n, parity) for n in range(N + 1) for parity in ("even", "odd")]
+    assert [(n, parity) for n, parity, _ in calls] == expected
+    for n, parity, members in calls:
+        top = 2 * n + (parity == "odd")
+        assert _same_members(members, [lucas(k) for k in range(top + 1)]), (n, parity)
+    standalone = [check(n, parity) for n, parity in expected]
+    assert report == verify._collect("lucas_binomial", report.detail, standalone)
+
+
+def test_cross_method_matches_single_n_builders():
+    routes = (
+        ("z", z_polynomial, Z_METHODS),
+        ("fibonacci", fibonacci, FIBONACCI_METHODS),
+        ("lucas", lucas, LUCAS_METHODS),
+        ("zx", spread_z_univariate, ZX_METHODS),
+    )
+    standalone = [
+        compare_polynomials(
+            f"{family}:{method}", f"n={n}", n, build(n, method), build(n, methods[0])
+        )
+        for n in range(N + 1)
+        for family, build, methods in routes
+        for method in methods[1:]
+        if n or method != "from_fib"
+    ]
+    report = verify.SUITES["cross_method"](N)
+    assert report == verify._collect("cross_method", report.detail, standalone)
+
+
+@pytest.mark.parametrize(
+    "builder, family, method",
+    [
+        ("z_polynomial", "z", "recurrence"),
+        ("lucas", "lucas", "from_fib"),
+        ("spread_z_univariate", "zx", "via_l2n"),
+    ],
+)
+def test_cross_method_checks_the_builders_at_its_last_n(builder, family, method, monkeypatch):
+    # A builder whose own wiring is wrong prints a wrong `gen` result even
+    # where its stream is right: the sweep must catch it at its last n.
+    build = getattr(verify, builder)
+    passing = verify.SUITES["cross_method"](N)
+
+    def off_at_the_last_n(n, **options):
+        built = build(n, **options)
+        return built + 1 if (n, options["method"]) == (N, method) else built
+
+    monkeypatch.setattr(verify, builder, off_at_the_last_n)
+    assert verify.SUITES["cross_method"](N - 1).ok
+    report = verify.SUITES["cross_method"](N)
+    assert [(f.name, f.range) for f in report.failures] == [(f"{family}:{method}", f"n={N} builder")]
+    assert report.total == passing.total + 1
+
+
+@pytest.mark.parametrize("suite", sorted([*PER_N, "lucas_binomial", "cross_method"]))
+def test_sweep_draws_linearly_many_ladder_members(suite, monkeypatch):
+    # Streamed once per sweep, a ladder draws a N + b members (b >= 0); a
+    # check that rebuilds its ladder from index 0 draws ~a N^2 over a sweep.
+    drawn = 0
+    ladder = sequences._ladder
+
+    def counting(seeds, weights):
+        nonlocal drawn
+        for member in ladder(seeds, weights):
+            drawn += 1
+            yield member
+
+    monkeypatch.setattr(sequences, "_ladder", counting)
+    counts = []
+    for max_n in (10, 20):
+        drawn = 0
+        assert verify.SUITES[suite](max_n).ok
+        counts.append(drawn)
+    assert 0 < counts[1] <= 2 * counts[0], counts
