@@ -231,14 +231,20 @@ def check_chebyshev_bala(n: int, members: Sequence[UniPoly | BiPoly] = ()) -> Ch
         chebyshev_t(n), univariate_l(n), spread_z_univariate(n, method="via_l"), z_polynomial(n)
     )
 
-    shifted_half = UniPoly({1: Fraction(1, 2), 0: 1})
+    # 2 T(n)((x+2)/2) is q(x+2), q having coefficient k of 2 T(n) over 2^k: on
+    # integers when 2^k divides it, which 2 T(n)(y/2) = l(n)(y) requires.
+    doubled = t.scale(2)
+    if any(c % (1 << k) for k, c in doubled.terms()):
+        lhs = doubled.render(max_terms=WITNESS_TERM_LIMIT)
+        return failure("chebyshev_bala", f"n={n}", n, lhs, "coefficient k divisible by 2^k")
+    shifted = UniPoly({1: 1, 0: 2})
     base, *links = (
-        t.compose(shifted_half).scale(2) - 2,
-        ln.compose(UniPoly({1: 1, 0: 2})) - 2,
+        UniPoly({k: c >> k for k, c in doubled.terms()}).compose(shifted) - 2,
+        ln.compose(shifted) - 2,
         -zx.compose(UniPoly({1: -1})),
         zb.substitute_s(1),
     )
-    pairs = [(base, link) for link in links] + [(t.scale(2), ln.compose(UniPoly({1: 2})))]
+    pairs = [(base, link) for link in links] + [(doubled, ln.compose(UniPoly({1: 2})))]
     return _agree("chebyshev_bala", n, pairs)
 
 

@@ -15,6 +15,14 @@ terms by ``(deg_x, deg_s)``; a ``UniPoly`` stores its terms as ``(k, 0)``.
 Both evaluate through one body, and ``compose`` and ``even_substitute`` are
 one Horner pass in x.  Only the public constructors validate their input.
 Operation results are canonical by construction and skip those checks.
+
+Beneath the ring sits a packing kernel for integer polynomials (Kronecker
+substitution): a ``UniPoly`` packs as its value at x = 2^W, a ``BiPoly`` as
+its value at (x, s) = (1, 2^W), one W-bit slot per degree in x or in s.  A
+weight packs as ``_Shifts``, which multiplies a packed int by shifts and small
+products.  Unpacking reads signed slots back with a bias, in linear time, and
+raises ArithmeticError rather than return digits that may not be the
+coefficients.
 """
 
 from __future__ import annotations
@@ -91,6 +99,47 @@ def _scaled_powers(v: Rat, degrees: set[int]) -> tuple[dict[int, int], int]:
     return {e: num**e * den ** (top - e) for e in degrees}, den**top
 
 
+def _slot_width(bound: int) -> int:
+    """The least multiple of 8 bits W with bound < 2^(W-1): slots that hold any
+    coefficient of absolute value at most bound, each a whole number of bytes."""
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def _digits(value: int, width: int, slots: int, bound: int) -> list[int]:
+    """The signed digits c_0, ..., c_(slots-1) of value = sum c_j 2^(width j),
+    given |c_j| <= bound for every j.
+
+    Digits in [-2^(width-1), 2^(width-1)) are unique, so they are the c_j once
+    bound < 2^(width-1).  Adding 2^(width-1) to every slot (the bias) makes
+    each digit a plain byte-aligned field, read in one pass.  ArithmeticError
+    when the bound does not fit the width or the value does not fit the slots.
+    """
+    if width < 8 or width % 8 or bound >= 1 << (width - 1):
+        raise ArithmeticError(f"coefficients up to {bound} do not fit {width}-bit slots")
+    size, half = width // 8, 1 << (width - 1)
+    biased = value + int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+    if biased < 0 or biased >> (width * slots):
+        raise ArithmeticError(f"value does not fit {slots} slots of {width} bits")
+    data = memoryview(biased.to_bytes(size * slots, "little"))
+    return [int.from_bytes(data[i : i + size], "little") - half for i in range(0, len(data), size)]
+
+
+class _Shifts:
+    """A packed weight sum_j c_j 2^(shift_j), applied to a packed int a as
+    sum_j c_j (a << shift_j): linear in a, where one big-int product by the
+    weight's value would be a lopsided multiply."""
+
+    __slots__ = ("_pairs",)
+
+    def __init__(self, slot_sums: Mapping[int, int]) -> None:
+        self._pairs = tuple((c, shift) for shift, c in slot_sums.items() if c)
+
+    def __mul__(self, a: int) -> int:
+        return sum(c * (a << shift) for c, shift in self._pairs)
+
+    __rmul__ = __mul__
+
+
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant for doubles
 
 
@@ -121,6 +170,7 @@ class _SparsePoly:
     """
 
     __slots__ = ("_terms",)
+    _SLOT = 0  # the key position a packed slot stands for: x-degree here
 
     @classmethod
     def _trusted(cls: type[P], terms: Mapping[Key, Rat]) -> P:
@@ -267,6 +317,24 @@ class _SparsePoly:
             acc = acc * power(prev - cur) + self._trusted(rows[cur])
         return acc * power(degrees[-1]) if degrees[-1] else acc
 
+    # -- packing -------------------------------------------------------------
+
+    def _slot_sums(self, width: int) -> dict[int, int]:
+        """{shift: sum of the coefficients packed into the slot at that shift}."""
+        sums: dict[int, int] = {}
+        for key, c in self._terms.items():
+            shift = width * key[self._SLOT]
+            sums[shift] = sums.get(shift, 0) + c
+        return sums
+
+    def _packed(self, width: int) -> int:
+        """This integer polynomial as one int, in slots of ``width`` bits."""
+        return sum(c << shift for shift, c in self._slot_sums(width).items())
+
+    def _shifts(self, width: int) -> _Shifts:
+        """This integer polynomial as a weight on ints packed in ``width``-bit slots."""
+        return _Shifts(self._slot_sums(width))
+
     # -- comparison and rendering --------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -332,6 +400,7 @@ class BiPoly(_SparsePoly):
     """
 
     __slots__ = ()
+    _SLOT = 1  # packed at (x, s) = (1, 2^W): one slot per s-degree
 
     def __init__(self, terms: Mapping[Key, Rat] | None = None) -> None:
         self._terms = _canonical(terms) if terms else {}
@@ -355,6 +424,16 @@ class BiPoly(_SparsePoly):
     @classmethod
     def monomial(cls, c: Rat, deg_x: int, deg_s: int) -> BiPoly:
         return cls({(deg_x, deg_s): c})
+
+    @classmethod
+    def _unpacked(cls, value: int, width: int, bound: int, degree: int, s_weight: int) -> BiPoly:
+        """The polynomial packed as ``value`` in ``width``-bit slots, given that
+        every term has weight dx + s_weight * ds = degree and every absolute
+        coefficient is at most bound: slot ds holds the term of x-degree
+        degree - s_weight * ds."""
+        slots = degree // s_weight + 1 if degree >= 0 else 0
+        digits = _digits(value, width, slots, bound)
+        return cls._trusted({(degree - s_weight * ds, ds): c for ds, c in enumerate(digits)})
 
     # -- inspection --------------------------------------------------------
 
@@ -424,6 +503,13 @@ class UniPoly(_SparsePoly):
 
     def coefficient(self, degree: int) -> Rat:
         return self._terms.get((degree, 0), 0)
+
+    @classmethod
+    def _unpacked(cls, value: int, width: int, bound: int, degree: int) -> UniPoly:
+        """The polynomial of degree at most ``degree`` packed as ``value`` in
+        ``width``-bit slots, given that every absolute coefficient is at most bound."""
+        digits = _digits(value, width, degree + 1, bound)
+        return cls._trusted({(k, 0): c for k, c in enumerate(digits)})
 
     def degree(self) -> int:
         if not self._terms:

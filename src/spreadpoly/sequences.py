@@ -24,6 +24,23 @@ route's per-member step (Z(n) from L(2n) for via_lucas, say) is one function,
 which the single-n builder applies to the member it streamed and which the
 route's sweep stream (``_stream``) applies at every n, on ladders of its own.
 
+A single-n builder runs the same ladder generator on packed ints (Kronecker
+substitution) and unpacks only the member it asked for.  A member packs as
+its value at (x, s) = (1, 2^W), one W-bit slot per s-degree, and T(n) as its
+value at x = 2^W; weights act as shifts.  No information is lost: F(n) and
+L(n) are weighted-homogeneous with dx + 2 ds = n - 1 and n, Z(n) with
+dx + ds = n, so the s-degree of a term fixes its x-degree.  The sweeps keep
+the polynomial ladder, the reference every builder is compared against.
+
+Width lemma.  The coefficients of F, L and Z are nonnegative, so their
+absolute values sum to the value at (1, 1): F(n)(1, 1), L(n)(1, 1) and
+Z(n)(1, 1) = L(n)(3, -1) - 2.  F(n)(x, -s) has the coefficients of F(n) up
+to sign, and T(n)(x) = L(n)(2x, -1) / 2 has absolute coefficients summing to
+L(n)(2, 1) / 2.  Each sum A comes from the doubling kernel below in O(log n)
+products.  Every |coefficient| is at most A, so with A < 2^(W-1) the digits
+of the packed value in [-2^(W-1), 2^(W-1)), which are unique, are the
+coefficients.  W is the least multiple of 8 above the bit length of A.
+
 Point values (the ``*_at`` functions) take a route of their own that never
 builds a polynomial: one doubling kernel for the pair (F(n), F(n+1)) at a
 rational point, seeded only from F(0) = 0, F(1) = 1,
@@ -46,7 +63,7 @@ from itertools import count, islice
 from math import comb, factorial
 from typing import Iterator
 
-from .poly import P, BiPoly, Rat, UniPoly, _coeff, _index
+from .poly import P, BiPoly, Rat, UniPoly, _coeff, _index, _Shifts, _slot_width
 
 __all__ = [
     "Triangle",
@@ -126,6 +143,57 @@ def _windows(stream: Iterator[P], size: int) -> Iterator[tuple[P, ...]]:
         yield tuple(window)
 
 
+# -- packed ladders: single-n builders ------------------------------------------
+
+
+def _packed(
+    ladder: tuple[tuple[P, ...], tuple[P | int, ...]], width: int
+) -> tuple[tuple[int, ...], tuple[_Shifts | int, ...]]:
+    """A ladder's seeds as ints and its weights as shifts, in ``width``-bit slots."""
+    seeds, weights = ladder
+    return (
+        tuple(a._packed(width) for a in seeds),
+        tuple(w if isinstance(w, int) else w._shifts(width) for w in weights),
+    )
+
+
+def _homogeneous(n: int, ladder: tuple, bound: int, degree: int, s_weight: int = 2) -> BiPoly:
+    """Member n of a bivariate ladder, run packed: each term of it has weight
+    dx + s_weight * ds = degree, and its absolute coefficients sum to bound."""
+    width = _slot_width(bound)
+    return BiPoly._unpacked(_member(n, *_packed(ladder, width)), width, bound, degree, s_weight)
+
+
+def _fib_member(n: int, ladder: tuple = _FIB) -> BiPoly:
+    """F(n), or F(n)(x, -s) on the flipped ladder."""
+    return _homogeneous(n, ladder, _fib_bound(n), n - 1)
+
+
+def _lucas_member(n: int) -> BiPoly:
+    """L(n)."""
+    return _homogeneous(n, _LUCAS, _lucas_bound(n), n)
+
+
+# The sum of the absolute coefficients of member n (the width lemma above).
+def _fib_bound(n: int) -> int:
+    return _fib_pair(n, 1, 1)[0]
+
+
+def _lucas_bound(n: int) -> int:
+    return _lucas_value(n, 1, 1)
+
+
+def _z_bound(n: int) -> int:
+    return _lucas_value(n, 3, -1) - 2
+
+
+def _chebyshev_bound(n: int) -> int:
+    return _lucas_value(n, 2, 1) // 2
+
+
+# -- polynomial ladders: the lists and streams of sweeps ------------------------
+
+
 def _fib_list(m: int) -> list[BiPoly]:
     """F(0)..F(m) by the defining recurrence."""
     return list(islice(_ladder(*_FIB), m + 1))
@@ -147,10 +215,10 @@ def _z_list(m: int) -> list[BiPoly]:
 _LIFT = _X + 4 * _S  # x + 4s
 
 
-def _lucas_from_fib(window: tuple[BiPoly, BiPoly, BiPoly]) -> BiPoly:
-    """L(n) from the window (F(n-1), F(n), F(n+1))."""
+def _lucas_from_fib(window: tuple[P, P, P], s: BiPoly | _Shifts = _S) -> P:
+    """L(n) from the window (F(n-1), F(n), F(n+1)), polynomials or packed with s."""
     before, _, after = window
-    return after + _S * before
+    return after + s * before
 
 
 def _z_via_lucas(n: int, doubled: BiPoly) -> BiPoly:
@@ -181,7 +249,7 @@ def fibonacci(n: int, method: str = "recurrence") -> BiPoly:
     n = _index(n)
     method = _check_method(method, FIBONACCI_METHODS)
     if method == "recurrence":
-        return _member(n, *_FIB)
+        return _fib_member(n)
     return BiPoly(
         {(n - 1 - 2 * k, k): comb(n - 1 - k, k) for k in range((n - 1) // 2 + 1)}
     )
@@ -198,11 +266,14 @@ def lucas(n: int, method: str = "recurrence") -> BiPoly:
     n = _index(n)
     method = _check_method(method, LUCAS_METHODS)
     if method == "recurrence":
-        return _member(n, *_LUCAS)
+        return _lucas_member(n)
     if method == "from_fib":
         if n == 0:
             raise ValueError("from_fib references F(n-1) and needs n >= 1")
-        return _lucas_from_fib(tuple(islice(_ladder(*_FIB), n - 1, n + 2)))
+        bound = _lucas_bound(n)
+        width = _slot_width(bound)
+        window = tuple(islice(_ladder(*_packed(_FIB, width)), n - 1, n + 2))
+        return BiPoly._unpacked(_lucas_from_fib(window, _S._shifts(width)), width, bound, n, 2)
     if n == 0:
         return BiPoly.constant(2)
     return BiPoly(
@@ -232,16 +303,16 @@ def z_polynomial(n: int, method: str = "recurrence") -> BiPoly:
     n = _index(n)
     method = _check_method(method, Z_METHODS)
     if method == "recurrence":
-        return _member(n, *_Z)
+        return _homogeneous(n, _Z, _z_bound(n), n, 1)
     if method == "closed":
         return BiPoly(
             {(k, n - k): coefficient_c(n, k, form="ratio_binomial") for k in range(1, n + 1)}
         )
     if method == "via_lucas":
-        return _z_via_lucas(n, _member(2 * n, *_LUCAS))
+        return _z_via_lucas(n, _lucas_member(2 * n))
     if method == "via_fib":
-        return _z_via_fib(_member(n, *_FLIPPED_FIB))
-    return _z_parity(n, _member(n, *(_LUCAS if n % 2 else _FIB)))
+        return _z_via_fib(_fib_member(n, _FLIPPED_FIB))
+    return _z_parity(n, _lucas_member(n) if n % 2 else _fib_member(n))
 
 
 # -- the coefficient triangle -------------------------------------------------
@@ -367,7 +438,10 @@ def wildberger_spread(n: int) -> UniPoly:
 
 def chebyshev_t(n: int) -> UniPoly:
     """Chebyshev polynomial of the first kind, T(n+1) = 2x T(n) - T(n-1)."""
-    return _member(_index(n), *_CHEBYSHEV)
+    n = _index(n)
+    bound = _chebyshev_bound(n)
+    width = _slot_width(bound)
+    return UniPoly._unpacked(_member(n, *_packed(_CHEBYSHEV, width)), width, bound, n)
 
 
 # -- route streams for sweeps -------------------------------------------------
@@ -433,6 +507,12 @@ def _fib_pair(n: int, x: int, s: int) -> tuple[int, int]:
     return a, b
 
 
+def _lucas_value(n: int, x: int, s: int) -> int:
+    """L(n)(x, s) = 2 F(n+1) - x F(n) at an integer point."""
+    f, g = _fib_pair(n, x, s)
+    return 2 * g - x * f
+
+
 def _integral_point(x0: Rat, s0: Rat) -> tuple[int, int, int]:
     """(X, S, lam) with X = lam x0 and S = lam^2 s0 both integers.
 
@@ -458,8 +538,7 @@ def lucas_at(n: int, x0: Rat, s0: Rat) -> Fraction:
     """L(n)(x0, s0) = 2 F(n+1) - x0 F(n), from the doubling kernel."""
     n = _index(n)
     x, s, lam = _integral_point(x0, s0)
-    f, g = _fib_pair(n, x, s)
-    return Fraction(2 * g - x * f, lam**n)
+    return Fraction(_lucas_value(n, x, s), lam**n)
 
 
 def z_at(n: int, x0: Rat, s0: Rat) -> Fraction:

@@ -428,3 +428,51 @@ def test_canonical_term_order():
     p = BiPoly({(0, 2): 1, (2, 0): 1, (1, 1): 1, (1, 0): 1})
     keys = [key for key, _ in p.terms()]
     assert keys == [(2, 0), (1, 1), (1, 0), (0, 2)]
+
+
+# -- packing -----------------------------------------------------------------------
+
+
+def test_slot_width_holds_the_bound_in_whole_bytes():
+    assert [poly._slot_width(b) for b in (0, 1, 127, 128, 2**15 - 1, 2**15)] == [8, 8, 8, 16, 16, 24]
+
+
+@given(st.data(), st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=12))
+def test_pack_unpack_round_trip(data, width_bytes, degree):
+    # Signed coefficients up to the widest the slots hold, 2^(W-1) - 1.
+    width = 8 * width_bytes
+    top = (1 << (width - 1)) - 1
+    coeff = st.one_of(st.sampled_from([top, -top, 0, 1, -1]), st.integers(-top, top))
+    cs = data.draw(st.lists(coeff, min_size=degree + 1, max_size=degree + 1))
+    bound = max(map(abs, cs))
+    uni = UniPoly(dict(enumerate(cs)))
+    assert UniPoly._unpacked(uni._packed(width), width, bound, degree) == uni
+    # A BiPoly whose terms have dx + 2 ds = degree: one slot per s-degree.
+    bi = BiPoly({(degree - 2 * ds, ds): c for ds, c in enumerate(cs[: degree // 2 + 1])})
+    assert BiPoly._unpacked(bi._packed(width), width, bound, degree, 2) == bi
+
+
+def test_shifts_multiply_as_the_packed_weight():
+    weight = X + 3 * S - 2 * S**2
+    a = (X * X - 5 * S) * S
+    assert weight._shifts(16) * a._packed(16) == (weight * a)._packed(16)
+    assert a._packed(16) * weight._shifts(16) == (weight * a)._packed(16)
+
+
+def test_unpack_refuses_what_does_not_fit():
+    # Explicit raises, so they hold under python -O.  A value one slot too
+    # large, either sign, does not fit; the largest that fits does.
+    width, slots = 16, 3
+    full = sum(((1 << 15) - 1) << (width * j) for j in range(slots))
+    low = -sum(1 << (15 + width * j) for j in range(slots))
+    assert poly._digits(full, width, slots, (1 << 15) - 1) == [(1 << 15) - 1] * slots
+    assert poly._digits(low, width, slots, 1) == [-(1 << 15)] * slots
+    for value in (1 << (width * slots), -(1 << (width * slots)), full + 1, low - 1):
+        with pytest.raises(ArithmeticError):
+            poly._digits(value, width, slots, 1)
+    # Coefficients up to 2^(W-1) may not read back, so such a bound is refused.
+    with pytest.raises(ArithmeticError):
+        poly._digits(0, width, slots, 1 << 15)
+    for bad_width in (0, 12):
+        with pytest.raises(ArithmeticError):
+            poly._digits(0, bad_width, slots, 0)

@@ -26,6 +26,7 @@ from spreadpoly import (
     wildberger_spread,
     z_polynomial,
 )
+from spreadpoly import poly, sequences
 from spreadpoly.cli import _BIVARIATE, _FAMILIES
 from spreadpoly.fixtures import a156308_rows
 from spreadpoly.sequences import (
@@ -310,6 +311,61 @@ def test_builders_hold_no_ladder(route):
     finally:
         tracemalloc.stop()
     assert peak < LADDER_PEAK_BOUND, f"{route} peaked at {peak} bytes"
+
+
+# -- packed ladders ------------------------------------------------------------
+
+# Each ladder with its packed single-n builder and its width bound.
+PACKED_LADDERS = {
+    "fibonacci": (sequences._FIB, sequences._fib_member, sequences._fib_bound),
+    "flipped fibonacci": (
+        sequences._FLIPPED_FIB,
+        functools.partial(sequences._fib_member, ladder=sequences._FLIPPED_FIB),
+        sequences._fib_bound,
+    ),
+    "lucas": (sequences._LUCAS, sequences._lucas_member, sequences._lucas_bound),
+    "z": (sequences._Z, z_polynomial, sequences._z_bound),
+    "chebyshev": (sequences._CHEBYSHEV, chebyshev_t, sequences._chebyshev_bound),
+}
+
+# Every builder that climbs a recurrence, and so runs a packed ladder.
+PACKED_ROUTES = {route: build for route, build in STREAMED_ROUTES.items() if route[1] != "closed"}
+
+
+@pytest.mark.parametrize("name", sorted(PACKED_LADDERS))
+def test_packed_member_is_the_polynomial_ladder_member(name):
+    # Covers n = 0, 1, 2 and the signed ladders (flipped F, T).
+    ladder, packed, _ = PACKED_LADDERS[name]
+    members = list(islice(sequences._ladder(*ladder), 301))
+    for n in [*range(61), 300]:
+        assert packed(n) == members[n], (name, n)
+
+
+@pytest.mark.parametrize("name", sorted(PACKED_LADDERS))
+def test_width_bound_covers_every_coefficient(name):
+    # The bound is the exact sum of the absolute coefficients, so no slot
+    # holds more than it.
+    ladder, _, bound = PACKED_LADDERS[name]
+    for n, member in enumerate(islice(sequences._ladder(*ladder), 201)):
+        sizes = [abs(c) for _, c in member.terms()]
+        assert bound(n) == sum(sizes) >= max(sizes, default=0), (name, n)
+
+
+@pytest.mark.parametrize("route", sorted(PACKED_ROUTES), ids=":".join)
+def test_packed_builder_is_its_stream_member(route):
+    n = 64
+    first = 1 if route[1] == "from_fib" else 0
+    assert PACKED_ROUTES[route](n) == next(islice(_stream(*route), n - first, None))
+
+
+@pytest.mark.parametrize("route", sorted(PACKED_ROUTES), ids=":".join)
+def test_slots_a_byte_too_narrow_raise(route, monkeypatch):
+    # Mutation: one byte less than the bound needs.  The builder must refuse,
+    # never return a polynomial read from carried-over slots.
+    monkeypatch.setattr(sequences, "_slot_width", lambda bound: poly._slot_width(bound) - 8)
+    for n in (1, 2, 40, 200):
+        with pytest.raises(ArithmeticError):
+            PACKED_ROUTES[route](n)
 
 
 def test_all_families_integer_coefficients():
