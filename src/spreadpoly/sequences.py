@@ -32,6 +32,23 @@ L(n) are weighted-homogeneous with dx + 2 ds = n - 1 and n, Z(n) with
 dx + ds = n, so the s-degree of a term fixes its x-degree.  The sweeps keep
 the polynomial ladder, the reference every builder is compared against.
 
+Substitution is a change of evaluation point.  A packed member is a value,
+so a substitution that follows the ladder is folded into the point the ladder
+runs at, and no builder runs Horner:
+
+* parity: y^2 -> x (halve_degrees) changes nothing at y = x = 1, so Z(n)(1,
+  2^W) is L(n)(1, 2^W)^2 for odd n and (1 + 4 * 2^W) F(n)(1, 2^W)^2 for
+  even n, with W from Z(n)'s bound.
+* via_fib: u^2 -> x + 4s makes u = sqrt(D), D = 1 + 4 * 2^W at (1, 2^W).
+  The flipped Fibonacci ladder runs in Z[sqrt(D)] on pairs (a, b) = a + b
+  sqrt(D); sqrt(D) and -s act as shift-adds, and the square of member n is
+  an int, Z(n)(1, 2^W).  Zx from_bivariate runs the same ladder at (x, s) =
+  (2^W, -1), where D = 2^W - 4, and shifts by W for the factor x.
+* Zx via_l runs the l ladder at x = 2 - 2^W, and S at x = 2 - 4 * 2^W:
+  S(n)(2^W) = (2 - l(n)(2 - 4 * 2^W)) / 4, with the division by 4 checked.
+  The coefficients of S(n) are those of Z(n) times 4^(k-1) in absolute
+  value, so their sum is Z(n)(4, 1) / 4 = (L(n)(6, -1) - 2) / 4.
+
 Width lemma.  The coefficients of F, L and Z are nonnegative, so their
 absolute values sum to the value at (1, 1): F(n)(1, 1), L(n)(1, 1) and
 Z(n)(1, 1) = L(n)(3, -1) - 2.  F(n)(x, -s) has the coefficients of F(n) up
@@ -157,16 +174,16 @@ def _packed(
     )
 
 
-def _homogeneous(n: int, ladder: tuple, bound: int, degree: int, s_weight: int = 2) -> BiPoly:
+def _homogeneous(n: int, ladder: tuple, bound: int, degree: int) -> BiPoly:
     """Member n of a bivariate ladder, run packed: each term of it has weight
-    dx + s_weight * ds = degree, and its absolute coefficients sum to bound."""
+    dx + 2 ds = degree, and its absolute coefficients sum to bound."""
     width = _slot_width(bound)
-    return BiPoly._unpacked(_member(n, *_packed(ladder, width)), width, bound, degree, s_weight)
+    return BiPoly._unpacked(_member(n, *_packed(ladder, width)), width, bound, degree, 2)
 
 
-def _fib_member(n: int, ladder: tuple = _FIB) -> BiPoly:
-    """F(n), or F(n)(x, -s) on the flipped ladder."""
-    return _homogeneous(n, ladder, _fib_bound(n), n - 1)
+def _fib_member(n: int) -> BiPoly:
+    """F(n)."""
+    return _homogeneous(n, _FIB, _fib_bound(n), n - 1)
 
 
 def _lucas_member(n: int) -> BiPoly:
@@ -189,6 +206,47 @@ def _z_bound(n: int) -> int:
 
 def _chebyshev_bound(n: int) -> int:
     return _lucas_value(n, 2, 1) // 2
+
+
+def _s_bound(n: int) -> int:
+    return (_lucas_value(n, 6, -1) - 2) // 4
+
+
+# -- substitutions as evaluation points ----------------------------------------
+
+
+class _Surd(tuple):
+    """a + b sqrt(D) as the pair (a, b): an element of Z[sqrt(D)]."""
+
+    __slots__ = ()
+
+    def __add__(self, other: _Surd) -> _Surd:
+        return _Surd((self[0] + other[0], self[1] + other[1]))
+
+
+class _SurdWeight(tuple):
+    """A weight on _Surd as (c, d): c times both parts, or, when c is None,
+    sqrt(D) with d the packed D, which maps a + b sqrt(D) to D b + a sqrt(D)."""
+
+    __slots__ = ()
+
+    def __mul__(self, z: _Surd) -> _Surd:
+        (c, d), (a, b) = self, z
+        return _Surd((d * b, a)) if c is None else _Surd((c * a, c * b))
+
+
+def _fib_root_squared(n: int, d: _Shifts, minus_s: _Shifts | int) -> int:
+    """F(n)(sqrt(D), -s)^2: the flipped Fibonacci ladder run in Z[sqrt(D)],
+    with D and -s packed weights.  The x-degrees of F(n) share one parity, so
+    member n is a or b sqrt(D) and its square is an int."""
+    seeds = (_Surd((0, 0)), _Surd((1, 0)))
+    a, b = _member(n, seeds, (_SurdWeight((None, d)), _SurdWeight((minus_s, None))))
+    return a * a + d * (b * b)
+
+
+def _l_at(n: int, x: _Shifts) -> int:
+    """l(n) = L(n)(x, -1) at the int point that the packed weight x stands for."""
+    return _member(n, (2, x * 1), (x, -1))
 
 
 # -- polynomial ladders: the lists and streams of sweeps ------------------------
@@ -302,17 +360,24 @@ def z_polynomial(n: int, method: str = "recurrence") -> BiPoly:
     """
     n = _index(n)
     method = _check_method(method, Z_METHODS)
-    if method == "recurrence":
-        return _homogeneous(n, _Z, _z_bound(n), n, 1)
     if method == "closed":
         return BiPoly(
             {(k, n - k): coefficient_c(n, k, form="ratio_binomial") for k in range(1, n + 1)}
         )
     if method == "via_lucas":
         return _z_via_lucas(n, _lucas_member(2 * n))
-    if method == "via_fib":
-        return _z_via_fib(_fib_member(n, _FLIPPED_FIB))
-    return _z_parity(n, _lucas_member(n) if n % 2 else _fib_member(n))
+    bound = _z_bound(n)
+    width = _slot_width(bound)
+    lift = _Shifts({0: 1, width + 2: 1})  # x + 4s at (1, 2^W)
+    if method == "recurrence":
+        value = _member(n, *_packed(_Z, width))
+    elif method == "via_fib":
+        value = _fib_root_squared(n, lift, _Shifts({width: -1}))
+    elif n % 2:
+        value = _member(n, *_packed(_LUCAS, width)) ** 2
+    else:
+        value = lift * _member(n, *_packed(_FIB, width)) ** 2
+    return BiPoly._unpacked(value, width, bound, n, 1)
 
 
 # -- the coefficient triangle -------------------------------------------------
@@ -323,26 +388,28 @@ def coefficient_c(n: int, k: int, form: str = "ratio_binomial") -> int:
 
     Three independent closed forms:
 
-    * ratio_binomial: (n/k) C(n+k-1, n-k), computed as an exact rational and
-      checked to be integral.
+    * ratio_binomial: n C(n+k-1, n-k) / k.
     * sum_binomials:  C(n+k, 2k) + C(n+k-1, 2k).
-    * product:        (2/(2k)!) n^2 (n^2 - 1^2) ... (n^2 - (k-1)^2).
+    * product:        2 n^2 (n^2 - 1^2) ... (n^2 - (k-1)^2) / (2k)!.
+
+    All three run on ints; a division that leaves a remainder raises
+    ArithmeticError.
     """
     if _index(k, 1, "k") > _index(n, 1, "n"):
         raise ValueError(f"need 1 <= k <= n, got n={n!r}, k={k!r}")
     form = _check_method(form, C_FORMS)
+    if form == "sum_binomials":
+        return comb(n + k, 2 * k) + comb(n + k - 1, 2 * k)
     if form == "ratio_binomial":
-        value = Fraction(n, k) * comb(n + k - 1, n - k)
-    elif form == "sum_binomials":
-        value = Fraction(comb(n + k, 2 * k) + comb(n + k - 1, 2 * k))
+        numerator, divisor = n * comb(n + k - 1, n - k), k
     else:
-        numerator = 2 * n * n
+        numerator, divisor = 2 * n * n, factorial(2 * k)
         for i in range(1, k):
             numerator *= n * n - i * i
-        value = Fraction(numerator, factorial(2 * k))
-    if value.denominator != 1:
-        raise ArithmeticError(f"c({n},{k}) came out non-integral: {value}")
-    return value.numerator
+    value, rest = divmod(numerator, divisor)
+    if rest:
+        raise ArithmeticError(f"c({n},{k}) came out non-integral: {numerator}/{divisor}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -394,17 +461,24 @@ def spread_z_univariate(n: int, method: str = "via_l") -> UniPoly:
     via_l2n
         (-1)^(n-1) * (l(2n)(y) with y^2 -> x, minus 2*(-1)^n).
     from_bivariate
-        (-1)^(n-1) * Z(n)(x, -1), with Z(n) built through the squared
-        Fibonacci route so this path exercises the x F(n)^2(sqrt(x-4))
-        closed form directly.
+        (-1)^(n-1) * Z(n)(x, -1) = (-1)^(n-1) * x F(n)(sqrt(x - 4), 1)^2,
+        the via_fib route of Z(n) at s = -1.
+
+    via_l and from_bivariate run their ladders at x = 2^W (see the module
+    docstring); via_l2n unpacks l(2n) and halves its degrees.
     """
     n = _index(n)
     method = _check_method(method, ZX_METHODS)
-    if method == "via_l":
-        return _zx_via_l(univariate_l(n))
     if method == "via_l2n":
         return _zx_via_l2n(n, univariate_l(2 * n))
-    return _zx_from_bivariate(n, z_polynomial(n, method="via_fib"))
+    bound = _z_bound(n)
+    width = _slot_width(bound)
+    if method == "via_l":
+        value = 2 - _l_at(n, _Shifts({0: 2, width: -1}))
+    else:
+        root = _fib_root_squared(n, _Shifts({0: -4, width: 1}), 1)
+        value = _sign(n - 1) * root << width
+    return UniPoly._unpacked(value, width, bound, n)
 
 
 def _zx_via_l(ln: UniPoly) -> UniPoly:
@@ -425,15 +499,16 @@ def _zx_from_bivariate(n: int, z: BiPoly) -> UniPoly:
 def wildberger_spread(n: int) -> UniPoly:
     """Wildberger's spread polynomial S(n)(x) = Zx(n)(4x) / 4.
 
-    The division by 4 always clears: the result is integer-coefficient,
-    which is checked (ArithmeticError otherwise).
+    Built as S(n)(2^W) = (2 - l(n)(2 - 4 * 2^W)) / 4.  The division by 4
+    always clears, which is checked (ArithmeticError otherwise).
     """
     n = _index(n)
-    rescaled = spread_z_univariate(n, method="via_l").compose(UniPoly({1: 4}))
-    result = rescaled.scale(Fraction(1, 4))
-    if not result.is_integral():
+    bound = _s_bound(n)
+    width = _slot_width(bound)
+    value, rest = divmod(2 - _l_at(n, _Shifts({0: 2, width + 2: -1})), 4)
+    if rest:
         raise ArithmeticError(f"S({n}) came out non-integral")
-    return result
+    return UniPoly._unpacked(value, width, bound, n)
 
 
 def chebyshev_t(n: int) -> UniPoly:

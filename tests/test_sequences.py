@@ -1,6 +1,7 @@
 """Tests for the polynomial family constructors and the coefficient triangle."""
 
 import functools
+import math
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
@@ -173,6 +174,23 @@ def test_coefficient_c_range_errors():
             coefficient_c(n, k)
 
 
+# Off-by-one mutations of the ratio_binomial and product forms: the exact
+# division behind each must refuse, with an explicit raise that also holds
+# under python -O.
+OFF_BY_ONE = {
+    "ratio_binomial": ("comb", lambda a, b: math.comb(a + 1, b), (4, 3)),
+    "product": ("factorial", lambda m: math.factorial(m + 1), (3, 2)),
+}
+
+
+@pytest.mark.parametrize("form", sorted(OFF_BY_ONE))
+def test_coefficient_c_off_by_one_raises(form, monkeypatch):
+    name, mutant, (n, k) = OFF_BY_ONE[form]
+    monkeypatch.setattr(sequences, name, mutant)
+    with pytest.raises(ArithmeticError):
+        coefficient_c(n, k, form=form)
+
+
 def test_coefficient_forms_agree_and_match_z():
     for n in range(1, 41):
         z = z_polynomial(n)
@@ -244,10 +262,27 @@ def test_wildberger_spread_values():
 
 
 def test_wildberger_spread_non_integral_raises(monkeypatch):
-    # The integrality check is an explicit raise, so it holds under python -O.
-    monkeypatch.setattr(UniPoly, "is_integral", lambda self: False)
+    # S(n)(2^W) = (2 - l(n)(2 - 4 * 2^W)) / 4.  Off by one, the value is no
+    # longer divisible by 4, and the check is an explicit raise, so it holds
+    # under python -O.
+    l_at = sequences._l_at
+    monkeypatch.setattr(sequences, "_l_at", lambda n, x: l_at(n, x) + 1)
     with pytest.raises(ArithmeticError):
         wildberger_spread(3)
+
+
+def test_wildberger_spread_is_the_rescaled_polynomial():
+    # The reference is Zx(n)(4x) / 4 built from the polynomial l(n) by
+    # composition, as the sweep's via_l stream builds Zx(n).
+    for n in [*range(41), 100, 300]:
+        zx = sequences._zx_via_l(univariate_l(n))
+        assert wildberger_spread(n) == zx.compose(UniPoly({1: 4})).scale(Fraction(1, 4)), n
+
+
+def test_wildberger_spread_width_bound_is_exact():
+    for n in range(201):
+        sizes = [abs(c) for _, c in wildberger_spread(n).terms()]
+        assert sequences._s_bound(n) == sum(sizes), n
 
 
 def test_chebyshev_values():
@@ -320,7 +355,9 @@ PACKED_LADDERS = {
     "fibonacci": (sequences._FIB, sequences._fib_member, sequences._fib_bound),
     "flipped fibonacci": (
         sequences._FLIPPED_FIB,
-        functools.partial(sequences._fib_member, ladder=sequences._FLIPPED_FIB),
+        lambda n: sequences._homogeneous(
+            n, sequences._FLIPPED_FIB, sequences._fib_bound(n), n - 1
+        ),
         sequences._fib_bound,
     ),
     "lucas": (sequences._LUCAS, sequences._lucas_member, sequences._lucas_bound),
@@ -358,14 +395,18 @@ def test_packed_builder_is_its_stream_member(route):
     assert PACKED_ROUTES[route](n) == next(islice(_stream(*route), n - first, None))
 
 
-@pytest.mark.parametrize("route", sorted(PACKED_ROUTES), ids=":".join)
+# Every packed builder: the ladder routes and S, which runs the l ladder.
+NARROW_ROUTES = {**PACKED_ROUTES, ("wildberger_spread",): wildberger_spread}
+
+
+@pytest.mark.parametrize("route", sorted(NARROW_ROUTES), ids=":".join)
 def test_slots_a_byte_too_narrow_raise(route, monkeypatch):
     # Mutation: one byte less than the bound needs.  The builder must refuse,
     # never return a polynomial read from carried-over slots.
     monkeypatch.setattr(sequences, "_slot_width", lambda bound: poly._slot_width(bound) - 8)
     for n in (1, 2, 40, 200):
         with pytest.raises(ArithmeticError):
-            PACKED_ROUTES[route](n)
+            NARROW_ROUTES[route](n)
 
 
 def test_all_families_integer_coefficients():
