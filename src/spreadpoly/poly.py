@@ -132,10 +132,15 @@ class _Shifts:
     __slots__ = ("_pairs",)
 
     def __init__(self, slot_sums: Mapping[int, int]) -> None:
-        self._pairs = tuple((c, shift) for shift, c in slot_sums.items() if c)
+        self._pairs = tuple((c, shift) for shift, c in slot_sums.items() if c) or ((0, 0),)
 
     def __mul__(self, a: int) -> int:
-        return sum(c * (a << shift) for c, shift in self._pairs)
+        # A lone shift with c = 1, the common weight, costs one pass over a.
+        (c, shift), *rest = self._pairs
+        total = a << shift if c == 1 else c * (a << shift)
+        for c, shift in rest:
+            total += a << shift if c == 1 else c * (a << shift)
+        return total
 
     __rmul__ = __mul__
 

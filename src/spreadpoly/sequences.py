@@ -18,19 +18,16 @@ Families:
 
 Each recurrence route is a ladder, data (seeds, weights) for a(k) = w0 a(k-1)
 + w1 a(k-2) + ..., run by one generator that holds only the last len(seeds)
-members; a builder streams to its member and keeps no list.  via_fib runs the
-Fibonacci ladder with weight -s, which yields F(n)(x, -s) directly.  Each
-route's per-member step (Z(n) from L(2n) for via_lucas, say) is one function,
-which the single-n builder applies to the member it streamed and which the
-route's sweep stream (``_stream``) applies at every n, on ladders of its own.
+members, so no route keeps a list.  A route runs its ladder on packed ints
+(Kronecker substitution): a member packs as its value at (x, s) = (1, 2^W),
+one W-bit slot per s-degree, and T(n) as its value at x = 2^W; weights act as
+shifts.  No information is lost: F(n) and L(n) are weighted-homogeneous with
+dx + 2 ds = n - 1 and n, Z(n) with dx + ds = n, so the s-degree of a term
+fixes its x-degree.
 
-A single-n builder runs the same ladder generator on packed ints (Kronecker
-substitution) and unpacks only the member it asked for.  A member packs as
-its value at (x, s) = (1, 2^W), one W-bit slot per s-degree, and T(n) as its
-value at x = 2^W; weights act as shifts.  No information is lost: F(n) and
-L(n) are weighted-homogeneous with dx + 2 ds = n - 1 and n, Z(n) with
-dx + ds = n, so the s-degree of a term fixes its x-degree.  The sweeps keep
-the polynomial ladder, the reference every builder is compared against.
+A single-n builder and a sweep's stream (``_stream``) run the same route
+(``_ROUTES``): the builder at the width of member n, reading member n alone,
+the stream at the width of the last member its sweep reads, reading each.
 
 Substitution is a change of evaluation point.  A packed member is a value,
 so a substitution that follows the ladder is folded into the point the ladder
@@ -76,6 +73,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import count, islice
 from math import comb, factorial
 from typing import Iterator
@@ -130,7 +128,6 @@ def _sign(k: int) -> int:
 # A ladder is (seeds, weights): past the seeds, a(k) = w0 a(k-1) + w1 a(k-2) + ...
 _X, _S = BiPoly.x(), BiPoly.s()
 _FIB = ((BiPoly.zero(), BiPoly.one()), (_X, _S))
-_FLIPPED_FIB = (_FIB[0], (_X, -_S))  # F(n)(x, -s)
 _LUCAS = ((BiPoly.constant(2), _X), (_X, _S))
 _Z = ((BiPoly.zero(), _X, _X * _X + 4 * _S * _X), (_X + 3 * _S, -_S * (_X + 3 * _S), _S**3))
 # The int -1 is a scale, not a product by the constant polynomial.
@@ -147,11 +144,6 @@ def _ladder(seeds: tuple[P, ...], weights: tuple[P | int, ...]) -> Iterator[P]:
         yield window[-1]
 
 
-def _member(n: int, seeds: tuple[P, ...], weights: tuple[P | int, ...]) -> P:
-    """a(n), streamed: no member before it outlives the step that reads it."""
-    return next(islice(_ladder(seeds, weights), n, None))
-
-
 def _windows(stream: Iterator[P], size: int) -> Iterator[tuple[P, ...]]:
     """(a(k), ..., a(k+size-1)) for k = 0, 1, ...: a window, never the whole stream."""
     window = deque(islice(stream, size - 1), maxlen=size)
@@ -160,35 +152,14 @@ def _windows(stream: Iterator[P], size: int) -> Iterator[tuple[P, ...]]:
         yield tuple(window)
 
 
-# -- packed ladders: single-n builders ------------------------------------------
-
-
-def _packed(
-    ladder: tuple[tuple[P, ...], tuple[P | int, ...]], width: int
-) -> tuple[tuple[int, ...], tuple[_Shifts | int, ...]]:
-    """A ladder's seeds as ints and its weights as shifts, in ``width``-bit slots."""
+def _packed_ladder(ladder: tuple[tuple[P, ...], tuple[P | int, ...]], width: int) -> Iterator[int]:
+    """A ladder run on ints: its seeds packed and its weights as shifts, in
+    ``width``-bit slots."""
     seeds, weights = ladder
-    return (
+    return _ladder(
         tuple(a._packed(width) for a in seeds),
         tuple(w if isinstance(w, int) else w._shifts(width) for w in weights),
     )
-
-
-def _homogeneous(n: int, ladder: tuple, bound: int, degree: int) -> BiPoly:
-    """Member n of a bivariate ladder, run packed: each term of it has weight
-    dx + 2 ds = degree, and its absolute coefficients sum to bound."""
-    width = _slot_width(bound)
-    return BiPoly._unpacked(_member(n, *_packed(ladder, width)), width, bound, degree, 2)
-
-
-def _fib_member(n: int) -> BiPoly:
-    """F(n)."""
-    return _homogeneous(n, _FIB, _fib_bound(n), n - 1)
-
-
-def _lucas_member(n: int) -> BiPoly:
-    """L(n)."""
-    return _homogeneous(n, _LUCAS, _lucas_bound(n), n)
 
 
 # The sum of the absolute coefficients of member n (the width lemma above).
@@ -235,21 +206,37 @@ class _SurdWeight(tuple):
         return _Surd((d * b, a)) if c is None else _Surd((c * a, c * b))
 
 
-def _fib_root_squared(n: int, d: _Shifts, minus_s: _Shifts | int) -> int:
-    """F(n)(sqrt(D), -s)^2: the flipped Fibonacci ladder run in Z[sqrt(D)],
-    with D and -s packed weights.  The x-degrees of F(n) share one parity, so
-    member n is a or b sqrt(D) and its square is an int."""
+def _fib_surds(d: _Shifts, minus_s: _Shifts | int) -> Iterator[_Surd]:
+    """F(n)(sqrt(D), -s) for n = 0, 1, ...: the flipped Fibonacci ladder run in
+    Z[sqrt(D)], with D and -s packed weights."""
     seeds = (_Surd((0, 0)), _Surd((1, 0)))
-    a, b = _member(n, seeds, (_SurdWeight((None, d)), _SurdWeight((minus_s, None))))
+    return _ladder(seeds, (_SurdWeight((None, d)), _SurdWeight((minus_s, None))))
+
+
+def _squared(z: _Surd, d: _Shifts) -> int:
+    """z^2 for z = F(n)(sqrt(D), -s): the x-degrees of F(n) share one parity, so
+    z is a or b sqrt(D) and its square a^2 + D b^2 is an int."""
+    a, b = z
     return a * a + d * (b * b)
 
 
-def _l_at(n: int, x: _Shifts) -> int:
-    """l(n) = L(n)(x, -1) at the int point that the packed weight x stands for."""
-    return _member(n, (2, x * 1), (x, -1))
+def _lift(width: int) -> _Shifts:
+    """x + 4s at (1, 2^W)."""
+    return _Shifts({0: 1, width + 2: 1})
 
 
-# -- polynomial ladders: the lists and streams of sweeps ------------------------
+def _x_minus_4(width: int) -> _Shifts:
+    """x - 4 at x = 2^W."""
+    return _Shifts({0: -4, width: 1})
+
+
+def _l_at(x: _Shifts) -> Iterator[int]:
+    """l(n) = L(n)(x, -1) for n = 0, 1, ..., at the int point that the packed
+    weight x stands for."""
+    return _ladder((2, x * 1), (x, -1))
+
+
+# -- polynomial ladders: the references of sweeps and tests ---------------------
 
 
 def _fib_list(m: int) -> list[BiPoly]:
@@ -268,31 +255,131 @@ def _z_list(m: int) -> list[BiPoly]:
     return list(islice(_ladder(*_Z), m + 1))
 
 
-# -- route steps: one member from the ladder members it reads ------------------
+# -- routes: one packed ladder each ---------------------------------------------
 
-_LIFT = _X + 4 * _S  # x + 4s
+# A route is (first, ladder, bound, member).  ladder(W) yields the states of
+# members first, first + 1, ... in W-bit slots, each step cheap; bound(n) is
+# the sum of member n's absolute coefficients; member(state, W, bound(n), n),
+# one of the steps below, reads member n back, and raises ArithmeticError when
+# bound(n) does not fit W.
+_lucas_unpacked = partial(BiPoly._unpacked, s_weight=2)  # L(n), or L(2n) at degree 2n
+_z_unpacked = partial(BiPoly._unpacked, s_weight=1)
 
 
-def _lucas_from_fib(window: tuple[P, P, P], s: BiPoly | _Shifts = _S) -> P:
-    """L(n) from the window (F(n-1), F(n), F(n+1)), polynomials or packed with s."""
+def _fib_unpacked(value: int, width: int, bound: int, n: int) -> BiPoly:
+    """F(n) from its packed value."""
+    return BiPoly._unpacked(value, width, bound, n - 1, 2)
+
+
+def _lucas_from_window(window: tuple[int, int, int], width: int, bound: int, n: int) -> BiPoly:
+    """L(n) = F(n+1) + s F(n-1) from the packed window (F(n-1), F(n), F(n+1))."""
     before, _, after = window
-    return after + s * before
+    return _lucas_unpacked(after + (before << width), width, bound, n)
 
 
-def _z_via_lucas(n: int, doubled: BiPoly) -> BiPoly:
-    """Z(n) from L(2n)."""
-    return doubled.halve_degrees() - BiPoly.monomial(2, 0, n)
+def _z_via_lucas(value: int, width: int, bound: int, n: int) -> BiPoly:
+    """Z(n) from packed L(2n)."""
+    return _lucas_unpacked(value, width, bound, 2 * n).halve_degrees() - BiPoly.monomial(2, 0, n)
 
 
-def _z_via_fib(flipped: BiPoly) -> BiPoly:
-    """Z(n) from F(n)(x, -s)."""
-    return _X * (flipped * flipped).even_substitute(_LIFT)
+def _z_from_surd(z: _Surd, width: int, bound: int, n: int) -> BiPoly:
+    """Z(n)(1, 2^W) = F(n)(sqrt(D), -s)^2 at D = x + 4s."""
+    return _z_unpacked(_squared(z, _lift(width)), width, bound, n)
 
 
-def _z_parity(n: int, member: BiPoly) -> BiPoly:
-    """Z(n) from L(n) at odd n, from F(n) at even n."""
-    squared = (member * member).halve_degrees()
-    return squared if n % 2 else _LIFT * squared
+def _z_from_parity(pair: tuple[int, int], width: int, bound: int, n: int) -> BiPoly:
+    """Z(n)(1, 2^W) from the pair (L(n), F(n)): L(n)^2 at odd n and
+    (x + 4s) F(n)^2 at even n."""
+    odd, even = pair
+    return _z_unpacked(odd**2 if n % 2 else _lift(width) * even**2, width, bound, n)
+
+
+def _l_from_lucas(value: int, width: int, bound: int, n: int) -> UniPoly:
+    """l(n) from packed L(n)."""
+    return _lucas_unpacked(value, width, bound, n).substitute_s(-1)
+
+
+def _zx_from_l(value: int, width: int, bound: int, n: int) -> UniPoly:
+    """Zx(n)(2^W) = 2 - l(n)(2 - 2^W)."""
+    return UniPoly._unpacked(2 - value, width, bound, n)
+
+
+def _zx_via_l2n(value: int, width: int, bound: int, n: int) -> UniPoly:
+    """Zx(n) from packed L(2n), through l(2n)."""
+    doubled = _l_from_lucas(value, width, bound, 2 * n)
+    return (doubled.halve_degrees() - 2 * _sign(n)).scale(_sign(n - 1))
+
+
+def _zx_from_surd(z: _Surd, width: int, bound: int, n: int) -> UniPoly:
+    """Zx(n)(2^W) = (-1)^(n-1) 2^W F(n)(sqrt(D), 1)^2 at D = x - 4."""
+    value = _sign(n - 1) * _squared(z, _x_minus_4(width)) << width
+    return UniPoly._unpacked(value, width, bound, n)
+
+
+def _s_from_l(value: int, width: int, bound: int, n: int) -> UniPoly:
+    """S(n)(2^W) = (2 - l(n)(2 - 4 * 2^W)) / 4, the division by 4 checked."""
+    quarter, rest = divmod(2 - value, 4)
+    if rest:
+        raise ArithmeticError(f"S({n}) came out non-integral")
+    return UniPoly._unpacked(quarter, width, bound, n)
+
+
+def _lucas_evens(width: int) -> Iterator[int]:
+    """L(0), L(2), L(4), ... packed."""
+    return islice(_packed_ladder(_LUCAS, width), 0, None, 2)
+
+
+_ROUTES = {
+    ("fibonacci", "recurrence"): (0, partial(_packed_ladder, _FIB), _fib_bound, _fib_unpacked),
+    ("lucas", "recurrence"): (0, partial(_packed_ladder, _LUCAS), _lucas_bound, _lucas_unpacked),
+    ("lucas", "from_fib"): (
+        1, lambda w: _windows(_packed_ladder(_FIB, w), 3), _lucas_bound, _lucas_from_window
+    ),
+    ("z", "recurrence"): (0, partial(_packed_ladder, _Z), _z_bound, _z_unpacked),
+    ("z", "via_lucas"): (0, _lucas_evens, lambda n: _lucas_bound(2 * n), _z_via_lucas),
+    ("z", "via_fib"): (0, lambda w: _fib_surds(_lift(w), _Shifts({w: -1})), _z_bound, _z_from_surd),
+    ("z", "parity"): (
+        0,
+        lambda w: zip(_packed_ladder(_LUCAS, w), _packed_ladder(_FIB, w)),
+        _z_bound,
+        _z_from_parity,
+    ),
+    ("zx", "via_l"): (0, lambda w: _l_at(_Shifts({0: 2, w: -1})), _z_bound, _zx_from_l),
+    ("zx", "via_l2n"): (0, _lucas_evens, lambda n: _lucas_bound(2 * n), _zx_via_l2n),
+    ("zx", "from_bivariate"): (0, lambda w: _fib_surds(_x_minus_4(w), 1), _z_bound, _zx_from_surd),
+    ("l", "recurrence"): (0, partial(_packed_ladder, _LUCAS), _lucas_bound, _l_from_lucas),
+    ("t", "recurrence"): (
+        0, partial(_packed_ladder, _CHEBYSHEV), _chebyshev_bound, UniPoly._unpacked
+    ),
+    ("s", "via_l"): (0, lambda w: _l_at(_Shifts({0: 2, w + 2: -1})), _s_bound, _s_from_l),
+}
+
+
+def _built(family: str, method: str, n: int) -> BiPoly | UniPoly:
+    """Member n of a route: its ladder run at member n's slot width, and
+    member n alone read back."""
+    first, ladder, bound, member = _ROUTES[family, method]
+    top = bound(n)
+    width = _slot_width(top)
+    return member(next(islice(ladder(width), n - first, None)), width, top, n)
+
+
+def _stream(last: int, family: str, method: str = "recurrence") -> Iterator[BiPoly | UniPoly]:
+    """Members 0, 1, 2, ... of one route, for a sweep that reads up to member
+    ``last``: the route's ladder, from its own seeds, at member ``last``'s
+    slot width.  Each member is read with its own bound, so one past ``last``
+    that outgrows the width raises ArithmeticError, never a wrong polynomial.
+    A closed route runs its builder at each n.  ``lucas`` ``from_fib`` starts
+    at n = 1, as L(0) has no F(-1).
+    """
+    build = {"fibonacci": fibonacci, "lucas": lucas, "z": z_polynomial}.get(family)
+    if method == "closed" and build:
+        return (build(k, method) for k in count())
+    if (family, method) not in _ROUTES:
+        raise ValueError(f"no route {method!r} for {family!r}")
+    first, ladder, bound, member = _ROUTES[family, method]
+    width = _slot_width(bound(last))
+    return (member(state, width, bound(n), n) for n, state in enumerate(ladder(width), first))
 
 
 # -- bivariate families -------------------------------------------------------
@@ -307,7 +394,7 @@ def fibonacci(n: int, method: str = "recurrence") -> BiPoly:
     n = _index(n)
     method = _check_method(method, FIBONACCI_METHODS)
     if method == "recurrence":
-        return _fib_member(n)
+        return _built("fibonacci", method, n)
     return BiPoly(
         {(n - 1 - 2 * k, k): comb(n - 1 - k, k) for k in range((n - 1) // 2 + 1)}
     )
@@ -323,15 +410,10 @@ def lucas(n: int, method: str = "recurrence") -> BiPoly:
     """
     n = _index(n)
     method = _check_method(method, LUCAS_METHODS)
-    if method == "recurrence":
-        return _lucas_member(n)
-    if method == "from_fib":
-        if n == 0:
-            raise ValueError("from_fib references F(n-1) and needs n >= 1")
-        bound = _lucas_bound(n)
-        width = _slot_width(bound)
-        window = tuple(islice(_ladder(*_packed(_FIB, width)), n - 1, n + 2))
-        return BiPoly._unpacked(_lucas_from_fib(window, _S._shifts(width)), width, bound, n, 2)
+    if method == "from_fib" and n == 0:
+        raise ValueError("from_fib references F(n-1) and needs n >= 1")
+    if method != "closed":
+        return _built("lucas", method, n)
     if n == 0:
         return BiPoly.constant(2)
     return BiPoly(
@@ -364,20 +446,7 @@ def z_polynomial(n: int, method: str = "recurrence") -> BiPoly:
         return BiPoly(
             {(k, n - k): coefficient_c(n, k, form="ratio_binomial") for k in range(1, n + 1)}
         )
-    if method == "via_lucas":
-        return _z_via_lucas(n, _lucas_member(2 * n))
-    bound = _z_bound(n)
-    width = _slot_width(bound)
-    lift = _Shifts({0: 1, width + 2: 1})  # x + 4s at (1, 2^W)
-    if method == "recurrence":
-        value = _member(n, *_packed(_Z, width))
-    elif method == "via_fib":
-        value = _fib_root_squared(n, lift, _Shifts({width: -1}))
-    elif n % 2:
-        value = _member(n, *_packed(_LUCAS, width)) ** 2
-    else:
-        value = lift * _member(n, *_packed(_FIB, width)) ** 2
-    return BiPoly._unpacked(value, width, bound, n, 1)
+    return _built("z", method, n)
 
 
 # -- the coefficient triangle -------------------------------------------------
@@ -444,13 +513,7 @@ def triangle(N: int) -> Triangle:
 
 def univariate_l(n: int) -> UniPoly:
     """l(n)(x) = L(n)(x, -1), by specializing the two-variable Lucas polynomial."""
-    n = _index(n)
-    return _l_from_lucas(lucas(n, method="recurrence"))
-
-
-def _l_from_lucas(member: BiPoly) -> UniPoly:
-    """l(n) from L(n)."""
-    return member.substitute_s(-1)
+    return _built("l", "recurrence", _index(n))
 
 
 def spread_z_univariate(n: int, method: str = "via_l") -> UniPoly:
@@ -468,32 +531,7 @@ def spread_z_univariate(n: int, method: str = "via_l") -> UniPoly:
     docstring); via_l2n unpacks l(2n) and halves its degrees.
     """
     n = _index(n)
-    method = _check_method(method, ZX_METHODS)
-    if method == "via_l2n":
-        return _zx_via_l2n(n, univariate_l(2 * n))
-    bound = _z_bound(n)
-    width = _slot_width(bound)
-    if method == "via_l":
-        value = 2 - _l_at(n, _Shifts({0: 2, width: -1}))
-    else:
-        root = _fib_root_squared(n, _Shifts({0: -4, width: 1}), 1)
-        value = _sign(n - 1) * root << width
-    return UniPoly._unpacked(value, width, bound, n)
-
-
-def _zx_via_l(ln: UniPoly) -> UniPoly:
-    """Zx(n) from l(n)."""
-    return 2 - ln.compose(UniPoly({1: -1, 0: 2}))
-
-
-def _zx_via_l2n(n: int, doubled: UniPoly) -> UniPoly:
-    """Zx(n) from l(2n)."""
-    return (doubled.halve_degrees() - 2 * _sign(n)).scale(_sign(n - 1))
-
-
-def _zx_from_bivariate(n: int, z: BiPoly) -> UniPoly:
-    """Zx(n) from Z(n)."""
-    return z.substitute_s(-1).scale(_sign(n - 1))
+    return _built("zx", _check_method(method, ZX_METHODS), n)
 
 
 def wildberger_spread(n: int) -> UniPoly:
@@ -502,71 +540,12 @@ def wildberger_spread(n: int) -> UniPoly:
     Built as S(n)(2^W) = (2 - l(n)(2 - 4 * 2^W)) / 4.  The division by 4
     always clears, which is checked (ArithmeticError otherwise).
     """
-    n = _index(n)
-    bound = _s_bound(n)
-    width = _slot_width(bound)
-    value, rest = divmod(2 - _l_at(n, _Shifts({0: 2, width + 2: -1})), 4)
-    if rest:
-        raise ArithmeticError(f"S({n}) came out non-integral")
-    return UniPoly._unpacked(value, width, bound, n)
+    return _built("s", "via_l", _index(n))
 
 
 def chebyshev_t(n: int) -> UniPoly:
     """Chebyshev polynomial of the first kind, T(n+1) = 2x T(n) - T(n-1)."""
-    n = _index(n)
-    bound = _chebyshev_bound(n)
-    width = _slot_width(bound)
-    return UniPoly._unpacked(_member(n, *_packed(_CHEBYSHEV, width)), width, bound, n)
-
-
-# -- route streams for sweeps -------------------------------------------------
-
-
-def _stream(family: str, method: str = "recurrence") -> Iterator[BiPoly | UniPoly]:
-    """Members 0, 1, 2, ... of one construction route, for a sweep.
-
-    Each member comes from the step the route's single-n builder takes, on
-    ladders this stream starts from their own seeds: no two streams share a
-    ladder, and each holds only its ladders' windows.  Families are
-    ``fibonacci``, ``lucas``, ``z`` and ``zx``, with the methods of their
-    builders, plus ``l`` (univariate_l) and ``t`` (chebyshev_t) by their
-    recurrences.  ``lucas`` ``from_fib`` starts at n = 1, as L(0) has no F(-1).
-    """
-    n = count()
-    match family, method:
-        case "fibonacci", "recurrence":
-            return _ladder(*_FIB)
-        case "fibonacci", "closed":
-            return (fibonacci(k, "closed") for k in n)
-        case "lucas", "recurrence":
-            return _ladder(*_LUCAS)
-        case "lucas", "closed":
-            return (lucas(k, "closed") for k in n)
-        case "lucas", "from_fib":
-            return map(_lucas_from_fib, _windows(_ladder(*_FIB), 3))
-        case "z", "recurrence":
-            return _ladder(*_Z)
-        case "z", "closed":
-            return (z_polynomial(k, "closed") for k in n)
-        case "z", "via_lucas":
-            return map(_z_via_lucas, n, islice(_ladder(*_LUCAS), 0, None, 2))
-        case "z", "via_fib":
-            return map(_z_via_fib, _ladder(*_FLIPPED_FIB))
-        case "z", "parity":
-            pairs = zip(n, _ladder(*_LUCAS), _ladder(*_FIB))
-            return (_z_parity(k, odd if k % 2 else even) for k, odd, even in pairs)
-        case "zx", "via_l":
-            return map(_zx_via_l, map(_l_from_lucas, _ladder(*_LUCAS)))
-        case "zx", "via_l2n":
-            doubled = map(_l_from_lucas, islice(_ladder(*_LUCAS), 0, None, 2))
-            return map(_zx_via_l2n, n, doubled)
-        case "zx", "from_bivariate":
-            return map(_zx_from_bivariate, n, _stream("z", "via_fib"))
-        case "l", "recurrence":
-            return map(_l_from_lucas, _ladder(*_LUCAS))
-        case "t", "recurrence":
-            return _ladder(*_CHEBYSHEV)
-    raise ValueError(f"no route {method!r} for {family!r}")
+    return _built("t", "recurrence", _index(n))
 
 
 # -- point values by Lucas-sequence doubling ----------------------------------

@@ -7,9 +7,12 @@ the caller.
 
 A sweep runs each route's ladder once, for n = 0..max_n, and hands every
 check the members it streamed (``sequences._stream``), so a sweep to N takes
-O(N) ladder steps.  Every route has a stream of its own, started from its own
-seeds: two routes never share a generator, which keeps their agreement a
-cross-validation.
+O(N) ladder steps.  A stream runs the same packed ladder as the route's
+single-n builder, the code ``gen`` runs, at the slot width of the largest
+index the sweep reads: max_n, max_n + 1 for the Cassini windows and 2 max_n
+for ``doubling``'s l(2n).  Every route has a stream of its own, started from
+its own seeds: two routes never share a generator, which keeps their
+agreement a cross-validation.
 """
 
 from __future__ import annotations
@@ -162,7 +165,7 @@ def _suite_cross_method(max_n: int) -> SuiteReport:
         # Builders bound when the sweep runs, not at import, so a patched
         # builder is called.
         routes = [
-            (family, build, [(method, _stream(family, method)) for method in methods])
+            (family, build, [(method, _stream(max_n, family, method)) for method in methods])
             for family, build, methods in (
                 ("z", z_polynomial, Z_METHODS),
                 ("fibonacci", fibonacci, FIBONACCI_METHODS),
@@ -179,9 +182,9 @@ def _suite_cross_method(max_n: int) -> SuiteReport:
                     if n or method != "from_fib"
                 ]
                 if n == max_n:
-                    # The streams stand in for the single-n builders that
-                    # `gen` runs, so their last members must be the
-                    # builders'.  Only a mismatch adds a result.
+                    # The streams run the ladders of the single-n builders
+                    # that `gen` runs; the builders' own wiring must give the
+                    # same last members.  Only a mismatch adds a result.
                     for method, member in members:
                         built = build(n, method=method)
                         if member != built:
@@ -279,17 +282,20 @@ def _suite_gf(max_n: int) -> SuiteReport:
 # its members' streams when it runs, so no stream outlives its sweep.
 SUITES: dict[str, Callable[[int], SuiteReport]] = {
     "cassini": lambda max_n: _suite_each_n(
-        "cassini", check_cassini, max_n, _windows(_stream("fibonacci"), 3)
+        "cassini", check_cassini, max_n, _windows(_stream(max_n + 1, "fibonacci"), 3)
     ),
     "z_cassini": lambda max_n: _suite_each_n(
-        "z_cassini", check_z_cassini, max_n, _windows(_stream("z"), 3)
+        "z_cassini", check_z_cassini, max_n, _windows(_stream(max_n + 1, "z"), 3)
     ),
     "lucas_binomial": _suite_lucas_binomial,
     "z_binomial": lambda max_n: _suite_each_n(
         "z_binomial", check_z_binomial, max_n, repeat(_z_list(max_n))
     ),
     "symmetry": lambda max_n: _suite_each_n(
-        "symmetry", check_symmetry, max_n, _from_one(_stream("zx", "via_l"), _stream("z"))
+        "symmetry",
+        check_symmetry,
+        max_n,
+        _from_one(_stream(max_n, "zx", "via_l"), _stream(max_n, "z")),
     ),
     "coefficients": _suite_coefficients,
     "trig": _suite_trig,
@@ -297,17 +303,22 @@ SUITES: dict[str, Callable[[int], SuiteReport]] = {
         "chebyshev",
         check_chebyshev_bala,
         max_n,
-        _from_one(_stream("t"), _stream("l"), _stream("zx", "via_l"), _stream("z")),
+        _from_one(
+            _stream(max_n, "t"),
+            _stream(max_n, "l"),
+            _stream(max_n, "zx", "via_l"),
+            _stream(max_n, "z"),
+        ),
     ),
     "doubling": lambda max_n: _suite_each_n(
         "doubling",
         check_l_doubling,
         max_n,
         _from_one(
-            islice(_stream("l"), 0, None, 2),
-            _stream("l"),
-            _stream("zx", "via_l2n"),
-            _stream("zx", "via_l"),
+            islice(_stream(2 * max_n, "l"), 0, None, 2),
+            _stream(max_n, "l"),
+            _stream(max_n, "zx", "via_l2n"),
+            _stream(max_n, "zx", "via_l"),
         ),
     ),
     "cross_method": _suite_cross_method,

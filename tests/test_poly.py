@@ -453,10 +453,11 @@ def test_pack_unpack_round_trip(data, width_bytes, degree):
 
 
 def test_shifts_multiply_as_the_packed_weight():
-    weight = X + 3 * S - 2 * S**2
+    # Mixed factors, a lone shift (factor 1), a negated one, and zero.
     a = (X * X - 5 * S) * S
-    assert weight._shifts(16) * a._packed(16) == (weight * a)._packed(16)
-    assert a._packed(16) * weight._shifts(16) == (weight * a)._packed(16)
+    for weight in (X + 3 * S - 2 * S**2, S, -S, X - X):
+        assert weight._shifts(16) * a._packed(16) == (weight * a)._packed(16)
+        assert a._packed(16) * weight._shifts(16) == (weight * a)._packed(16)
 
 
 def test_unpack_refuses_what_does_not_fit():

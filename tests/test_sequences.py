@@ -1,6 +1,8 @@
 """Tests for the polynomial family constructors and the coefficient triangle."""
 
+import contextlib
 import functools
+import io
 import math
 import tracemalloc
 from fractions import Fraction
@@ -27,8 +29,8 @@ from spreadpoly import (
     wildberger_spread,
     z_polynomial,
 )
-from spreadpoly import poly, sequences
-from spreadpoly.cli import _BIVARIATE, _FAMILIES
+from spreadpoly import poly, sequences, verify
+from spreadpoly.cli import _BIVARIATE, _FAMILIES, main
 from spreadpoly.fixtures import a156308_rows
 from spreadpoly.sequences import (
     Triangle,
@@ -266,16 +268,16 @@ def test_wildberger_spread_non_integral_raises(monkeypatch):
     # longer divisible by 4, and the check is an explicit raise, so it holds
     # under python -O.
     l_at = sequences._l_at
-    monkeypatch.setattr(sequences, "_l_at", lambda n, x: l_at(n, x) + 1)
+    monkeypatch.setattr(sequences, "_l_at", lambda x: (value + 1 for value in l_at(x)))
     with pytest.raises(ArithmeticError):
         wildberger_spread(3)
 
 
 def test_wildberger_spread_is_the_rescaled_polynomial():
-    # The reference is Zx(n)(4x) / 4 built from the polynomial l(n) by
-    # composition, as the sweep's via_l stream builds Zx(n).
+    # The reference is Zx(n)(4x) / 4, with Zx(n) = 2 - l(n)(2 - x) built from
+    # the polynomial l(n) by composition.
     for n in [*range(41), 100, 300]:
-        zx = sequences._zx_via_l(univariate_l(n))
+        zx = 2 - univariate_l(n).compose(UniPoly({1: -1, 0: 2}))
         assert wildberger_spread(n) == zx.compose(UniPoly({1: 4})).scale(Fraction(1, 4)), n
 
 
@@ -283,6 +285,26 @@ def test_wildberger_spread_width_bound_is_exact():
     for n in range(201):
         sizes = [abs(c) for _, c in wildberger_spread(n).terms()]
         assert sequences._s_bound(n) == sum(sizes), n
+
+
+def test_substitution_formulas_are_the_builders():
+    # The paper's substitutions, run on polynomials with public ops from the
+    # defining ladders.  No builder runs them: each folds its substitution
+    # into the point its packed ladder runs at.
+    x, s = BiPoly.x(), BiPoly.s()
+    lift = x + 4 * s
+    fib, luc = _fib_list(100), _lucas_list(100)
+    for n in [*range(41), 100]:
+        flipped = BiPoly({(dx, ds): c * (-1) ** ds for (dx, ds), c in fib[n].terms()})
+        z = x * (flipped * flipped).even_substitute(lift)  # x F(n)(u, -s)^2, u^2 -> x + 4s
+        assert z == z_polynomial(n, "via_fib"), n
+        square = (luc[n] * luc[n] if n % 2 else fib[n] * fib[n]).halve_degrees()
+        assert (square if n % 2 else lift * square) == z_polynomial(n, "parity"), n
+        zx = 2 - luc[n].substitute_s(-1).compose(UniPoly({1: -1, 0: 2}))  # 2 - l(n)(2 - x)
+        assert zx == spread_z_univariate(n, "via_l"), n
+        sign = (-1) ** ((n - 1) % 2)
+        assert z.substitute_s(-1).scale(sign) == spread_z_univariate(n, "from_bivariate"), n
+        assert zx.compose(UniPoly({1: 4})).scale(Fraction(1, 4)) == wildberger_spread(n), n
 
 
 def test_chebyshev_values():
@@ -328,13 +350,13 @@ def test_stream_is_the_single_n_builder(route):
     # from_fib, which needs F(n-1)): exactly what the builder gives at each n.
     first = 1 if route[1] == "from_fib" else 0
     build = STREAMED_ROUTES[route]
-    streamed = list(islice(_stream(*route), 31 - first))
+    streamed = list(islice(_stream(30, *route), 31 - first))
     assert streamed == [build(n) for n in range(first, 31)]
 
 
 def test_stream_unknown_route():
     with pytest.raises(ValueError):
-        _stream("z", "binet")
+        _stream(0, "z", "binet")
 
 
 @pytest.mark.parametrize("route", sorted(LADDER_ROUTES))
@@ -350,17 +372,23 @@ def test_builders_hold_no_ladder(route):
 
 # -- packed ladders ------------------------------------------------------------
 
+# F(n)(x, -s), a signed ladder: via_fib runs it in Z[sqrt(D)], never packed
+# in (x, s), so its packed member is read here from the ladder kernel itself.
+FLIPPED_FIB = ((BiPoly.zero(), BiPoly.one()), (BiPoly.x(), -BiPoly.s()))
+
+
+def _flipped_fib_member(n):
+    bound = sequences._fib_bound(n)
+    width = poly._slot_width(bound)
+    value = next(islice(sequences._packed_ladder(FLIPPED_FIB, width), n, None))
+    return BiPoly._unpacked(value, width, bound, n - 1, 2)
+
+
 # Each ladder with its packed single-n builder and its width bound.
 PACKED_LADDERS = {
-    "fibonacci": (sequences._FIB, sequences._fib_member, sequences._fib_bound),
-    "flipped fibonacci": (
-        sequences._FLIPPED_FIB,
-        lambda n: sequences._homogeneous(
-            n, sequences._FLIPPED_FIB, sequences._fib_bound(n), n - 1
-        ),
-        sequences._fib_bound,
-    ),
-    "lucas": (sequences._LUCAS, sequences._lucas_member, sequences._lucas_bound),
+    "fibonacci": (sequences._FIB, fibonacci, sequences._fib_bound),
+    "flipped fibonacci": (FLIPPED_FIB, _flipped_fib_member, sequences._fib_bound),
+    "lucas": (sequences._LUCAS, lucas, sequences._lucas_bound),
     "z": (sequences._Z, z_polynomial, sequences._z_bound),
     "chebyshev": (sequences._CHEBYSHEV, chebyshev_t, sequences._chebyshev_bound),
 }
@@ -392,21 +420,96 @@ def test_width_bound_covers_every_coefficient(name):
 def test_packed_builder_is_its_stream_member(route):
     n = 64
     first = 1 if route[1] == "from_fib" else 0
-    assert PACKED_ROUTES[route](n) == next(islice(_stream(*route), n - first, None))
+    assert PACKED_ROUTES[route](n) == next(islice(_stream(n, *route), n - first, None))
 
 
 # Every packed builder: the ladder routes and S, which runs the l ladder.
 NARROW_ROUTES = {**PACKED_ROUTES, ("wildberger_spread",): wildberger_spread}
 
+# Every route with a packed ladder, by its stream's name, with its builder.
+LADDER_STREAMS = {**PACKED_ROUTES, ("s", "via_l"): wildberger_spread}
+
+
+def _first(route):
+    return 1 if route[-1] == "from_fib" else 0
+
+
+def test_ladder_streams_are_every_route():
+    assert sorted(LADDER_STREAMS) == sorted(sequences._ROUTES)
+
 
 @pytest.mark.parametrize("route", sorted(NARROW_ROUTES), ids=":".join)
 def test_slots_a_byte_too_narrow_raise(route, monkeypatch):
-    # Mutation: one byte less than the bound needs.  The builder must refuse,
-    # never return a polynomial read from carried-over slots.
+    # Mutation: one byte less than the bound needs.  The builder and the
+    # stream to member n must refuse, never return a polynomial read from
+    # carried-over slots.
     monkeypatch.setattr(sequences, "_slot_width", lambda bound: poly._slot_width(bound) - 8)
+    stream = ("s", "via_l") if route == ("wildberger_spread",) else route
     for n in (1, 2, 40, 200):
         with pytest.raises(ArithmeticError):
             NARROW_ROUTES[route](n)
+        with pytest.raises(ArithmeticError):
+            list(islice(_stream(n, *stream), n + 1 - _first(route)))
+
+
+@pytest.mark.parametrize("route", sorted(LADDER_STREAMS), ids=":".join)
+def test_short_streams_are_the_builders(route):
+    # Streams whose last index is 0, 1 or 2 take the narrowest slots.
+    build = LADDER_STREAMS[route]
+    for last in (0, 1, 2):
+        streamed = list(islice(_stream(last, *route), last + 1 - _first(route)))
+        assert streamed == [build(n) for n in range(_first(route), last + 1)], last
+
+
+def test_width_bounds_fall_only_from_lucas_0_to_1():
+    # A stream takes its width from its last member's bound, which holds the
+    # earlier members when no bound falls.  The one fall for n < 600 is
+    # L(0)(1, 1) = 2 > L(1)(1, 1) = 1, and both fit the narrowest slots.
+    bounds = (
+        sequences._fib_bound,
+        sequences._lucas_bound,
+        sequences._z_bound,
+        sequences._chebyshev_bound,
+        sequences._s_bound,
+    )
+    falls = [(b.__name__, n) for b in bounds for n in range(599) if b(n + 1) < b(n)]
+    assert falls == [("_lucas_bound", 0)]
+    assert poly._slot_width(sequences._lucas_bound(0)) == poly._slot_width(1) == 8
+
+
+@pytest.mark.parametrize("route", sorted(LADDER_STREAMS), ids=":".join)
+def test_stream_read_past_its_last_is_right_or_raises(route):
+    # Each member is read with its own bound, so once one outgrows the width
+    # of the stream's last member, reading raises; every member read before
+    # that is the builder's.
+    last, build, first = 20, LADDER_STREAMS[route], _first(route)
+    streamed = []
+    with pytest.raises(ArithmeticError):
+        for member in islice(_stream(last, *route), last + 41 - first):
+            streamed.append(member)
+    assert len(streamed) > last - first
+    assert streamed == [build(n) for n in range(first, first + len(streamed))]
+
+
+@pytest.mark.parametrize("route", [("z", "recurrence"), ("zx", "via_l")], ids=":".join)
+def test_a_changed_route_ladder_breaks_gen_and_its_stream(route, monkeypatch):
+    # Mutation: every state of the route's ladder off by one in its lowest
+    # slot.  gen and the sweep run the one ladder, so both go wrong, and
+    # cross_method, which compares the route with its siblings, fails.
+    build = LADDER_STREAMS[route]
+    right = [build(n) for n in range(8)]
+    gen = ["gen", {"z": "Z", "zx": "Zx"}[route[0]], "7", "--method", route[1]]
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        main(gen)
+    first, ladder, bound, member = sequences._ROUTES[route]
+    wrong = (first, lambda width: (value + 1 for value in ladder(width)), bound, member)
+    monkeypatch.setitem(sequences._ROUTES, route, wrong)
+    assert all(build(n) != right[n] for n in range(8))
+    assert all(got != want for got, want in zip(_stream(7, *route), right))
+    with contextlib.redirect_stdout(io.StringIO()) as misprinted:
+        main(gen)
+    assert misprinted.getvalue() != printed.getvalue()
+    assert not verify.SUITES["cross_method"](7).ok
 
 
 def test_all_families_integer_coefficients():
