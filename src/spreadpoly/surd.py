@@ -9,11 +9,12 @@ d is deliberately not normalized (no square-free reduction): an element with
 d = 9 simply behaves like a rational in disguise, and negative d works the
 same way since the arithmetic never orders elements.
 
-Powers run on integers.  With d = N/M, an element is (A + B sqrt(D)) / m for
-integers A, B, m and D = N M (sqrt(D) = M sqrt(d)); ``**`` squares and
-multiplies (A, B) in Z[sqrt(D)] and divides by m^n once, instead of reducing
-a fraction after every product.  The result keeps the same, unnormalized d
-and equals what repeated ``*`` gives.
+Powers run on integers, in one square-and-multiply kernel on Z[sqrt(D)]
+(``_surd_pow``), and divide once.  ``**`` writes an element, with d = N/M, as
+(A + B sqrt(D)) / m for integers A, B, m and D = N M; its result keeps d and
+equals what repeated ``*`` gives.  Each closed form is one power of X + sqrt(D)
+at the integral point (X, S) = (lam x0, lam^2 s0), D = X^2 + 4S; the power of
+its conjugate, taken on its own, checks that the sqrt parts cancel.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from fractions import Fraction
 
 from .identities import CheckResult, failure
 from .poly import BiPoly, Rat, _coeff, _index
+from .sequences import _integral_point
 
 __all__ = [
     "DiscriminantMismatch",
@@ -147,27 +149,14 @@ class QuadExt:
         return QuadExt.from_rational(other, self._d) / self
 
     def __pow__(self, n: int) -> QuadExt:
-        """The integer kernel of the module docstring, with m = den(a) den(b) M,
-        A = a m and B = b m / M: (A + B sqrt(D))^n = P + Q sqrt(D), and the
-        result is P/m^n + (Q M/m^n) sqrt(d)."""
+        """``_surd_pow`` of (A, B) = (a m, b m / M) with m = den(a) den(b) M,
+        read back as P/m^n + (Q M/m^n) sqrt(d)."""
         _index(n, what="exponent")
         a, b, d = self._a, self._b, self._d
         big_m = d.denominator
-        m = a.denominator * b.denominator * big_m
-        big_d = d.numerator * big_m
-        divisor = m**n
-        p, q = 1, 0
-        base_p = a.numerator * b.denominator * big_m
-        base_q = b.numerator * a.denominator
-        while n:
-            if n & 1:
-                p, q = p * base_p + q * base_q * big_d, p * base_q + q * base_p
-            n >>= 1
-            if n:
-                base_p, base_q = (
-                    base_p * base_p + base_q * base_q * big_d,
-                    2 * base_p * base_q,
-                )
+        base = a.numerator * b.denominator * big_m, b.numerator * a.denominator
+        p, q = _surd_pow(*base, d.numerator * big_m, n)
+        divisor = (a.denominator * b.denominator * big_m) ** n
         return QuadExt(Fraction(p, divisor), Fraction(q * big_m, divisor), d)
 
     def __eq__(self, other: object) -> bool:
@@ -194,45 +183,58 @@ class QuadExt:
         return f"QuadExt({self._a!r}, {self._b!r}, d={self._d!r})"
 
 
+def _surd_pow(p: int, q: int, big_d: int, n: int) -> tuple[int, int]:
+    """(P, Q) with (p + q sqrt(D))^n = P + Q sqrt(D): square and multiply in Z[sqrt(D)]."""
+    big_p, big_q = 1, 0
+    while n:
+        if n & 1:
+            big_p, big_q = big_p * p + big_q * q * big_d, big_p * q + big_q * p
+        n >>= 1
+        if n:
+            p, q = p * p + q * q * big_d, 2 * p * q
+    return big_p, big_q
+
+
+def _discriminant(x0: Rat, s0: Rat) -> tuple[int, int, int]:
+    """(X, lam, D = X^2 + 4S) at the integral point (X, S) of (x0, s0); D != 0."""
+    x, s, lam = _integral_point(x0, s0)
+    if x * x + 4 * s == 0:
+        raise DegenerateDiscriminant(
+            f"the discriminant ({Fraction(x0)})^2 + 4*({Fraction(s0)}) vanishes; the roots coincide"
+        )
+    return x, lam, x * x + 4 * s
+
+
 def characteristic_roots(x0: Rat, s0: Rat) -> tuple[QuadExt, QuadExt]:
     """The two roots (x0 +/- sqrt(x0^2 + 4*s0)) / 2 of z^2 - x0*z - s0."""
-    x0 = Fraction(x0)
-    s0 = Fraction(s0)
-    d = x0 * x0 + 4 * s0
-    if d == 0:
-        raise DegenerateDiscriminant(
-            f"the discriminant ({x0})^2 + 4*({s0}) vanishes; the roots coincide"
-        )
-    half = Fraction(1, 2)
-    root = QuadExt(x0 * half, half, d)
+    x, lam, big_d = _discriminant(x0, s0)
+    root = QuadExt(Fraction(x, 2 * lam), Fraction(1, 2), Fraction(big_d, lam * lam))
     return root, root.conj()
 
 
-def _rational(n: int, value: QuadExt) -> Fraction:
-    """The rational value of a closed form whose sqrt parts must cancel."""
-    if not value.is_rational():
+def _binet(n: int, x0: Rat, s0: Rat) -> tuple[Fraction, Fraction]:
+    """(F(n), L(n)) at (x0, s0): (g^n - gbar^n) / (g - gbar) and g^n + gbar^n, with
+    g, gbar = (X +/- sqrt(D)) / (2 lam) and g - gbar = sqrt(D) / lam.  With
+    (X + sqrt(D))^n = P + Q sqrt(D), F = 2 Q lam / (2 lam)^n and L = 2 P / (2 lam)^n.
+    (X - sqrt(D))^n is a power of its own; unless its parts are (P, -Q), the
+    sqrt parts failed to cancel (ArithmeticError)."""
+    x, lam, big_d = _discriminant(x0, s0)
+    p, q = _surd_pow(x, 1, big_d, n)
+    if _surd_pow(x, -1, big_d, n) != (p, -q):
         raise ArithmeticError(f"sqrt component failed to cancel at n={n}")
-    return value.rational_part()
+    scale = (2 * lam) ** n
+    return Fraction(2 * q * lam, scale), Fraction(2 * p, scale)
 
 
 def binet_fibonacci(n: int, x0: Rat, s0: Rat) -> Fraction:
-    """(g^n - gbar^n) / (g - gbar) for the characteristic roots g, gbar.
-
-    g - gbar is the pure surd sqrt(d), so the quotient is taken directly:
-    (a + b sqrt(d)) / sqrt(d) = b + (a/d) sqrt(d).  Exact; the sqrt parts
-    always cancel, which is checked (ArithmeticError otherwise).
-    """
-    _index(n)
-    g, gbar = characteristic_roots(x0, s0)
-    diff = g**n - gbar**n
-    return _rational(n, QuadExt(diff.b, Fraction(diff.a) / diff.d, diff.d))
+    """(g^n - gbar^n) / (g - gbar) for the characteristic roots g, gbar: one
+    integer power at the integral point (``_binet``).  Exact."""
+    return _binet(_index(n), x0, s0)[0]
 
 
 def binet_lucas(n: int, x0: Rat, s0: Rat) -> Fraction:
-    """g^n + gbar^n for the characteristic roots g, gbar.  Exact."""
-    _index(n)
-    g, gbar = characteristic_roots(x0, s0)
-    return _rational(n, g**n + gbar**n)
+    """g^n + gbar^n for the characteristic roots g, gbar, as ``binet_fibonacci``."""
+    return _binet(_index(n), x0, s0)[1]
 
 
 def binet_z(n: int, q: Rat, s0: Rat) -> Fraction:
@@ -241,11 +243,9 @@ def binet_z(n: int, q: Rat, s0: Rat) -> Fraction:
     alpha, alphabar = (q +/- sqrt(q^2 + 4*s0)) / 2 are the characteristic
     roots at (q, s0): restricting x to a rational square, with sqrt(x) read
     as q, keeps everything inside a single quadratic extension, where general
-    x would need a second, nested square root.
+    x would need a second, nested square root.  The sum is binet_lucas(2n).
     """
-    _index(n)
-    alpha, abar = characteristic_roots(q, s0)
-    return _rational(n, alpha ** (2 * n) + abar ** (2 * n) - 2 * Fraction(s0) ** n)
+    return _binet(2 * _index(n), q, s0)[1] - 2 * Fraction(s0) ** n
 
 
 def _cubic_sides(x0: Rat) -> tuple[BiPoly, BiPoly]:
@@ -275,8 +275,7 @@ def check_root_relations(q: Rat, s0: Rat) -> CheckResult:
     """
     alpha, abar = characteristic_roots(q, s0)
     d = alpha.d
-    q = Fraction(q)
-    s0 = Fraction(s0)
+    q, s0 = Fraction(q), Fraction(s0)
     x0 = q * q
     name = "root_relations"
     rng = f"q={q}, s={s0}"

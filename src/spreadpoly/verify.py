@@ -62,7 +62,7 @@ from .sequences import (
     z_at,
     z_polynomial,
 )
-from .surd import binet_fibonacci, binet_lucas, binet_z, check_root_relations
+from .surd import _binet, binet_z, check_root_relations
 
 __all__ = ["SuiteReport", "SUITES"]
 
@@ -220,13 +220,13 @@ def _suite_binet(max_n: int) -> SuiteReport:
             )
             if x0 * x0 + 4 * s0 != 0:
                 points.append((x0, s0))
-        # Three routes per value: the closed form in Q(sqrt d), the polynomial
+        # Three routes per value: the closed form in Z[sqrt D], the polynomial
         # from its recurrence ladder (built once for the sweep), evaluated, and
         # the doubling kernel, which builds no polynomial.
         fib, luc, z = _fib_list(max_n), _lucas_list(max_n), _z_list(max_n)
         for n in range(max_n + 1):
             for x0, s0 in points:
-                binet = (binet_fibonacci(n, x0, s0), binet_lucas(n, x0, s0))
+                binet = _binet(n, x0, s0)
                 evaluated = (fib[n].evaluate(x0, s0), luc[n].evaluate(x0, s0))
                 doubled = (fibonacci_at(n, x0, s0), lucas_at(n, x0, s0))
                 if binet == evaluated == doubled:

@@ -1,5 +1,6 @@
 """Tests for exact quadratic-surd arithmetic and the Binet closed forms."""
 
+import inspect
 import random
 from fractions import Fraction
 
@@ -21,6 +22,8 @@ from spreadpoly import (
     lucas,
     z_polynomial,
 )
+from spreadpoly import surd
+from spreadpoly.cli import main
 
 rationals = st.fractions(
     min_value=-9, max_value=9, max_denominator=7
@@ -195,14 +198,73 @@ def test_binet_negative_index_rejected():
 
 
 def test_binet_uncancelled_sqrt_raises(monkeypatch):
-    # The rationality check is an explicit raise, so it holds under python -O.
-    monkeypatch.setattr(QuadExt, "is_rational", lambda self: False)
+    # The conjugate power is taken on its own and must come back as (P, -Q).
+    # A kernel that drops the sign of sqrt(D) breaks that; the check is an
+    # explicit raise, so it holds under python -O.
+    kernel = surd._surd_pow
+    monkeypatch.setattr(surd, "_surd_pow", lambda p, q, big_d, n: kernel(p, abs(q), big_d, n))
     with pytest.raises(ArithmeticError):
         binet_fibonacci(3, 1, 1)
     with pytest.raises(ArithmeticError):
         binet_lucas(3, 1, 1)
     with pytest.raises(ArithmeticError):
         binet_z(3, 1, 2)
+
+
+@pytest.mark.parametrize("point", [(0.5, 1), (1, 0.5), ("1/3", 1), (1, "2")])
+def test_inexact_points_rejected(point):
+    # Points pass the exact-rational guard of the *_at kernels.
+    for form in (binet_fibonacci, binet_lucas, binet_z):
+        with pytest.raises(TypeError):
+            form(3, *point)
+    with pytest.raises(TypeError):
+        characteristic_roots(*point)
+    with pytest.raises(TypeError):
+        check_root_relations(*point)
+
+
+def test_binet_formulas_are_the_closed_forms():
+    # The paper's Binet formulas in the roots from characteristic_roots, with
+    # the powers taken as repeated products, so no step shares the power
+    # kernel that binet_* run on integers.  Seeded rational points, plus
+    # x0 = 0, perfect-square discriminants (d = 4 at (0, 1), d = 9 at (1, 2))
+    # and negative ones.
+    rng = random.Random(2025)
+    points = [(0, 1), (1, 2), (1, -1), (0, Fraction(-1, 3)), (Fraction(3, 2), Fraction(-5, 7))]
+    while len(points) < 10:
+        x0 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        s0 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        if x0 * x0 + 4 * s0 != 0:
+            points.append((x0, s0))
+    discriminants = [x0 * x0 + 4 * s0 for x0, s0 in points]
+    assert 4 in discriminants and 9 in discriminants
+    assert any(d < 0 for d in discriminants) and any(x0 == 0 for x0, _ in points)
+    wanted = {*range(61), 150}
+    for x0, s0 in points:
+        g, gbar = characteristic_roots(x0, s0)
+        g_n, gbar_n = QuadExt.from_rational(1, g.d), QuadExt.from_rational(1, g.d)
+        for n in range(2 * max(wanted) + 1):
+            if n in wanted:
+                assert (g_n - gbar_n) / (g - gbar) == binet_fibonacci(n, x0, s0), (n, x0, s0)
+                assert g_n + gbar_n == binet_lucas(n, x0, s0), (n, x0, s0)
+            if n % 2 == 0 and n // 2 in wanted:
+                z = g_n + gbar_n - 2 * Fraction(s0) ** (n // 2)  # alpha^(2n) + alphabar^(2n) - 2 s^n
+                assert z == binet_z(n // 2, x0, s0), (n, x0, s0)
+            g_n, gbar_n = g_n * g, gbar_n * gbar
+
+
+def test_kernel_off_by_one_fails_pow_and_binet_suite(monkeypatch, capsys):
+    # QuadExt.__pow__ and the closed forms run the one square-and-multiply
+    # loop: an off-by-one in its Q part (2pq -> 3pq when squaring) fails both.
+    source = inspect.getsource(surd._surd_pow)
+    assert source.count("2 * p * q") == 1
+    namespace = dict(vars(surd))
+    exec(source.replace("2 * p * q", "3 * p * q"), namespace)
+    monkeypatch.setattr(surd, "_surd_pow", namespace["_surd_pow"])
+    u = QuadExt(1, 1, 2)
+    assert u**3 != u * u * u
+    assert main(["verify", "binet", "--max-n", "3"]) == 1
+    assert "witness [binet_fib_lucas n=2 at" in capsys.readouterr().out
 
 
 # -- root relations ---------------------------------------------------------------
