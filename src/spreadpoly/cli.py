@@ -6,7 +6,8 @@ expansion), and ``verify`` (runs the cross-validation suites of
 ``spreadpoly.verify``).
 
 Exit codes are a stable contract: 0 for success / all checks passing, 1 when
-a verification suite fails, 2 for usage errors.  All output is deterministic;
+a verification suite fails, 2 for usage errors, 141 (128 + SIGPIPE) when the
+reader closes the output pipe early.  All output is deterministic;
 JSON coefficients are decimal strings because triangle entries outgrow 64-bit
 integers quickly.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -227,63 +229,107 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
 
 
+def _gen_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("family", choices=sorted(_FAMILIES))
+    parser.add_argument("n", type=_nonneg)
+    parser.add_argument("--method", default=None)
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.set_defaults(handler=functools.partial(_cmd_gen, parser))
+
+
+def _triangle_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("n", metavar="N", type=_positive)
+    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    parser.set_defaults(handler=functools.partial(_cmd_triangle, parser))
+
+
+def _eval_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("family", choices=sorted(_FAMILIES))
+    parser.add_argument("n", type=_nonneg)
+    parser.add_argument("x0", type=_rational)
+    parser.add_argument("s0", type=_rational, nargs="?", default=None)
+    parser.set_defaults(handler=functools.partial(_cmd_eval, parser))
+
+
+def _series_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("kind", choices=GF_KINDS)
+    parser.add_argument("n", metavar="N", type=_nonneg)
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.set_defaults(handler=functools.partial(_cmd_series, parser))
+
+
+def _verify_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("suite", choices=["all"] + list(verify.SUITES))
+    parser.add_argument("--max-n", dest="max_n", type=_positive, default=50)
+    parser.set_defaults(handler=functools.partial(_cmd_verify, parser))
+
+
+# Subcommand -> (help line, the function that adds its arguments and binds
+# its handler to the parser it is given).
+_SUBCOMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
+    "gen": ("generate one polynomial", _gen_arguments),
+    "triangle": ("coefficient triangle rows 1..N", _triangle_arguments),
+    "eval": ("evaluate a family member at an exact rational point", _eval_arguments),
+    "series": ("generating-function expansion", _series_arguments),
+    "verify": ("run cross-validation suites", _verify_arguments),
+}
+
+_PROG = "spreadpoly"
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The whole command line: the top-level parser and every subcommand's."""
     parser = _Parser(
-        prog="spreadpoly",
+        prog=_PROG,
         description="Exact spread / Fibonacci / Lucas polynomial toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    gen = sub.add_parser("gen", help="generate one polynomial")
-    gen.add_argument("family", choices=sorted(_FAMILIES))
-    gen.add_argument("n", type=_nonneg)
-    gen.add_argument("--method", default=None)
-    gen.add_argument("--format", choices=("text", "json"), default="text")
-    gen.set_defaults(handler=functools.partial(_cmd_gen, gen))
-
-    tri = sub.add_parser("triangle", help="coefficient triangle rows 1..N")
-    tri.add_argument("n", metavar="N", type=_positive)
-    tri.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    tri.set_defaults(handler=functools.partial(_cmd_triangle, tri))
-
-    ev = sub.add_parser("eval", help="evaluate a family member at an exact rational point")
-    ev.add_argument("family", choices=sorted(_FAMILIES))
-    ev.add_argument("n", type=_nonneg)
-    ev.add_argument("x0", type=_rational)
-    ev.add_argument("s0", type=_rational, nargs="?", default=None)
-    ev.set_defaults(handler=functools.partial(_cmd_eval, ev))
-
-    ser = sub.add_parser("series", help="generating-function expansion")
-    ser.add_argument("kind", choices=GF_KINDS)
-    ser.add_argument("n", metavar="N", type=_nonneg)
-    ser.add_argument("--format", choices=("text", "json"), default="text")
-    ser.set_defaults(handler=functools.partial(_cmd_series, ser))
-
-    ver = sub.add_parser("verify", help="run cross-validation suites")
-    ver.add_argument("suite", choices=["all"] + list(verify.SUITES))
-    ver.add_argument("--max-n", dest="max_n", type=_positive, default=50)
-    ver.set_defaults(handler=functools.partial(_cmd_verify, ver))
-
+    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
+def _parse(argv: list[str]) -> tuple[argparse.Namespace, list[str]]:
+    """Parse argv with only the parser of the subcommand that argv[0] names.
+    It prints the same help and errors as that subparser of build_parser(),
+    at about a sixth of the cost of building build_parser().  Any other argv
+    (none, -h, an unknown word) goes through build_parser()."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        parser = _Parser(prog=f"{_PROG} {argv[0]}")
+        _SUBCOMMANDS[argv[0]][1](parser)
+        parser.set_defaults(command=argv[0])
+        return parser.parse_known_args(argv[1:])
+    return build_parser().parse_known_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
+    args, extra = _parse(sys.argv[1:] if argv is None else argv)
     # Each handler is bound to its own subparser, so a usage error it raises
     # prints that subcommand's usage line; so do extra arguments.  Output is
     # exact, so the interpreter's int-to-str digit limit (Python 3.10.7 and
-    # later) is lifted while the handler runs.
+    # later) is lifted while the handler runs.  The flush at the end makes a
+    # closed pipe raise here, not at interpreter exit.
     if extra:
         args.handler.args[0].error(f"unrecognized arguments: {' '.join(extra)}")
     set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is None:
-        return args.handler(args)
-    old = sys.get_int_max_str_digits()
-    set_limit(0)
+    old = sys.get_int_max_str_digits() if set_limit else None
     try:
-        return args.handler(args)
+        if set_limit:
+            set_limit(0)
+        code = args.handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (`spreadpoly triangle 300 | head`).  Point
+        # stdout at the null device, so the interpreter's last flush cannot
+        # raise again, and exit as a process killed by SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     finally:
-        set_limit(old)
+        if set_limit:
+            set_limit(old)
+    return code
 
 
 if __name__ == "__main__":

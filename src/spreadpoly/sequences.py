@@ -579,20 +579,28 @@ def _integral_point(x0: Rat, s0: Rat) -> tuple[int, int, int]:
     return x.numerator * s.denominator, s.numerator * x.denominator**2 * s.denominator, lam
 
 
-def fibonacci_at(n: int, x0: Rat, s0: Rat) -> Fraction:
-    """F(n)(x0, s0) by the doubling kernel, without building F(n)."""
+def _doubling(n: int, x0: Rat, s0: Rat) -> tuple[int, int, int]:
+    """(f, l, lam^n) with F(n)(x0, s0) = f / lam^n and L(n)(x0, s0) = l / lam^n,
+    from one run of the doubling kernel at the integral point (X, S):
+    f = lam F(n)(X, S) and l = 2 F(n+1)(X, S) - X F(n)(X, S).  Callers reduce
+    only the fractions they need; reducing one costs about as much as the
+    kernel at large n."""
     n = _index(n)
     x, s, lam = _integral_point(x0, s0)
-    if n == 0:
-        return Fraction(0)
-    return Fraction(_fib_pair(n, x, s)[0], lam ** (n - 1))
+    f, g = _fib_pair(n, x, s)
+    return f * lam, 2 * g - x * f, lam**n
+
+
+def fibonacci_at(n: int, x0: Rat, s0: Rat) -> Fraction:
+    """F(n)(x0, s0) by the doubling kernel, without building F(n)."""
+    f, _, scale = _doubling(n, x0, s0)
+    return Fraction(f, scale)
 
 
 def lucas_at(n: int, x0: Rat, s0: Rat) -> Fraction:
     """L(n)(x0, s0) = 2 F(n+1) - x0 F(n), from the doubling kernel."""
-    n = _index(n)
-    x, s, lam = _integral_point(x0, s0)
-    return Fraction(_lucas_value(n, x, s), lam**n)
+    _, l, scale = _doubling(n, x0, s0)
+    return Fraction(l, scale)
 
 
 def z_at(n: int, x0: Rat, s0: Rat) -> Fraction:

@@ -47,6 +47,7 @@ from .sequences import (
     LUCAS_METHODS,
     Z_METHODS,
     ZX_METHODS,
+    _doubling,
     _fib_list,
     _lucas_list,
     _stream,
@@ -54,9 +55,7 @@ from .sequences import (
     _z_list,
     coefficient_c,
     fibonacci,
-    fibonacci_at,
     lucas,
-    lucas_at,
     spread_z_univariate,
     triangle,
     z_at,
@@ -228,7 +227,8 @@ def _suite_binet(max_n: int) -> SuiteReport:
             for x0, s0 in points:
                 binet = _binet(n, x0, s0)
                 evaluated = (fib[n].evaluate(x0, s0), luc[n].evaluate(x0, s0))
-                doubled = (fibonacci_at(n, x0, s0), lucas_at(n, x0, s0))
+                f, l, scale = _doubling(n, x0, s0)
+                doubled = (Fraction(f, scale), Fraction(l, scale))
                 if binet == evaluated == doubled:
                     yield CheckResult("binet_fib_lucas", f"n={n} at ({x0},{s0})")
                 else:

@@ -337,8 +337,13 @@ def test_verify_binet_against_the_doubling_kernel(capsys, monkeypatch):
     # there alone fails binet_fib_lucas at every point at n = 3, Z(2) off by
     # one fails binet_z at every grid point at n = 2, and each witness names
     # all three values.
-    fibonacci_at, z_at = verify.fibonacci_at, verify.z_at
-    monkeypatch.setattr(verify, "fibonacci_at", lambda n, x, s: fibonacci_at(n, x, s) + (n == 3))
+    doubling, z_at = verify._doubling, verify.z_at
+
+    def skewed(n, x, s):
+        f, l, scale = doubling(n, x, s)
+        return f + scale * (n == 3), l, scale
+
+    monkeypatch.setattr(verify, "_doubling", skewed)
     monkeypatch.setattr(verify, "z_at", lambda n, x, s: z_at(n, x, s) + (n == 2))
     report = verify.SUITES["binet"](3)
     fib_fails = [f for f in report.failures if f.name == "binet_fib_lucas"]
@@ -376,6 +381,66 @@ def test_no_subcommand_is_usage_error(capsys):
     assert run_cli([], capsys)[0] == 2
 
 
+# -- parser selection ----------------------------------------------------------------
+
+# The usage errors above (but for the digit-limit ones, which depend on the
+# interpreter's limit), each subcommand's help, and what argparse treats
+# specially: extra arguments, "--", abbreviated options, a word that is not a
+# subcommand, no argument at all, and one op of each benchmark workload kind.
+_PARSER_CASES = [
+    *([name, flag] for name in cli_module._SUBCOMMANDS for flag in ("-h", "--help", "--he")),
+    *([name] for name in cli_module._SUBCOMMANDS),
+    *([name, "a", "b", "c", "d", "e"] for name in cli_module._SUBCOMMANDS),
+    [],
+    ["-h"],
+    ["--help"],
+    ["-h", "gen"],
+    ["--"],
+    ["--", "gen", "Z", "3"],
+    ["nope"],
+    ["GEN", "Z", "3"],
+    ["gen", "Q", "3"],
+    ["gen", "Z", "-3"],
+    ["gen", "Z", "3", "--method", "nope"],
+    ["gen", "T", "3", "--method", "recurrence"],
+    ["gen", "Z", "3", "--format", "csv"],
+    ["gen", "S", "1", "--format", "csv"],
+    ["gen", "L", "0", "--method", "from_fib"],
+    ["gen", "Z", "3", "extra"],
+    ["gen", "Z", "3", "--fo", "json"],
+    ["gen", "--", "Z", "3"],
+    ["triangle", "0"],
+    ["eval", "Z", "3", "1"],
+    ["eval", "Z", "3", "1/2"],
+    ["eval", "T", "3", "1", "2"],
+    ["eval", "Z", "3", "1.5", "2"],
+    ["eval", "Z", "3", "1/0", "2"],
+    ["eval", "Z", "3", "1", "2", "3"],
+    ["eval", "Z", "3", "--", "-1/2", "-2"],
+    ["eval", "T", str(10**30), "9"],
+    ["series", "catalan", "3"],
+    ["verify", "everything"],
+    ["verify", "cassini", "--max-n", "0"],
+    ["verify", "all", "--maxn", "5"],
+    ["verify", "z_cassini", "--max-n", "10"],
+    ["gen", "Z", "25", "--method", "parity", "--format", "json"],
+    ["triangle", "19", "--format", "csv"],
+    ["series", "z_shifted", "11"],
+    ["eval", "Z", "670", "-2/7", "-1/4"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_CASES, ids=" ".join)
+def test_subcommand_parser_matches_the_full_parser(argv, capsys, monkeypatch):
+    # main builds only the parser that argv[0] names; it must print and exit
+    # exactly as a parse through the whole of build_parser() does.
+    alone = run_cli(list(argv), capsys)
+    monkeypatch.setattr(
+        cli_module, "_parse", lambda args: cli_module.build_parser().parse_known_args(args)
+    )
+    assert run_cli(list(argv), capsys) == alone
+
+
 # -- entry point -------------------------------------------------------------------
 
 
@@ -387,3 +452,18 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "x^3 + 6*s*x^2 + 9*s^2*x"
+
+
+def test_closed_output_pipe_exits_141():
+    # The reader stops after a few bytes (`spreadpoly triangle 300 | head`):
+    # the exit is 128 + SIGPIPE, with no traceback, not 1 ("checks failed").
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spreadpoly", "triangle", "300"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10)
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
