@@ -6,10 +6,11 @@ expansion), and ``verify`` (runs the cross-validation suites of
 ``spreadpoly.verify``).
 
 Exit codes are a stable contract: 0 for success / all checks passing, 1 when
-a verification suite fails, 2 for usage errors, 141 (128 + SIGPIPE) when the
-reader closes the output pipe early.  All output is deterministic;
-JSON coefficients are decimal strings because triangle entries outgrow 64-bit
-integers quickly.
+a verification suite fails, 2 for usage errors, 74 (EX_IOERR in sysexits.h)
+on any other I/O error, such as output that cannot be written (one line on
+stderr), and 141 (128 + SIGPIPE) when the reader closes the output pipe
+early.  All output is deterministic; JSON coefficients are decimal strings
+because triangle entries outgrow 64-bit integers quickly.
 """
 
 from __future__ import annotations
@@ -318,14 +319,19 @@ def main(argv: list[str] | None = None) -> int:
             set_limit(0)
         code = args.handler(args)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed the pipe (`spreadpoly triangle 300 | head`).  Point
-        # stdout at the null device, so the interpreter's last flush cannot
-        # raise again, and exit as a process killed by SIGPIPE would.
+    except OSError as exc:
+        # The reader closed the pipe (`spreadpoly triangle 300 | head`), or
+        # output could not be written (`spreadpoly gen Z 3 > /dev/full`).
+        # Point stdout at the null device, so the interpreter's last flush
+        # cannot raise again.  A closed pipe exits as a process killed by
+        # SIGPIPE would; any other error is one line on stderr and EX_IOERR.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return 141
+        if isinstance(exc, BrokenPipeError):
+            return 141
+        print(f"spreadpoly: {exc}", file=sys.stderr)
+        return 74
     finally:
         if set_limit:
             set_limit(old)

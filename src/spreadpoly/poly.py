@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import operator
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, TypeVar, Union
+from typing import Callable, Collection, Iterator, Mapping, TypeVar, Union
 
 __all__ = [
     "Rat",
@@ -89,7 +89,7 @@ def _canonical(terms: Mapping[Key, object]) -> dict[Key, Rat]:
     return data
 
 
-def _scaled_powers(v: Rat, degrees: set[int]) -> tuple[dict[int, int], int]:
+def _scaled_powers(v: Rat, degrees: Collection[int]) -> tuple[dict[int, int], int]:
     """The powers of v = num/den over one denominator: ``({e: num^e den^(top-e)},
     den^top)`` for the given degrees, top the largest, so v^e = table[e] / den^top.
     Only the degrees asked for are built, so a sparse polynomial of high degree
@@ -146,23 +146,6 @@ class _Shifts:
 
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant for doubles
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    ta = _SPLIT * a
-    ahi = ta - (ta - a)
-    alo = a - ahi
-    tb = _SPLIT * b
-    bhi = tb - (tb - b)
-    blo = b - bhi
-    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
 
 
 class _SparsePoly:
@@ -304,8 +287,14 @@ class _SparsePoly:
             return Fraction(0)
         px, den_x = _scaled_powers(x0, {dx for dx, _ in self._terms})
         ps, den_s = _scaled_powers(s0, {ds for _, ds in self._terms})
-        total = sum(c * px[dx] * ps[ds] for (dx, ds), c in self._terms.items())
-        return Fraction(total, den_x * den_s)
+        return Fraction(self._term_sum(px, ps), den_x * den_s)
+
+    def _term_sum(self, px: Mapping[int, int], ps: Mapping[int, int]) -> Rat:
+        """sum c px[dx] ps[ds] over the terms: the value at (x0, s0) times
+        den_x den_s, given ``_scaled_powers`` tables of x0 and s0 that cover
+        every degree.  A caller that evaluates many polynomials at one point
+        builds the tables once."""
+        return sum(c * px[dx] * ps[ds] for (dx, ds), c in self._terms.items())
 
     def _horner(self: P, r: P) -> P:
         """p(r, s) by Horner's scheme in x: the terms are grouped by x-degree into
@@ -539,12 +528,23 @@ class UniPoly(_SparsePoly):
         """
         if not self._terms:
             return 0.0
+        # TwoProduct(acc, x) and TwoSum(p, c), inline; x is split once.
+        t = _SPLIT * x
+        xhi = t - (t - x)
+        xlo = x - xhi
+        terms = self._terms
         acc = 0.0
         compensation = 0.0
         for k in range(self.degree(), -1, -1):
-            p, err_prod = _two_prod(acc, x)
-            acc, err_sum = _two_sum(p, float(self._terms.get((k, 0), 0)))
-            compensation = compensation * x + (err_prod + err_sum)
+            p = acc * x
+            t = _SPLIT * acc
+            ahi = t - (t - acc)
+            alo = acc - ahi
+            err_prod = ((ahi * xhi - p) + ahi * xlo + alo * xhi) + alo * xlo
+            c = float(terms.get((k, 0), 0))
+            acc = p + c
+            t = acc - p
+            compensation = compensation * x + (err_prod + ((p - (acc - t)) + (c - t)))
         return acc + compensation
 
     def compose(self, r: UniPoly) -> UniPoly:

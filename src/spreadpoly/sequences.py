@@ -604,9 +604,13 @@ def lucas_at(n: int, x0: Rat, s0: Rat) -> Fraction:
 
 
 def z_at(n: int, x0: Rat, s0: Rat) -> Fraction:
-    """Z(n)(x0, s0) = L(n)(x0 + 2 s0, -s0^2) - 2 s0^n."""
-    s0 = Fraction(_coeff(s0))
-    return lucas_at(n, _coeff(x0) + 2 * s0, -s0 * s0) - 2 * s0**n
+    """Z(n)(x0, s0) = L(n)(x0 + 2 s0, -s0^2) - 2 s0^n.  Z(n) is homogeneous of
+    degree n, so with x0 = X/m and s0 = S/m it is Z(n)(X, S) / m^n, and the
+    kernel runs at the integer point (X + 2S, -S^2)."""
+    s0, x0 = Fraction(_coeff(s0)), Fraction(_coeff(x0))
+    m, n = x0.denominator * s0.denominator, _index(n)
+    x, s = x0.numerator * s0.denominator, s0.numerator * x0.denominator
+    return Fraction(_lucas_value(n, x + 2 * s, -s * s) - 2 * s**n, m**n)
 
 
 def univariate_l_at(n: int, x0: Rat) -> Fraction:

@@ -13,8 +13,9 @@ Powers run on integers, in one square-and-multiply kernel on Z[sqrt(D)]
 (``_surd_pow``), and divide once.  ``**`` writes an element, with d = N/M, as
 (A + B sqrt(D)) / m for integers A, B, m and D = N M; its result keeps d and
 equals what repeated ``*`` gives.  Each closed form is one power of X + sqrt(D)
-at the integral point (X, S) = (lam x0, lam^2 s0), D = X^2 + 4S; the power of
-its conjugate, taken on its own, checks that the sqrt parts cancel.
+at the integral point (X, S) = (lam x0, lam^2 s0), D = X^2 + 4S, whose
+integer parts (``_binet``) the public forms divide once; the power of its
+conjugate, taken on its own, checks that the sqrt parts cancel.
 """
 
 from __future__ import annotations
@@ -212,29 +213,33 @@ def characteristic_roots(x0: Rat, s0: Rat) -> tuple[QuadExt, QuadExt]:
     return root, root.conj()
 
 
-def _binet(n: int, x0: Rat, s0: Rat) -> tuple[Fraction, Fraction]:
-    """(F(n), L(n)) at (x0, s0): (g^n - gbar^n) / (g - gbar) and g^n + gbar^n, with
-    g, gbar = (X +/- sqrt(D)) / (2 lam) and g - gbar = sqrt(D) / lam.  With
-    (X + sqrt(D))^n = P + Q sqrt(D), F = 2 Q lam / (2 lam)^n and L = 2 P / (2 lam)^n.
-    (X - sqrt(D))^n is a power of its own; unless its parts are (P, -Q), the
-    sqrt parts failed to cancel (ArithmeticError)."""
-    x, lam, big_d = _discriminant(x0, s0)
+def _binet(n: int, x: int, big_d: int) -> tuple[int, int]:
+    """(P, Q) with (X + sqrt(D))^n = P + Q sqrt(D), for the X and D = X^2 + 4S
+    of an integral point (X, S).  (X - sqrt(D))^n is a power of its own; unless
+    its parts are (P, -Q), the sqrt parts failed to cancel (ArithmeticError).
+
+    The roots at (x0, s0) are g, gbar = (X +/- sqrt(D)) / (2 lam), and
+    g - gbar = sqrt(D) / lam, so F(n) = (g^n - gbar^n) / (g - gbar) is
+    2 Q lam / (2 lam)^n and L(n) = g^n + gbar^n is 2 P / (2 lam)^n."""
     p, q = _surd_pow(x, 1, big_d, n)
     if _surd_pow(x, -1, big_d, n) != (p, -q):
         raise ArithmeticError(f"sqrt component failed to cancel at n={n}")
-    scale = (2 * lam) ** n
-    return Fraction(2 * q * lam, scale), Fraction(2 * p, scale)
+    return p, q
 
 
 def binet_fibonacci(n: int, x0: Rat, s0: Rat) -> Fraction:
     """(g^n - gbar^n) / (g - gbar) for the characteristic roots g, gbar: one
     integer power at the integral point (``_binet``).  Exact."""
-    return _binet(_index(n), x0, s0)[0]
+    n = _index(n)
+    x, lam, big_d = _discriminant(x0, s0)
+    return Fraction(2 * _binet(n, x, big_d)[1] * lam, (2 * lam) ** n)
 
 
 def binet_lucas(n: int, x0: Rat, s0: Rat) -> Fraction:
     """g^n + gbar^n for the characteristic roots g, gbar, as ``binet_fibonacci``."""
-    return _binet(_index(n), x0, s0)[1]
+    n = _index(n)
+    x, lam, big_d = _discriminant(x0, s0)
+    return Fraction(2 * _binet(n, x, big_d)[0], (2 * lam) ** n)
 
 
 def binet_z(n: int, q: Rat, s0: Rat) -> Fraction:
@@ -245,7 +250,9 @@ def binet_z(n: int, q: Rat, s0: Rat) -> Fraction:
     as q, keeps everything inside a single quadratic extension, where general
     x would need a second, nested square root.  The sum is binet_lucas(2n).
     """
-    return _binet(2 * _index(n), q, s0)[1] - 2 * Fraction(s0) ** n
+    n = _index(n)
+    x, lam, big_d = _discriminant(q, s0)
+    return Fraction(2 * _binet(2 * n, x, big_d)[0], (2 * lam) ** (2 * n)) - 2 * Fraction(s0) ** n
 
 
 def _cubic_sides(x0: Rat) -> tuple[BiPoly, BiPoly]:

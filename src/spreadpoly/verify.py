@@ -41,7 +41,7 @@ from .identities import (
     compare_polynomials,
     failure,
 )
-from .poly import BiPoly
+from .poly import BiPoly, _scaled_powers
 from .sequences import (
     FIBONACCI_METHODS,
     LUCAS_METHODS,
@@ -49,6 +49,7 @@ from .sequences import (
     ZX_METHODS,
     _doubling,
     _fib_list,
+    _integral_point,
     _lucas_list,
     _stream,
     _windows,
@@ -61,7 +62,7 @@ from .sequences import (
     z_at,
     z_polynomial,
 )
-from .surd import _binet, binet_z, check_root_relations
+from .surd import _binet, check_root_relations
 
 __all__ = ["SuiteReport", "SUITES"]
 
@@ -219,39 +220,66 @@ def _suite_binet(max_n: int) -> SuiteReport:
             )
             if x0 * x0 + 4 * s0 != 0:
                 points.append((x0, s0))
-        # Three routes per value: the closed form in Z[sqrt D], the polynomial
-        # from its recurrence ladder (built once for the sweep), evaluated, and
-        # the doubling kernel, which builds no polynomial.
+        # Three routes per value, compared as integers: the closed form, as the
+        # parts (P, Q) of (X + sqrt D)^n at the integral point (X, S) =
+        # (lam x0, lam^2 s0); the doubling kernel at (X, S); and the ladder
+        # polynomial (built once for the sweep) as a term sum at (x0, s0)
+        # itself, over the denominator `den` of its power tables.  So
+        # F(n) = 2 Q lam / (2 lam)^n = F(n)(X, S) lam / lam^n = sum / den and
+        # L(n) = 2 P / (2 lam)^n = L(n)(X, S) / lam^n = sum / den.  Whatever
+        # depends on the point alone is built once per sweep.
         fib, luc, z = _fib_list(max_n), _lucas_list(max_n), _z_list(max_n)
-        for n in range(max_n + 1):
-            for x0, s0 in points:
-                binet = _binet(n, x0, s0)
-                evaluated = (fib[n].evaluate(x0, s0), luc[n].evaluate(x0, s0))
-                f, l, scale = _doubling(n, x0, s0)
-                doubled = (Fraction(f, scale), Fraction(l, scale))
-                if binet == evaluated == doubled:
-                    yield CheckResult("binet_fib_lucas", f"n={n} at ({x0},{s0})")
+        degrees = range(max_n + 1)
+        rational = []
+        for x0, s0 in points:
+            x, s, lam = _integral_point(x0, s0)
+            (px, den_x), (ps, den_s) = _scaled_powers(x0, degrees), _scaled_powers(s0, degrees)
+            rational.append(
+                (f"({x0},{s0})", x, s, lam, x * x + 4 * s, px, ps, den_x * den_s,
+                 [lam**n for n in degrees])
+            )
+        grid = [
+            (f"(q={q},s={s})", q, s, q * q + 4 * s,
+             _scaled_powers(q * q, degrees)[0], _scaled_powers(s, degrees)[0])
+            for q, s in _binet_grid()
+        ]
+        for n in degrees:
+            for at, x, s, lam, big_d, px, ps, den, lam_pows in rational:
+                p, q = _binet(n, x, big_d)
+                f, l, _ = _doubling(n, x, s)  # at an integer point, over 1
+                t_f, t_l = fib[n]._term_sum(px, ps), luc[n]._term_sum(px, ps)
+                if (
+                    2 * p == l << n
+                    and 2 * q == f << n
+                    and t_l * lam_pows[n] == l * den
+                    and t_f * lam_pows[n] == f * lam * den
+                ):
+                    yield CheckResult("binet_fib_lucas", f"n={n} at {at}")
                 else:
+                    scale = (2 * lam) ** n
                     yield failure(
                         "binet_fib_lucas",
-                        f"n={n} at ({x0},{s0})",
+                        f"n={n} at {at}",
                         n,
-                        f"binet F={binet[0]}, L={binet[1]}",
-                        f"evaluated F={evaluated[0]}, L={evaluated[1]}; "
-                        f"doubling F={doubled[0]}, L={doubled[1]}",
+                        f"binet F={Fraction(2 * q * lam, scale)}, L={Fraction(2 * p, scale)}",
+                        f"evaluated F={Fraction(t_f, den)}, L={Fraction(t_l, den)}; "
+                        f"doubling F={Fraction(f * lam, lam_pows[n])}, "
+                        f"L={Fraction(l, lam_pows[n])}",
                     )
-            for q, s in _binet_grid():
-                got = binet_z(n, q, s)
-                evaluated_z = z[n].evaluate(q * q, s)
+            # The grid's points are integral: Z(n)(q^2, s) is the term sum,
+            # and the closed form L(2n)(q, s) - 2 s^n is 2 P / 4^n - 2 s^n.
+            for at, q, s, big_d, pq, ps in grid:
+                p, _ = _binet(2 * n, q, big_d)
+                evaluated_z = z[n]._term_sum(pq, ps)
                 doubled_z = z_at(n, q * q, s)
-                if got == evaluated_z == doubled_z:
-                    yield CheckResult("binet_z", f"n={n} at (q={q},s={s})")
+                if 2 * p == (evaluated_z + 2 * ps[n]) << 2 * n and doubled_z == evaluated_z:
+                    yield CheckResult("binet_z", f"n={n} at {at}")
                 else:
                     yield failure(
                         "binet_z",
-                        f"n={n} at (q={q},s={s})",
+                        f"n={n} at {at}",
                         n,
-                        f"binet {got}",
+                        f"binet {Fraction(2 * p, 4**n) - 2 * ps[n]}",
                         f"evaluated {evaluated_z}; doubling {doubled_z}",
                     )
         for q, s in _binet_grid():

@@ -1,6 +1,7 @@
 """CLI behavior: golden outputs, formats, and the exit-code contract."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -467,3 +468,19 @@ def test_closed_output_pipe_exits_141():
     assert proc.wait(timeout=60) == 141
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unwritable_output_exits_74():
+    # A full disk is an I/O error (EX_IOERR), told in one line on stderr, not
+    # a traceback and 1 ("checks failed").
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spreadpoly", "gen", "Z", "3"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    assert proc.returncode == 74
+    assert proc.stderr == "spreadpoly: [Errno 28] No space left on device\n"

@@ -370,6 +370,50 @@ def test_eval_float_simple():
     assert UniPoly.zero().eval_float(3.0) == 0.0
 
 
+def _two_sum(a, b):
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _two_prod(a, b):
+    p = a * b
+    ta = 134217729.0 * a
+    ahi = ta - (ta - a)
+    alo = a - ahi
+    tb = 134217729.0 * b
+    bhi = tb - (tb - b)
+    blo = b - bhi
+    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+
+
+def _compensated_horner(p, x):
+    """Compensated Horner with the error-free transformations as separate
+    helpers, x split at every degree: the oracle for eval_float's inline form."""
+    acc = compensation = 0.0
+    for k in range(p.degree(), -1, -1):
+        prod, err_prod = _two_prod(acc, x)
+        acc, err_sum = _two_sum(prod, float(p.coefficient(k)))
+        compensation = compensation * x + (err_prod + err_sum)
+    return acc + compensation
+
+
+def test_eval_float_is_bit_identical_to_the_two_helper_form():
+    # Zx(n) at 4 sin^2 t and S(n) at sin^2 t, n <= 20, at the trig suite's
+    # angles: the inline steps must give the very same doubles.
+    import math
+
+    from spreadpoly import spread_z_univariate, wildberger_spread
+    from spreadpoly.identities import _TRIG_SAMPLES
+
+    for n in range(1, 21):
+        zx, sp = spread_z_univariate(n, method="via_l"), wildberger_spread(n)
+        for i in range(1, _TRIG_SAMPLES + 1):
+            sin2 = math.sin((math.pi / 2) * i / (_TRIG_SAMPLES + 1)) ** 2
+            for poly_, x in ((zx, 4 * sin2), (sp, sin2)):
+                assert poly_.eval_float(x).hex() == _compensated_horner(poly_, x).hex(), (n, i)
+
+
 def test_evaluate_univariate_exact():
     p = UniPoly({2: -1, 1: 4})
     assert p.evaluate(Fraction(1, 2)) == Fraction(7, 4)

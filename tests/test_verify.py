@@ -1,7 +1,11 @@
 """The verify sweeps: each streams its ladders once and hands every check the
 members a standalone call would build for itself."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spreadpoly import (
     FIBONACCI_METHODS,
@@ -15,7 +19,7 @@ from spreadpoly import (
     univariate_l,
     z_polynomial,
 )
-from spreadpoly import identities, sequences, verify
+from spreadpoly import identities, poly, sequences, verify
 from spreadpoly.identities import compare_polynomials
 
 N = 15
@@ -164,3 +168,61 @@ def test_sweep_draws_linearly_many_ladder_members(suite, monkeypatch):
         assert verify.SUITES[suite](max_n).ok
         counts.append(drawn)
     assert 0 < counts[1] <= 2 * counts[0], counts
+
+
+def test_binet_rational_route_catches_a_skewed_integral_point(monkeypatch):
+    # The closed form and the doubling kernel both run at the integral point
+    # (X, S, lam).  With lam doubled they still agree with each other; only
+    # the ladder polynomial, evaluated at the rational point itself, sees it.
+    integral_point = verify._integral_point
+
+    def skewed(x0, s0):
+        x, s, lam = integral_point(x0, s0)
+        return x, s, 2 * lam
+
+    monkeypatch.setattr(verify, "_integral_point", skewed)
+    failures = verify.SUITES["binet"](N).failures
+    assert {f.name for f in failures} == {"binet_fib_lucas"}
+    assert len({f.range.split(" at ")[1] for f in failures}) == verify._BINET_POINTS
+    for f in failures:
+        _, lhs, rhs = f.witness
+        evaluated, doubled = rhs.split("; ")
+        assert doubled == lhs.replace("binet ", "doubling ")
+        assert evaluated != lhs.replace("binet ", "evaluated ")
+
+
+def test_binet_fails_at_n3_alone_on_a_skewed_ladder_member(monkeypatch):
+    # F(3) off by one in the ladder the suite evaluates: every random point
+    # fails at n = 3, and nothing else fails.
+    fib_list = verify._fib_list
+
+    def skewed(m):
+        members = list(fib_list(m))
+        members[3] = members[3] + 1
+        return members
+
+    monkeypatch.setattr(verify, "_fib_list", skewed)
+    failures = verify.SUITES["binet"](N).failures
+    expected = [("binet_fib_lucas", 3)] * verify._BINET_POINTS
+    assert [(f.name, f.witness[0]) for f in failures] == expected
+    assert len({f.range for f in failures}) == verify._BINET_POINTS
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=20)
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from([fibonacci, lucas, z_polynomial]),
+    st.integers(0, 30),
+    st.integers(0, 10),
+    rationals,
+    rationals,
+)
+def test_term_sum_over_sweep_tables_is_evaluate(build, n, spare, x0, s0):
+    # The binet suite's tables cover every degree up to its max_n, not just
+    # the member's own, as evaluate's do.
+    member = build(n)
+    degrees = range(n + spare + 1)
+    (px, den_x), (ps, den_s) = poly._scaled_powers(x0, degrees), poly._scaled_powers(s0, degrees)
+    assert Fraction(member._term_sum(px, ps), den_x * den_s) == member.evaluate(x0, s0)
