@@ -234,25 +234,23 @@ def _suite_binet(max_n: int) -> SuiteReport:
         for x0, s0 in points:
             x, s, lam = _integral_point(x0, s0)
             (px, den_x), (ps, den_s) = _scaled_powers(x0, degrees), _scaled_powers(s0, degrees)
-            rational.append(
-                (f"({x0},{s0})", x, s, lam, x * x + 4 * s, px, ps, den_x * den_s,
-                 [lam**n for n in degrees])
-            )
+            rational.append((f"({x0},{s0})", x, s, lam, x * x + 4 * s, px, ps, den_x * den_s))
         grid = [
             (f"(q={q},s={s})", q, s, q * q + 4 * s,
              _scaled_powers(q * q, degrees)[0], _scaled_powers(s, degrees)[0])
             for q, s in _binet_grid()
         ]
         for n in degrees:
-            for at, x, s, lam, big_d, px, ps, den, lam_pows in rational:
+            for at, x, s, lam, big_d, px, ps, den in rational:
                 p, q = _binet(n, x, big_d)
                 f, l, _ = _doubling(n, x, s)  # at an integer point, over 1
                 t_f, t_l = fib[n]._term_sum(px, ps), luc[n]._term_sum(px, ps)
+                lam_n = lam**n
                 if (
                     2 * p == l << n
                     and 2 * q == f << n
-                    and t_l * lam_pows[n] == l * den
-                    and t_f * lam_pows[n] == f * lam * den
+                    and t_l * lam_n == l * den
+                    and t_f * lam_n == f * lam * den
                 ):
                     yield CheckResult("binet_fib_lucas", f"n={n} at {at}")
                 else:
@@ -263,8 +261,7 @@ def _suite_binet(max_n: int) -> SuiteReport:
                         n,
                         f"binet F={Fraction(2 * q * lam, scale)}, L={Fraction(2 * p, scale)}",
                         f"evaluated F={Fraction(t_f, den)}, L={Fraction(t_l, den)}; "
-                        f"doubling F={Fraction(f * lam, lam_pows[n])}, "
-                        f"L={Fraction(l, lam_pows[n])}",
+                        f"doubling F={Fraction(f * lam, lam_n)}, L={Fraction(l, lam_n)}",
                     )
             # The grid's points are integral: Z(n)(q^2, s) is the term sum,
             # and the closed form L(2n)(q, s) - 2 s^n is 2 P / 4^n - 2 s^n.
