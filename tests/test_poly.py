@@ -1,5 +1,6 @@
 """Unit and property tests for the exact polynomial core."""
 
+import math
 import operator
 from fractions import Fraction
 
@@ -7,7 +8,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from spreadpoly import BiPoly, OddDegreeError, UniPoly, ZeroPolynomialError, poly
+from spreadpoly import (
+    BiPoly,
+    OddDegreeError,
+    UniPoly,
+    ZeroPolynomialError,
+    poly,
+    spread_z_univariate,
+    wildberger_spread,
+)
+from spreadpoly.identities import _TRIG_SAMPLES
 
 X = BiPoly.x()
 S = BiPoly.s()
@@ -401,11 +411,6 @@ def _compensated_horner(p, x):
 def test_eval_float_is_bit_identical_to_the_two_helper_form():
     # Zx(n) at 4 sin^2 t and S(n) at sin^2 t, n <= 20, at the trig suite's
     # angles: the inline steps must give the very same doubles.
-    import math
-
-    from spreadpoly import spread_z_univariate, wildberger_spread
-    from spreadpoly.identities import _TRIG_SAMPLES
-
     for n in range(1, 21):
         zx, sp = spread_z_univariate(n, method="via_l"), wildberger_spread(n)
         for i in range(1, _TRIG_SAMPLES + 1):
