@@ -222,12 +222,12 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 
 class _Parser(argparse.ArgumentParser):
-    # Teach argparse that -p/q and -n are values, not option flags, so
-    # negative rational literals work as positionals for eval.  The stock
-    # matcher is assigned per instance, hence the override here.
+    # Teach argparse that a word of '-' and a digit is a value, not an option
+    # flag (no option starts with a digit), so every negative literal reaches
+    # _rational.  The stock matcher is assigned per instance, hence the override.
     def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)  # type: ignore[arg-type]
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
+        self._negative_number_matcher = re.compile(r"^-\d")
 
 
 def _gen_arguments(parser: argparse.ArgumentParser) -> None:

@@ -56,14 +56,18 @@ of the packed value in [-2^(W-1), 2^(W-1)), which are unique, are the
 coefficients.  W is the least multiple of 8 above the bit length of A.
 
 Point values (the ``*_at`` functions) take a route of their own that never
-builds a polynomial: one doubling kernel for the pair (F(n), F(n+1)) at a
-rational point, seeded only from F(0) = 0, F(1) = 1,
+builds a polynomial: one doubling kernel returns (F(n), L(n)) at an integer
+point.  Seeded only from F(0) = 0, F(1) = 1, it doubles the pair
+(F(n), F(n+1)),
 
   F(2k) = F(k) (2 F(k+1) - x F(k)),   F(2k+1) = F(k+1)^2 + s F(k)^2,
 
-which costs O(log n) products.  Every family follows by an exact identity:
-L(n) = 2 F(n+1) - x F(n), Z(n)(x, s) = L(n)(x+2s, -s^2) - 2 s^n,
-l(n)(x) = L(n)(x, -1), T(n)(x) = L(n)(2x, -1) / 2,
+in O(log n) products, and ends with L(n) = 2 F(n+1) - x F(n).  Its callers
+scale: a rational point runs at its integral point (X, S) = (lam x0,
+lam^2 s0), where F(n)(x0, s0) = F(n)(X, S) lam / lam^n and L(n)(x0, s0) =
+L(n)(X, S) / lam^n.  Every other family follows by an exact identity:
+Z(n)(x, s) = L(n)(x+2s, -s^2) - 2 s^n, l(n)(x) = L(n)(x, -1),
+T(n)(x) = L(n)(2x, -1) / 2,
 Zx(n)(x) = (-1)^(n-1) Z(n)(x, -1) and S(n)(x) = Zx(n)(4x) / 4.  No step
 divides by the discriminant x^2 + 4s, so every rational point works.
 """
@@ -164,23 +168,23 @@ def _packed_ladder(ladder: tuple[tuple[P, ...], tuple[P | int, ...]], width: int
 
 # The sum of the absolute coefficients of member n (the width lemma above).
 def _fib_bound(n: int) -> int:
-    return _fib_pair(n, 1, 1)[0]
+    return _doubling(n, 1, 1)[0]
 
 
 def _lucas_bound(n: int) -> int:
-    return _lucas_value(n, 1, 1)
+    return _doubling(n, 1, 1)[1]
 
 
 def _z_bound(n: int) -> int:
-    return _lucas_value(n, 3, -1) - 2
+    return _doubling(n, 3, -1)[1] - 2
 
 
 def _chebyshev_bound(n: int) -> int:
-    return _lucas_value(n, 2, 1) // 2
+    return _doubling(n, 2, 1)[1] // 2
 
 
 def _s_bound(n: int) -> int:
-    return (_lucas_value(n, 6, -1) - 2) // 4
+    return (_doubling(n, 6, -1)[1] - 2) // 4
 
 
 # -- substitutions as evaluation points ----------------------------------------
@@ -551,20 +555,15 @@ def chebyshev_t(n: int) -> UniPoly:
 # -- point values by Lucas-sequence doubling ----------------------------------
 
 
-def _fib_pair(n: int, x: int, s: int) -> tuple[int, int]:
-    """(F(n), F(n+1)) at an integer point, doubling from F(0) = 0, F(1) = 1."""
+def _doubling(n: int, x: int, s: int) -> tuple[int, int]:
+    """(F(n), L(n)) at an integer point: the pair (F(n), F(n+1)) by doubling
+    from F(0) = 0, F(1) = 1, then L(n) = 2 F(n+1) - x F(n)."""
     a, b = 0, 1
     for bit in bin(n)[2:]:
         a, b = a * (2 * b - x * a), b * b + s * a * a
         if bit == "1":
             a, b = b, x * b + s * a
-    return a, b
-
-
-def _lucas_value(n: int, x: int, s: int) -> int:
-    """L(n)(x, s) = 2 F(n+1) - x F(n) at an integer point."""
-    f, g = _fib_pair(n, x, s)
-    return 2 * g - x * f
+    return a, 2 * b - x * a
 
 
 def _integral_point(x0: Rat, s0: Rat) -> tuple[int, int, int]:
@@ -579,28 +578,20 @@ def _integral_point(x0: Rat, s0: Rat) -> tuple[int, int, int]:
     return x.numerator * s.denominator, s.numerator * x.denominator**2 * s.denominator, lam
 
 
-def _doubling(n: int, x0: Rat, s0: Rat) -> tuple[int, int, int]:
-    """(f, l, lam^n) with F(n)(x0, s0) = f / lam^n and L(n)(x0, s0) = l / lam^n,
-    from one run of the doubling kernel at the integral point (X, S):
-    f = lam F(n)(X, S) and l = 2 F(n+1)(X, S) - X F(n)(X, S).  Callers reduce
-    only the fractions they need; reducing one costs about as much as the
-    kernel at large n."""
+def fibonacci_at(n: int, x0: Rat, s0: Rat) -> Fraction:
+    """F(n)(x0, s0) = F(n)(X, S) lam / lam^n, by the doubling kernel at the
+    integral point, without building F(n)."""
     n = _index(n)
     x, s, lam = _integral_point(x0, s0)
-    f, g = _fib_pair(n, x, s)
-    return f * lam, 2 * g - x * f, lam**n
-
-
-def fibonacci_at(n: int, x0: Rat, s0: Rat) -> Fraction:
-    """F(n)(x0, s0) by the doubling kernel, without building F(n)."""
-    f, _, scale = _doubling(n, x0, s0)
-    return Fraction(f, scale)
+    return Fraction(_doubling(n, x, s)[0] * lam, lam**n)
 
 
 def lucas_at(n: int, x0: Rat, s0: Rat) -> Fraction:
-    """L(n)(x0, s0) = 2 F(n+1) - x0 F(n), from the doubling kernel."""
-    _, l, scale = _doubling(n, x0, s0)
-    return Fraction(l, scale)
+    """L(n)(x0, s0) = L(n)(X, S) / lam^n, by the doubling kernel at the
+    integral point."""
+    n = _index(n)
+    x, s, lam = _integral_point(x0, s0)
+    return Fraction(_doubling(n, x, s)[1], lam**n)
 
 
 def z_at(n: int, x0: Rat, s0: Rat) -> Fraction:
@@ -610,7 +601,7 @@ def z_at(n: int, x0: Rat, s0: Rat) -> Fraction:
     s0, x0 = Fraction(_coeff(s0)), Fraction(_coeff(x0))
     m, n = x0.denominator * s0.denominator, _index(n)
     x, s = x0.numerator * s0.denominator, s0.numerator * x0.denominator
-    return Fraction(_lucas_value(n, x + 2 * s, -s * s) - 2 * s**n, m**n)
+    return Fraction(_doubling(n, x + 2 * s, -s * s)[1] - 2 * s**n, m**n)
 
 
 def univariate_l_at(n: int, x0: Rat) -> Fraction:

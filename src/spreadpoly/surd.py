@@ -255,14 +255,18 @@ def binet_z(n: int, q: Rat, s0: Rat) -> Fraction:
     return Fraction(2 * _binet(2 * n, x, big_d)[0], (2 * lam) ** (2 * n)) - 2 * Fraction(s0) ** n
 
 
-def _cubic_sides(x0: Rat) -> tuple[BiPoly, BiPoly]:
+def _cubic_sides() -> tuple[BiPoly, BiPoly]:
     """Both sides of (z - s)(z^2 - (x+2s)z + s^2) = z^3 - (x+3s)z^2 + s(x+3s)z - s^3,
-    with z as the first BiPoly variable, s as the second, and x specialized to x0."""
-    z = BiPoly.x()
-    s = BiPoly.s()
-    quad = z * z - (s * 2 + x0) * z + s * s
-    lhs = (z - s) * quad
-    lead = s * 3 + x0
+    with z as the first BiPoly variable, s as the second, and x = s^4.
+
+    Each side has total degree 3 in z, s and x, so no term reaches s-degree 4
+    and z^a s^b x^c |-> z^a s^(b+4c) is one-to-one on their terms: the two
+    images are equal exactly when the sides are equal identically in z, s, x.
+    """
+    z, s = BiPoly.x(), BiPoly.s()
+    x = s**4
+    lhs = (z - s) * (z * z - (s * 2 + x) * z + s * s)
+    lead = s * 3 + x
     rhs = z**3 - lead * (z * z) + s * lead * z - s**3
     return lhs, rhs
 
@@ -272,13 +276,10 @@ def check_root_relations(q: Rat, s0: Rat) -> CheckResult:
 
     At x = q^2 (so both square roots are rational or share one sqrt(d)):
     the roots of z^2 - sqrt(x+4s)*z + s coincide with (alpha, -alphabar),
-    their product is s, alpha^2 solves z^2 - (x+2s)z + s^2 = 0, and the
-    factorization of the cubic with roots alpha^2, alphabar^2, s holds as a
-    polynomial identity.
-
-    The cubic factorization is linear in x, so verifying it with z and s
-    symbolic at two distinct x values proves it identically in x; the given
-    x0 = q^2 is checked as well for the concrete report.
+    their product is s, and alpha^2 solves z^2 - (x+2s)z + s^2 = 0.  Last,
+    the cubic with roots alpha^2, alphabar^2 and s factors as
+    (z - s)(z^2 - (x+2s)z + s^2); that identity does not depend on the point,
+    and one exact comparison (``_cubic_sides``) proves it in z, s and x.
     """
     alpha, abar = characteristic_roots(q, s0)
     d = alpha.d
@@ -299,10 +300,8 @@ def check_root_relations(q: Rat, s0: Rat) -> CheckResult:
             alpha**4 - (x0 + 2 * s0) * alpha**2 + QuadExt.from_rational(s0 * s0, d),
             QuadExt.from_rational(0, d),
         ),
+        _cubic_sides(),
     ]
-    for x_value in (0, 1, x0):
-        steps.append(_cubic_sides(x_value))
-
     for index, (lhs, rhs) in enumerate(steps):
         if lhs != rhs:
             return failure(name, rng, index, str(lhs), str(rhs))

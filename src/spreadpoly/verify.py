@@ -243,7 +243,7 @@ def _suite_binet(max_n: int) -> SuiteReport:
         for n in degrees:
             for at, x, s, lam, big_d, px, ps, den in rational:
                 p, q = _binet(n, x, big_d)
-                f, l, _ = _doubling(n, x, s)  # at an integer point, over 1
+                f, l = _doubling(n, x, s)
                 t_f, t_l = fib[n]._term_sum(px, ps), luc[n]._term_sum(px, ps)
                 lam_n = lam**n
                 if (

@@ -175,6 +175,15 @@ def test_eval_rational_literals(capsys):
     assert out == "9/4\n"  # x^2 + s at (-1/2, 2)
 
 
+def test_eval_negative_literals(capsys):
+    # A word of a '-' and a digit is a value, so every literal that _rational
+    # reads gets to it: F(3) = x^2 + s.
+    assert run_cli(["eval", "F", "3", "1", "-3/-4"], capsys) == (0, "7/4\n", "")
+    assert run_cli(["eval", "F", "3", "1", "-1_0/3"], capsys) == (0, "-7/3\n", "")
+    code, _, err = run_cli(["eval", "F", "3", "1", "-1e3"], capsys)
+    assert code == 2 and "not a rational literal" in err
+
+
 def test_eval_usage_errors(capsys):
     assert_usage_error(["eval", "Z", "3", "1"], capsys)  # missing s0
     assert_usage_error(["eval", "Z", "3", "1/2"], capsys)  # missing s0, rational x0
@@ -341,8 +350,8 @@ def test_verify_binet_against_the_doubling_kernel(capsys, monkeypatch):
     doubling, z_at = verify._doubling, verify.z_at
 
     def skewed(n, x, s):
-        f, l, scale = doubling(n, x, s)
-        return f + scale * (n == 3), l, scale
+        f, l = doubling(n, x, s)
+        return f + (n == 3), l
 
     monkeypatch.setattr(verify, "_doubling", skewed)
     monkeypatch.setattr(verify, "z_at", lambda n, x, s: z_at(n, x, s) + (n == 2))
@@ -418,6 +427,9 @@ _PARSER_CASES = [
     ["eval", "Z", "3", "1/0", "2"],
     ["eval", "Z", "3", "1", "2", "3"],
     ["eval", "Z", "3", "--", "-1/2", "-2"],
+    ["eval", "F", "3", "1", "-3/-4"],
+    ["eval", "F", "3", "1", "-1_0/3"],
+    ["eval", "F", "3", "1", "-1e3"],
     ["eval", "T", str(10**30), "9"],
     ["series", "catalan", "3"],
     ["verify", "everything"],

@@ -617,6 +617,14 @@ def test_point_evaluators_reject_bad_input():
         fibonacci_at(3, 0.5, 1)
 
 
+def test_point_evaluators_check_n_before_the_point():
+    # The index is checked first: a negative n with an inexact point is a
+    # ValueError, not the point's TypeError.
+    for at in (fibonacci_at, lucas_at):
+        with pytest.raises(ValueError):
+            at(-1, 0.5, 1)
+
+
 def _from_sympy(value):
     return Fraction(int(value.p), int(value.q))
 

@@ -24,6 +24,7 @@ from spreadpoly import (
 )
 from spreadpoly import surd
 from spreadpoly.cli import main
+from spreadpoly.verify import _binet_grid
 
 rationals = st.fractions(
     min_value=-9, max_value=9, max_denominator=7
@@ -280,3 +281,43 @@ def test_root_relations_concrete_points():
 
 def test_root_relations_rational_inputs():
     assert check_root_relations(Fraction(3, 2), Fraction(-1, 3)).passed
+
+
+def _mutated_cubic(monkeypatch, old, new):
+    """Patch surd._cubic_sides with its own source, ``old`` replaced by ``new``."""
+    source = inspect.getsource(surd._cubic_sides)
+    assert source.count(old) == 1
+    namespace = dict(vars(surd))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(surd, "_cubic_sides", namespace["_cubic_sides"])
+
+
+def test_cubic_with_a_squared_x_fails_at_every_grid_point(monkeypatch, capsys):
+    # x -> x^2 in the right side's x + 3s agrees with the true cubic at x = 0
+    # and x = 1, so specializing x misses it at q = 0 and q = 1; the exact
+    # comparison fails at every point, on the cubic (step 4).
+    _mutated_cubic(monkeypatch, "lead = s * 3 + x\n", "lead = s * 3 + x * x\n")
+    results = [check_root_relations(q, s) for q, s in _binet_grid()]
+    assert len(results) == 26
+    assert all(r.witness is not None and r.witness[0] == 4 for r in results)
+    assert main(["verify", "binet", "--max-n", "1"]) == 1
+    assert "witness [root_relations q=0, s=-3] index 4:" in capsys.readouterr().out
+
+
+def test_cubic_with_a_stray_term_fails(monkeypatch):
+    _mutated_cubic(monkeypatch, " - s**3\n", " - s**3 + s**4\n")
+    result = check_root_relations(1, 2)
+    assert result.witness is not None and result.witness[0] == 4
+
+
+def test_cubic_sides_against_sympy():
+    # The two sides expand equal in z, s and x, and their images at x = s^4
+    # are the polynomials that _cubic_sides compares.
+    sympy = pytest.importorskip("sympy")
+    z, s, x = sympy.symbols("z s x")
+    lhs = (z - s) * (z**2 - (x + 2 * s) * z + s**2)
+    rhs = z**3 - (x + 3 * s) * z**2 + s * (x + 3 * s) * z - s**3
+    assert sympy.expand(lhs - rhs) == 0
+    for side, built in zip((lhs, rhs), surd._cubic_sides()):
+        terms = sympy.Poly(sympy.expand(side.subs(x, s**4)), z, s).terms()
+        assert {k: int(c) for k, c in terms} == dict(built.terms())
