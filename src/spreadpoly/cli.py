@@ -102,21 +102,19 @@ def _int(text: str) -> int:
     )
 
 
-def _nonneg(text: str) -> int:
+def _nonneg(text: str, least: int = 0) -> int:
+    """The integer ``text`` names, refused below ``least``."""
     try:
         value = _int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0: {text}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}: {text}")
     return value
 
 
 def _positive(text: str) -> int:
-    value = _nonneg(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {text}")
-    return value
+    return _nonneg(text, 1)
 
 
 def _rational(text: str) -> Fraction:

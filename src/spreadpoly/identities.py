@@ -8,6 +8,34 @@ a check that reads ladder members also takes them as ``members``, which a
 sweep streams once for all n from one generator per route
 (``spreadpoly.verify``); called with n alone, the check builds them itself.
 The identity body is the same either way.
+
+The six polynomial identities are decided on integers, each side's value at
+one packing point; the polynomials are multiplied and composed only to write
+the witness of a failure.
+
+* Bivariate (Cassini for F and Z, the binomial sums of L and Z).  F(k) is
+  weighted-homogeneous of degree k - 1 and L(k) of degree k under the weights
+  (1, 2) of (x, s); Z(k) of degree k under (1, 1).  Each check first confirms
+  this of every member it reads (zero members are exempt), so both sides of
+  the identity are homogeneous of one degree d, and so is their difference:
+  its term of s-degree j has x-degree d - w j, one term per s-degree.  At
+  (x, s) = (1, 2^W) the difference is then sum_j c_j 2^(W j), whose digits in
+  [-2^(W-1), 2^(W-1)) are unique: once every |c_j| < 2^(W-1), the value is 0
+  exactly when the polynomial is.  |c_j| is bounded from the members' own
+  absolute coefficient sums, as sum|a| sum|b| bounds every coefficient of a
+  product a b, and W is the ``_slot_width`` of that bound.  A sweep packs its
+  members once (``_pack``), at the width of the largest bound of its checks.
+* Univariate (the Chebyshev/Bala route and l(2n) = l(n)(x^2 - 2)).  Both sides
+  are evaluated at X = 2^W by Horner's scheme, the point x + 2, -x, 2x or
+  x^2 - 2 applied as shift-adds.  The coefficients of p(x + 2) and
+  p(x^2 - 2) are bounded by |p|(3), those of p(-x) and p(2x) by |p|(1) and
+  |p|(2), |p| having p's absolute coefficients; with W the width of twice the
+  largest bound, every coefficient of a difference fits a slot, so equal
+  values mean equal polynomials.
+
+The members are integer polynomials, as every family's are.  When the values
+differ, the polynomial comparison builds the witness; if it finds both sides
+equal, the integer decision is broken and ArithmeticError is raised.
 """
 
 from __future__ import annotations
@@ -16,9 +44,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .poly import BiPoly, UniPoly, _index
+from .poly import BiPoly, UniPoly, _index, _Shifts, _slot_width
 from .sequences import (
     _fib_list,
     _lucas_list,
@@ -105,22 +133,127 @@ def _agree(
     return CheckResult(name, f"n={n}")
 
 
+def _failed(result: CheckResult) -> CheckResult:
+    """The polynomial route's result for a check whose values differed."""
+    if result.passed:
+        raise ArithmeticError(
+            f"{result.name} {result.range}: the values differ but the polynomials agree"
+        )
+    return result
+
+
+class _Packed(tuple):
+    """Bivariate members that iterate as the polynomials themselves and carry,
+    for each, its ``weighted_degree`` under ``weights`` (None when zero), its
+    absolute coefficient sum and its value at (x, s) = (1, 2^width).  A slice
+    keeps the packing, so a sweep packs each member once."""
+
+    def __getitem__(self, key):
+        item = tuple.__getitem__(self, key)
+        if not isinstance(key, slice):
+            return item
+        part = tuple.__new__(_Packed, item)
+        part.weights, part.width = self.weights, self.width
+        part.degrees, part.sums, part.values = self.degrees[key], self.sums[key], self.values[key]
+        return part
+
+
+def _pack(
+    members: Sequence[BiPoly], weights: tuple[int, int], bound: Callable[[list[int]], int]
+) -> _Packed:
+    """The members packed at the width that ``bound`` of their absolute
+    coefficient sums fits."""
+    packed = tuple.__new__(_Packed, members)
+    packed.weights = weights
+    packed.degrees = [m.weighted_degree(*weights) if m else None for m in packed]
+    packed.sums = [sum(abs(c) for _, c in m.terms()) for m in packed]
+    packed.width = _slot_width(bound(packed.sums))
+    packed.values = [m._packed(packed.width) for m in packed]
+    return packed
+
+
+def _packed_for(
+    members: Sequence[BiPoly],
+    weights: tuple[int, int],
+    bound: Callable[[list[int]], int],
+    degrees: dict[int, int],
+) -> _Packed | None:
+    """The members packed at a width that fits ``bound``, a sweep's packing
+    when it does, or None when member k is neither zero nor
+    weighted-homogeneous of degree ``degrees[k]``."""
+    packed = members
+    if not (
+        isinstance(packed, _Packed)
+        and packed.weights == weights
+        and bound(packed.sums) < 1 << (packed.width - 1)
+    ):
+        packed = _pack(members, weights, bound)
+    if all(packed.degrees[k] in (None, (d, True)) for k, d in degrees.items()):
+        return packed
+    return None
+
+
+def _cassini_bound(sums: Sequence[int]) -> int:
+    before, mid, after = sums
+    return mid * mid + before * after + 1
+
+
+def _z_cassini_bound(sums: Sequence[int]) -> int:
+    before, mid, after = sums
+    return before * after + (mid + 1) ** 2
+
+
+def _lucas_binomial_bound(n: int, top: int, sums: Sequence[int]) -> int:
+    return sum(comb(top, j) * sums[top - 2 * j] for j in range(n + 1)) + 1 + comb(top, n)
+
+
+def _z_binomial_bound(n: int, sums: Sequence[int]) -> int:
+    return sum(comb(2 * n, j) * sums[n - j] for j in range(n + 1)) + 1
+
+
+def _abs_at(p: UniPoly, v: int) -> int:
+    """|p|(v): p with its coefficients made absolute, at x = v."""
+    return sum(abs(c) * v**k for k, c in p.terms())
+
+
+def _value_at(p: UniPoly, point: _Shifts) -> int:
+    """p at the int that the packed weight ``point`` stands for, by Horner's
+    scheme on shift-adds."""
+    coeffs = dict(p.terms())
+    acc = 0
+    for k in range(max(coeffs, default=-1), -1, -1):
+        acc = point * acc + coeffs.get(k, 0)
+    return acc
+
+
 def check_cassini(n: int, members: Sequence[BiPoly] = ()) -> CheckResult:
     """F(n)^2 - F(n-1)*F(n+1) = (-s)^(n-1), exactly; members (F(n-1), F(n), F(n+1))."""
     _index(n, 1)
-    before, mid, after = members or _fib_list(n + 1)[n - 1 :]
+    members = members or _fib_list(n + 1)[n - 1 :]
+    packed = _packed_for(members, (1, 2), _cassini_bound, {0: n - 2, 1: n - 1, 2: n})
+    if packed is not None:
+        before, mid, after = packed.values
+        if mid * mid - before * after == _sign(n - 1) << packed.width * (n - 1):
+            return CheckResult("cassini", f"n={n}")
+    before, mid, after = members
     lhs = mid * mid - before * after
     rhs = BiPoly.monomial(_sign(n - 1), 0, n - 1)
-    return compare_polynomials("cassini", f"n={n}", n, lhs, rhs)
+    return _failed(compare_polynomials("cassini", f"n={n}", n, lhs, rhs))
 
 
 def check_z_cassini(n: int, members: Sequence[BiPoly] = ()) -> CheckResult:
     """Z(n-1)*Z(n+1) = (Z(n) - s^(n-1)*x)^2, exactly; members (Z(n-1), Z(n), Z(n+1))."""
     _index(n, 1)
-    before, mid, after = members or _z_list(n + 1)[n - 1 :]
+    members = members or _z_list(n + 1)[n - 1 :]
+    packed = _packed_for(members, (1, 1), _z_cassini_bound, {0: n - 1, 1: n, 2: n + 1})
+    if packed is not None:
+        before, mid, after = packed.values
+        if before * after == (mid - (1 << packed.width * (n - 1))) ** 2:
+            return CheckResult("z_cassini", f"n={n}")
+    before, mid, after = members
     lhs = before * after
     inner = mid - BiPoly.monomial(1, 1, n - 1)
-    return compare_polynomials("z_cassini", f"n={n}", n, lhs, inner * inner)
+    return _failed(compare_polynomials("z_cassini", f"n={n}", n, lhs, inner * inner))
 
 
 def check_lucas_binomial(n: int, parity: str, members: Sequence[BiPoly] = ()) -> CheckResult:
@@ -136,6 +269,15 @@ def check_lucas_binomial(n: int, parity: str, members: Sequence[BiPoly] = ()) ->
     _index(n)
     top = 2 * n if parity == "even" else 2 * n + 1
     lucas_polys = members or _lucas_list(top)
+    degrees = {k: k for k in range(top, top - 2 * n - 1, -2)}
+    packed = _packed_for(
+        lucas_polys, (1, 2), lambda sums: _lucas_binomial_bound(n, top, sums), degrees
+    )
+    if packed is not None:
+        values, width = packed.values, packed.width
+        total = sum(_sign(j) * comb(top, j) * values[top - 2 * j] << width * j for j in range(n + 1))
+        if total == 1 + (_sign(n) * comb(top, n) << width * n if parity == "even" else 0):
+            return CheckResult(f"lucas_binomial_{parity}", f"n={n}")
     total = BiPoly.zero()
     for j in range(n + 1):
         total = total + BiPoly.monomial(_sign(j) * comb(top, j), 0, j) * lucas_polys[top - 2 * j]
@@ -143,7 +285,7 @@ def check_lucas_binomial(n: int, parity: str, members: Sequence[BiPoly] = ()) ->
         rhs = BiPoly.monomial(1, top, 0) + BiPoly.monomial(_sign(n) * comb(top, n), 0, n)
     else:
         rhs = BiPoly.monomial(1, top, 0)
-    return compare_polynomials(f"lucas_binomial_{parity}", f"n={n}", n, total, rhs)
+    return _failed(compare_polynomials(f"lucas_binomial_{parity}", f"n={n}", n, total, rhs))
 
 
 def check_z_binomial(n: int, members: Sequence[BiPoly] = ()) -> CheckResult:
@@ -154,10 +296,19 @@ def check_z_binomial(n: int, members: Sequence[BiPoly] = ()) -> CheckResult:
     """
     _index(n, 1)
     z = members or _z_list(n)
+    degrees = {k: k for k in range(n + 1)}
+    packed = _packed_for(z, (1, 1), lambda sums: _z_binomial_bound(n, sums), degrees)
+    if packed is not None:
+        values, width = packed.values, packed.width
+        total = sum(_sign(j) * comb(2 * n, j) * values[n - j] << width * j for j in range(n + 1))
+        if total == 1:
+            return CheckResult("z_binomial", f"n={n}")
     total = BiPoly.zero()
     for j in range(n + 1):
         total = total + BiPoly.monomial(_sign(j) * comb(2 * n, j), 0, j) * z[n - j]
-    return compare_polynomials("z_binomial", f"n={n}", n, total, BiPoly.monomial(1, n, 0))
+    return _failed(
+        compare_polynomials("z_binomial", f"n={n}", n, total, BiPoly.monomial(1, n, 0))
+    )
 
 
 def check_symmetry(n: int, members: Sequence[UniPoly | BiPoly] = ()) -> CheckResult:
@@ -237,15 +388,37 @@ def check_chebyshev_bala(n: int, members: Sequence[UniPoly | BiPoly] = ()) -> Ch
     if any(c % (1 << k) for k, c in doubled.terms()):
         lhs = doubled.render(max_terms=WITNESS_TERM_LIMIT)
         return failure("chebyshev_bala", f"n={n}", n, lhs, "coefficient k divisible by 2^k")
+    halved = UniPoly({k: c >> k for k, c in doubled.terms()})
+    at_1 = zb.substitute_s(1)
+    bound = max(
+        _abs_at(halved, 3) + 2,
+        _abs_at(ln, 3) + 2,
+        _abs_at(zx, 1),
+        _abs_at(at_1, 1),
+        _abs_at(doubled, 1),
+        _abs_at(ln, 2),
+    )
+    width = _slot_width(2 * bound)
+    plus_2 = _Shifts({width: 1, 0: 2})
+    base = _value_at(halved, plus_2) - 2
+    links = (
+        _value_at(ln, plus_2) - 2,
+        -_value_at(zx, _Shifts({width: -1})),
+        at_1._packed(width),
+    )
+    if all(link == base for link in links) and (
+        doubled._packed(width) == _value_at(ln, _Shifts({width + 1: 1}))
+    ):
+        return CheckResult("chebyshev_bala", f"n={n}")
     shifted = UniPoly({1: 1, 0: 2})
     base, *links = (
-        UniPoly({k: c >> k for k, c in doubled.terms()}).compose(shifted) - 2,
+        halved.compose(shifted) - 2,
         ln.compose(shifted) - 2,
         -zx.compose(UniPoly({1: -1})),
-        zb.substitute_s(1),
+        at_1,
     )
     pairs = [(base, link) for link in links] + [(doubled, ln.compose(UniPoly({1: 2})))]
-    return _agree("chebyshev_bala", n, pairs)
+    return _failed(_agree("chebyshev_bala", n, pairs))
 
 
 def check_l_doubling(n: int, members: Sequence[UniPoly] = ()) -> CheckResult:
@@ -260,5 +433,11 @@ def check_l_doubling(n: int, members: Sequence[UniPoly] = ()) -> CheckResult:
         spread_z_univariate(n, method="via_l2n"),
         spread_z_univariate(n, method="via_l"),
     )
+    bound = max(_abs_at(doubled, 1), _abs_at(ln, 3), _abs_at(zx_l2n, 1), _abs_at(zx_l, 1))
+    width = _slot_width(2 * bound)
+    if doubled._packed(width) == _value_at(ln, _Shifts({2 * width: 1, 0: -2})) and (
+        zx_l2n._packed(width) == zx_l._packed(width)
+    ):
+        return CheckResult("l_doubling", f"n={n}")
     pairs = [(doubled, ln.compose(UniPoly({2: 1, 0: -2}))), (zx_l2n, zx_l)]
-    return _agree("l_doubling", n, pairs)
+    return _failed(_agree("l_doubling", n, pairs))

@@ -12,7 +12,9 @@ single-n builder, the code ``gen`` runs, at the slot width of the largest
 index the sweep reads: max_n, max_n + 1 for the Cassini windows and 2 max_n
 for ``doubling``'s l(2n).  Every route has a stream of its own, started from
 its own seeds: two routes never share a generator, which keeps their
-agreement a cross-validation.
+agreement a cross-validation.  The Cassini and binomial sweeps also pack
+their members once (``identities._pack``), at the one width that fits every
+check's bound, and hand each check the packed members.
 """
 
 from __future__ import annotations
@@ -29,6 +31,11 @@ from .identities import (
     _TRIG_SAMPLES,
     _TRIG_TOL,
     CheckResult,
+    _cassini_bound,
+    _lucas_binomial_bound,
+    _pack,
+    _z_binomial_bound,
+    _z_cassini_bound,
     check_cassini,
     check_chebyshev_bala,
     check_coefficient_forms,
@@ -52,7 +59,6 @@ from .sequences import (
     _integral_point,
     _lucas_list,
     _stream,
-    _windows,
     _z_list,
     coefficient_c,
     fibonacci,
@@ -113,8 +119,30 @@ def _from_one(*streams: Iterable) -> Iterable[tuple]:
     return islice(zip(*streams), 1, None)
 
 
+def _packed_windows(
+    last: int, family: str, weights: tuple[int, int], bound: Callable[[list[int]], int]
+) -> Iterable[tuple]:
+    """The windows (a(n-1), a(n), a(n+1)) for n = 1..last - 1 of one route's
+    stream, its members packed once at the width that ``bound`` fits on
+    every window."""
+    packed = _pack(
+        list(islice(_stream(last, family), last + 1)),
+        weights,
+        lambda sums: max(bound(sums[k : k + 3]) for k in range(last - 1)),
+    )
+    return (packed[k : k + 3] for k in range(last - 1))
+
+
 def _suite_lucas_binomial(max_n: int) -> SuiteReport:
-    lucas_polys = _lucas_list(2 * max_n + 1)
+    lucas_polys = _pack(
+        _lucas_list(2 * max_n + 1),
+        (1, 2),
+        lambda sums: max(
+            _lucas_binomial_bound(n, top, sums)
+            for n in range(max_n + 1)
+            for top in (2 * n, 2 * n + 1)
+        ),
+    )
     return _collect(
         "lucas_binomial",
         f"n=0..{max_n}, both parities",
@@ -307,14 +335,29 @@ def _suite_gf(max_n: int) -> SuiteReport:
 # its members' streams when it runs, so no stream outlives its sweep.
 SUITES: dict[str, Callable[[int], SuiteReport]] = {
     "cassini": lambda max_n: _suite_each_n(
-        "cassini", check_cassini, max_n, _windows(_stream(max_n + 1, "fibonacci"), 3)
+        "cassini",
+        check_cassini,
+        max_n,
+        _packed_windows(max_n + 1, "fibonacci", (1, 2), _cassini_bound),
     ),
     "z_cassini": lambda max_n: _suite_each_n(
-        "z_cassini", check_z_cassini, max_n, _windows(_stream(max_n + 1, "z"), 3)
+        "z_cassini",
+        check_z_cassini,
+        max_n,
+        _packed_windows(max_n + 1, "z", (1, 1), _z_cassini_bound),
     ),
     "lucas_binomial": _suite_lucas_binomial,
     "z_binomial": lambda max_n: _suite_each_n(
-        "z_binomial", check_z_binomial, max_n, repeat(_z_list(max_n))
+        "z_binomial",
+        check_z_binomial,
+        max_n,
+        repeat(
+            _pack(
+                _z_list(max_n),
+                (1, 1),
+                lambda sums: max(_z_binomial_bound(n, sums) for n in range(1, max_n + 1)),
+            )
+        ),
     ),
     "symmetry": lambda max_n: _suite_each_n(
         "symmetry",

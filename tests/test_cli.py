@@ -157,6 +157,18 @@ def test_triangle_rejects_zero(capsys):
     assert run_cli(["triangle", "0"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["triangle", "0"], ["triangle", "-1"], ["verify", "cassini", "--max-n", "-1"]],
+    ids=" ".join,
+)
+def test_positive_arguments_name_their_own_limit(argv, capsys):
+    # 0 is refused too, so every value below 1 reports ">= 1", never ">= 0".
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.endswith(f": must be >= 1: {argv[-1]}\n")
+
+
 # -- eval ---------------------------------------------------------------------
 
 
@@ -420,6 +432,7 @@ _PARSER_CASES = [
     ["gen", "Z", "3", "--fo", "json"],
     ["gen", "--", "Z", "3"],
     ["triangle", "0"],
+    ["triangle", "-1"],
     ["eval", "Z", "3", "1"],
     ["eval", "Z", "3", "1/2"],
     ["eval", "T", "3", "1", "2"],
@@ -434,6 +447,7 @@ _PARSER_CASES = [
     ["series", "catalan", "3"],
     ["verify", "everything"],
     ["verify", "cassini", "--max-n", "0"],
+    ["verify", "cassini", "--max-n", "-1"],
     ["verify", "all", "--maxn", "5"],
     ["verify", "z_cassini", "--max-n", "10"],
     ["gen", "Z", "25", "--method", "parity", "--format", "json"],

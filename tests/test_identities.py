@@ -1,7 +1,12 @@
 """Tests for the identity checks, at hand-verified indices plus short sweeps."""
 
-import pytest
+from math import comb
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spreadpoly import identities, poly, sequences, verify
 from spreadpoly import (
     BiPoly,
     CheckResult,
@@ -16,6 +21,7 @@ from spreadpoly import (
     check_z_binomial,
     check_z_cassini,
     compare_polynomials,
+    fibonacci,
 )
 from spreadpoly import (
     QuadExt,
@@ -167,3 +173,296 @@ def test_bool_index_rejected(call):
     # bool is an int subclass; an index of True is a caller's mistake, never 1.
     with pytest.raises(ValueError):
         call(True)
+
+
+# -- decided on integers: mutations, the failure path and the width ------------
+
+SWEEP_N = 9
+
+
+def _stray(p):
+    """p with its top term moved up one x-degree: the same s-degree slot, so
+    p's value at (x, s) = (1, 2^W) is unchanged, but p is no longer
+    weighted-homogeneous."""
+    (dx, ds), _ = next(p.terms())
+    return p + BiPoly.monomial(1, dx + 1, ds) - BiPoly.monomial(1, dx, ds)
+
+
+def _skew_low(p):
+    return p + 1
+
+
+def _skew_top(p):
+    return p + UniPoly({p.degree(): 1})
+
+
+def _sides(name, n, members, parity=None):
+    """The check's name and its pairs of sides as polynomials, built as the
+    checks built them before they were decided on integers."""
+    if name == "check_cassini":
+        before, mid, after = members
+        return "cassini", [(mid * mid - before * after, BiPoly.monomial((-1) ** (n - 1), 0, n - 1))]
+    if name == "check_z_cassini":
+        before, mid, after = members
+        inner = mid - BiPoly.monomial(1, 1, n - 1)
+        return "z_cassini", [(before * after, inner * inner)]
+    if name == "check_lucas_binomial":
+        top = 2 * n + (parity == "odd")
+        total = BiPoly.zero()
+        for j in range(n + 1):
+            total = total + BiPoly.monomial((-1) ** j * comb(top, j), 0, j) * members[top - 2 * j]
+        rhs = BiPoly.monomial(1, top, 0)
+        if parity == "even":
+            rhs = rhs + BiPoly.monomial((-1) ** n * comb(top, n), 0, n)
+        return f"lucas_binomial_{parity}", [(total, rhs)]
+    if name == "check_z_binomial":
+        total = BiPoly.zero()
+        for j in range(n + 1):
+            total = total + BiPoly.monomial((-1) ** j * comb(2 * n, j), 0, j) * members[n - j]
+        return "z_binomial", [(total, BiPoly.monomial(1, n, 0))]
+    if name == "check_chebyshev_bala":
+        t, ln, zx, zb = members
+        shifted = UniPoly({1: 1, 0: 2})
+        base = UniPoly({k: 2 * c >> k for k, c in t.terms()}).compose(shifted) - 2
+        links = [ln.compose(shifted) - 2, -zx.compose(UniPoly({1: -1})), zb.substitute_s(1)]
+        pairs = [(base, link) for link in links]
+        return "chebyshev_bala", pairs + [(t.scale(2), ln.compose(UniPoly({1: 2})))]
+    doubled, ln, zx_l2n, zx_l = members
+    return "l_doubling", [(doubled, ln.compose(UniPoly({2: 1, 0: -2}))), (zx_l2n, zx_l)]
+
+
+def _reference(check, n, *args):
+    *parity, members = args
+    name, pairs = _sides(check, n, tuple(members), *parity)
+    return identities._agree(name, n, pairs)
+
+
+# The members a check builds for itself when called with n alone.
+_ALONE = {
+    "check_cassini": lambda n: identities._fib_list(n + 1)[n - 1 :],
+    "check_z_cassini": lambda n: identities._z_list(n + 1)[n - 1 :],
+    "check_lucas_binomial": lambda n, parity: identities._lucas_list(2 * n + (parity == "odd")),
+    "check_z_binomial": lambda n: identities._z_list(n),
+    "check_chebyshev_bala": lambda n: (
+        identities.chebyshev_t(n),
+        identities.univariate_l(n),
+        identities.spread_z_univariate(n, method="via_l"),
+        identities.z_polynomial(n),
+    ),
+    "check_l_doubling": lambda n: (
+        identities.univariate_l(2 * n),
+        identities.univariate_l(n),
+        identities.spread_z_univariate(n, method="via_l2n"),
+        identities.spread_z_univariate(n, method="via_l"),
+    ),
+}
+
+
+def _mutating(build, picks, index, mutate):
+    """build, with member ``index`` mutated in what the calls that ``picks``
+    selects return: a list, a stream, or member n itself."""
+
+    def patched(*args, **options):
+        built = build(*args, **options)
+        if not picks(*args, **options):
+            return built
+        if isinstance(built, list):
+            return [mutate(p) if k == index else p for k, p in enumerate(built)]
+        if isinstance(built, (BiPoly, UniPoly)):
+            return mutate(built) if args[0] == index else built
+        return (mutate(p) if k == index else p for k, p in enumerate(built))
+
+    return patched
+
+
+def _every(*_, **__):
+    return True
+
+
+def _family(wanted, wanted_method="recurrence"):
+    return lambda last, family, method="recurrence": (family, method) == (wanted, wanted_method)
+
+
+def _method(wanted):
+    return lambda n, method="via_l": method == wanted
+
+
+# Per mutation: the suite, its check, the mutated member's index and the
+# mutation, the member source a sweep reads (in verify) and a lone call reads
+# (in identities), each with the calls whose result is mutated, and the n
+# that must fail.  l(10) is read as l(2n) at n = 5 only, the l(n) stream of
+# a sweep to 9 never reaching it.
+_MUTATIONS = {
+    "cassini F(5) stray": (
+        "cassini", "check_cassini", 5, _stray,
+        ("_stream", _family("fibonacci")), ("_fib_list", _every), {4, 5, 6},
+    ),
+    "z_cassini Z(5) stray": (
+        "z_cassini", "check_z_cassini", 5, _stray,
+        ("_stream", _family("z")), ("_z_list", _every), {4, 5, 6},
+    ),
+    "lucas_binomial L(5) stray": (
+        "lucas_binomial", "check_lucas_binomial", 5, _stray,
+        ("_lucas_list", _every), ("_lucas_list", _every), set(range(2, SWEEP_N + 1)),
+    ),
+    "z_binomial Z(5) stray": (
+        "z_binomial", "check_z_binomial", 5, _stray,
+        ("_z_list", _every), ("_z_list", _every), set(range(5, SWEEP_N + 1)),
+    ),
+    "chebyshev l(5) constant": (
+        "chebyshev", "check_chebyshev_bala", 5, _skew_low,
+        ("_stream", _family("l")), ("univariate_l", _every), {5},
+    ),
+    "chebyshev Zx(5) top": (
+        "chebyshev", "check_chebyshev_bala", 5, _skew_top,
+        ("_stream", _family("zx", "via_l")), ("spread_z_univariate", _method("via_l")), {5},
+    ),
+    "doubling Zx(5) via_l2n constant": (
+        "doubling", "check_l_doubling", 5, _skew_low,
+        ("_stream", _family("zx", "via_l2n")), ("spread_z_univariate", _method("via_l2n")), {5},
+    ),
+    "doubling l(10) top": (
+        "doubling", "check_l_doubling", 10, _skew_top,
+        ("_stream", _family("l")), ("univariate_l", _every), {5},
+    ),
+}
+
+
+def _recording(check, calls):
+    def recorded(*args):
+        calls.append(args)
+        return check(*args)
+
+    return recorded
+
+
+@pytest.mark.parametrize("case", _MUTATIONS.values(), ids=_MUTATIONS.keys())
+def test_mutated_member_fails_at_its_n_with_the_polynomial_witness(case, monkeypatch):
+    suite, check, index, mutate, (sweep_source, sweep_picks), (alone_source, alone_picks), ns = case
+    checked = getattr(identities, check)
+    # In a sweep: every check gets the members the (mutated) source streamed,
+    # and fails exactly where the polynomials differ, with their witness.
+    calls = []
+    monkeypatch.setattr(verify, check, _recording(checked, calls))
+    monkeypatch.setattr(
+        verify, sweep_source, _mutating(getattr(verify, sweep_source), sweep_picks, index, mutate)
+    )
+    report = verify.SUITES[suite](SWEEP_N)
+    expected = tuple(r for r in (_reference(check, *args) for args in calls) if not r.passed)
+    assert report.failures == expected
+    assert {f.witness[0] for f in report.failures} == ns
+    # Called with n alone, with the check's own builders mutated alike.
+    monkeypatch.setattr(
+        identities,
+        alone_source,
+        _mutating(getattr(identities, alone_source), alone_picks, index, mutate),
+    )
+    args = [
+        (n, *parity)
+        for n in range(1, SWEEP_N + 1)
+        for parity in ([("even",), ("odd",)] if check == "check_lucas_binomial" else [()])
+    ]
+    alone = [(checked(*a), _reference(check, *a, _ALONE[check](*a))) for a in args]
+    assert all(result == reference for result, reference in alone)
+    assert {result.witness[0] for result, _ in alone if not result.passed} == ns
+
+
+def test_a_stray_term_leaves_the_packed_value_alone():
+    # So only the homogeneity guard can see the mutation above.
+    f5 = fibonacci(5)
+    assert _stray(f5) != f5
+    assert _stray(f5)._packed(16) == f5._packed(16)
+    assert not _stray(f5).weighted_degree(1, 2)[1]
+
+
+def test_differing_values_on_equal_polynomials_raise(monkeypatch):
+    # A sweep's packing with one value off: the values differ, the
+    # polynomials agree, so the integer decision is broken.  An explicit
+    # raise, so it also holds under python -O.
+    members = [fibonacci(k) for k in (3, 4, 5)]
+    packed = identities._pack(members, (1, 2), identities._cassini_bound)
+    packed.values[1] += 1
+    with pytest.raises(ArithmeticError, match=r"cassini n=4: the values differ"):
+        check_cassini(4, packed)
+    value_at = identities._value_at
+    monkeypatch.setattr(identities, "_value_at", lambda p, point: value_at(p, point) + 1)
+    for check in (check_chebyshev_bala, check_l_doubling):
+        with pytest.raises(ArithmeticError, match="the values differ"):
+            check(3)
+
+
+def _homogeneous(degree, s_weight, coefficient):
+    """Integer polynomials weighted-homogeneous of ``degree`` under (1, s_weight)."""
+    slots = degree // s_weight + 1
+    return st.lists(coefficient, min_size=slots, max_size=slots).map(
+        lambda cs: BiPoly({(degree - s_weight * j, j): c for j, c in enumerate(cs)})
+    )
+
+
+def _z_binomial(n):
+    """check_z_binomial as data: [(c_j, k_j)] for its left side, the sum of
+    c_j s^j Z(k_j) over j, and its right side."""
+    terms = [((-1) ** j * comb(2 * n, j), n - j) for j in range(n + 1)]
+    return terms, BiPoly.monomial(1, n, 0)
+
+
+def _lucas_binomial_odd(n):
+    top = 2 * n + 1
+    terms = [((-1) ** j * comb(top, j), top - 2 * j) for j in range(n + 1)]
+    return terms, BiPoly.monomial(1, top, 0)
+
+
+# family -> (check, its sides as data, s-weight, the bound of the check on a
+# list of absolute coefficient sums, those sums for the family's own members)
+_LINEAR = {
+    "z": (
+        check_z_binomial,
+        _z_binomial,
+        1,
+        identities._z_binomial_bound,
+        lambda n: [sequences._z_bound(k) for k in range(n + 1)],
+    ),
+    "lucas odd": (
+        lambda n, members: check_lucas_binomial(n, "odd", members),
+        _lucas_binomial_odd,
+        2,
+        lambda n, sums: identities._lucas_binomial_bound(n, 2 * n + 1, sums),
+        lambda n: [sequences._lucas_bound(k) for k in range(2 * n + 2)],
+    ),
+}
+
+
+def _left(terms, members):
+    products = (BiPoly.monomial(c, 0, j) * members[k] for j, (c, k) in enumerate(terms))
+    return sum(products, BiPoly.zero())
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(sorted(_LINEAR)), st.integers(1, 5), st.data())
+def test_packed_verdict_is_polynomial_equality(family, n, data):
+    # Members far above the family's coefficients, the top one solved so the
+    # identity holds, then perhaps a carry that vanishes at (1, 2^w) for the
+    # width w of the bound on the family's own members: a width taken from
+    # that bound, not from the members' coefficient sums, would pass it.
+    check, sides, s_weight, bound, family_sums = _LINEAR[family]
+    terms, rhs = sides(n)
+    (_, top), big = terms[0], st.integers(-(2**200), 2**200)
+    members = [data.draw(_homogeneous(k, s_weight, big)) for k in range(top)] + [BiPoly.zero()]
+    members[top] = rhs - _left(terms, members)  # its coefficient c_0 is 1
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(s_weight, top))
+        j = data.draw(st.integers(0, k // s_weight - 1))
+        c = data.draw(st.integers(1, 2**64))
+        w = poly._slot_width(bound(n, family_sums(n)))
+        carry = BiPoly.monomial(c << w, k - s_weight * j, j) - BiPoly.monomial(
+            c, k - s_weight * (j + 1), j + 1
+        )
+        assert carry._packed(w) == 0
+        members[k] = members[k] + carry
+    holds = _left(terms, members) == rhs
+    assert check(n, members).passed == holds
+    # The same verdict from a sweep's packing of the members, at the width of
+    # the check's own bound, and from one too narrow, which the check repacks.
+    weights = (1, s_weight)
+    for width_bound in (lambda sums: bound(n, sums), lambda sums: 0):
+        assert check(n, identities._pack(members, weights, width_bound)).passed == holds
