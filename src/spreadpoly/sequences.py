@@ -28,6 +28,8 @@ fixes its x-degree.
 A single-n builder and a sweep's stream (``_stream``) run the same route
 (``_ROUTES``): the builder at the width of member n, reading member n alone,
 the stream at the width of the last member its sweep reads, reading each.
+The lists that sweeps and checks index (``_fib_list``, ``_lucas_list``,
+``_z_list``) are the F, L and Z ``recurrence`` streams, not a second ladder.
 
 Substitution is a change of evaluation point.  A packed member is a value,
 so a substitution that follows the ladder is folded into the point the ladder
@@ -240,25 +242,6 @@ def _l_at(x: _Shifts) -> Iterator[int]:
     return _ladder((2, x * 1), (x, -1))
 
 
-# -- polynomial ladders: the references of sweeps and tests ---------------------
-
-
-def _fib_list(m: int) -> list[BiPoly]:
-    """F(0)..F(m) by the defining recurrence."""
-    return list(islice(_ladder(*_FIB), m + 1))
-
-
-def _lucas_list(m: int) -> list[BiPoly]:
-    """L(0)..L(m) by the defining recurrence."""
-    return list(islice(_ladder(*_LUCAS), m + 1))
-
-
-def _z_list(m: int) -> list[BiPoly]:
-    """Z(0)..Z(m) by the third-order recurrence Z(n+3) = (x+3s) Z(n+2)
-    - s(x+3s) Z(n+1) + s^3 Z(n), seeded Z(0) = 0, Z(1) = x, Z(2) = 4sx + x^2."""
-    return list(islice(_ladder(*_Z), m + 1))
-
-
 # -- routes: one packed ladder each ---------------------------------------------
 
 # A route is (first, ladder, bound, member).  ladder(W) yields the states of
@@ -384,6 +367,24 @@ def _stream(last: int, family: str, method: str = "recurrence") -> Iterator[BiPo
     first, ladder, bound, member = _ROUTES[family, method]
     width = _slot_width(bound(last))
     return (member(state, width, bound(n), n) for n, state in enumerate(ladder(width), first))
+
+
+# -- member lists: the recurrence routes, as sweeps and checks read them ------
+
+
+def _fib_list(m: int) -> list[BiPoly]:
+    """F(0)..F(m): the members of the ``recurrence`` route that ``gen`` runs."""
+    return list(islice(_stream(m, "fibonacci"), m + 1))
+
+
+def _lucas_list(m: int) -> list[BiPoly]:
+    """L(0)..L(m): the members of the ``recurrence`` route that ``gen`` runs."""
+    return list(islice(_stream(m, "lucas"), m + 1))
+
+
+def _z_list(m: int) -> list[BiPoly]:
+    """Z(0)..Z(m): the members of the ``recurrence`` route that ``gen`` runs."""
+    return list(islice(_stream(m, "z"), m + 1))
 
 
 # -- bivariate families -------------------------------------------------------

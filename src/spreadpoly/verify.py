@@ -9,12 +9,15 @@ A sweep runs each route's ladder once, for n = 0..max_n, and hands every
 check the members it streamed (``sequences._stream``), so a sweep to N takes
 O(N) ladder steps.  A stream runs the same packed ladder as the route's
 single-n builder, the code ``gen`` runs, at the slot width of the largest
-index the sweep reads: max_n, max_n + 1 for the Cassini windows and 2 max_n
-for ``doubling``'s l(2n).  Every route has a stream of its own, started from
-its own seeds: two routes never share a generator, which keeps their
-agreement a cross-validation.  The Cassini and binomial sweeps also pack
-their members once (``identities._pack``), at the one width that fits every
-check's bound, and hand each check the packed members.
+index the sweep reads: max_n, max_n + 1 for the Cassini windows, 2 max_n
+for ``doubling``'s l(2n) and 2 max_n + 1 for ``lucas_binomial``.  A suite
+that reads members by index takes them as a list of the F, L or Z
+``recurrence`` stream (``_fib_list``, ``_lucas_list``, ``_z_list``), so every
+suite checks the members ``gen`` builds.  Every route has a stream of its
+own, started from its own seeds: two routes never share a generator, which
+keeps their agreement a cross-validation.  The Cassini and binomial sweeps
+also pack their members once (``identities._pack``), at the one width that
+fits every check's bound, and hand each check the packed members.
 """
 
 from __future__ import annotations
@@ -120,17 +123,13 @@ def _from_one(*streams: Iterable) -> Iterable[tuple]:
 
 
 def _packed_windows(
-    last: int, family: str, weights: tuple[int, int], bound: Callable[[list[int]], int]
+    members: list[BiPoly], weights: tuple[int, int], bound: Callable[[list[int]], int]
 ) -> Iterable[tuple]:
-    """The windows (a(n-1), a(n), a(n+1)) for n = 1..last - 1 of one route's
-    stream, its members packed once at the width that ``bound`` fits on
-    every window."""
-    packed = _pack(
-        list(islice(_stream(last, family), last + 1)),
-        weights,
-        lambda sums: max(bound(sums[k : k + 3]) for k in range(last - 1)),
-    )
-    return (packed[k : k + 3] for k in range(last - 1))
+    """The windows (a(n-1), a(n), a(n+1)) for n = 1..len(members) - 2, the
+    members packed once at the width that ``bound`` fits on every window."""
+    count = len(members) - 2
+    packed = _pack(members, weights, lambda sums: max(bound(sums[k : k + 3]) for k in range(count)))
+    return (packed[k : k + 3] for k in range(count))
 
 
 def _suite_lucas_binomial(max_n: int) -> SuiteReport:
@@ -156,15 +155,13 @@ def _suite_lucas_binomial(max_n: int) -> SuiteReport:
 
 def _suite_coefficients(max_n: int) -> SuiteReport:
     def run() -> Iterable[CheckResult]:
-        # Z by its recurrence, which never reads the triangle: the closed
-        # route is built from c(n, k) itself and could not disagree with it.
+        # The closed route, built from c(n, k), against Z by its recurrence,
+        # which never reads the triangle.
         z = _z_list(max_n)
         for n in range(1, max_n + 1):
             yield check_coefficient_forms(n)
-            extracted = BiPoly(
-                {(k, n - k): coefficient_c(n, k) for k in range(1, n + 1)}
-            )
-            yield compare_polynomials("coefficients_match_z", f"n={n}", n, extracted, z[n])
+            closed = z_polynomial(n, "closed")
+            yield compare_polynomials("coefficients_match_z", f"n={n}", n, closed, z[n])
         fixture = a156308_rows()
         computed = triangle(min(max_n, len(fixture)))
         for i, row in enumerate(computed.rows, start=1):
@@ -338,13 +335,13 @@ SUITES: dict[str, Callable[[int], SuiteReport]] = {
         "cassini",
         check_cassini,
         max_n,
-        _packed_windows(max_n + 1, "fibonacci", (1, 2), _cassini_bound),
+        _packed_windows(_fib_list(max_n + 1), (1, 2), _cassini_bound),
     ),
     "z_cassini": lambda max_n: _suite_each_n(
         "z_cassini",
         check_z_cassini,
         max_n,
-        _packed_windows(max_n + 1, "z", (1, 1), _z_cassini_bound),
+        _packed_windows(_z_list(max_n + 1), (1, 1), _z_cassini_bound),
     ),
     "lucas_binomial": _suite_lucas_binomial,
     "z_binomial": lambda max_n: _suite_each_n(

@@ -295,11 +295,11 @@ def _method(wanted):
 _MUTATIONS = {
     "cassini F(5) stray": (
         "cassini", "check_cassini", 5, _stray,
-        ("_stream", _family("fibonacci")), ("_fib_list", _every), {4, 5, 6},
+        ("_fib_list", _every), ("_fib_list", _every), {4, 5, 6},
     ),
     "z_cassini Z(5) stray": (
         "z_cassini", "check_z_cassini", 5, _stray,
-        ("_stream", _family("z")), ("_z_list", _every), {4, 5, 6},
+        ("_z_list", _every), ("_z_list", _every), {4, 5, 6},
     ),
     "lucas_binomial L(5) stray": (
         "lucas_binomial", "check_lucas_binomial", 5, _stray,

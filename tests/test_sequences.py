@@ -288,12 +288,14 @@ def test_wildberger_spread_width_bound_is_exact():
 
 
 def test_substitution_formulas_are_the_builders():
-    # The paper's substitutions, run on polynomials with public ops from the
-    # defining ladders.  No builder runs them: each folds its substitution
-    # into the point its packed ladder runs at.
+    # The paper's substitutions, run with public ops on the members of the
+    # defining ladders, themselves run on dict polynomials, not packed.  No
+    # builder runs them: each folds its substitution into the point its
+    # packed ladder runs at.
     x, s = BiPoly.x(), BiPoly.s()
     lift = x + 4 * s
-    fib, luc = _fib_list(100), _lucas_list(100)
+    fib = list(islice(sequences._ladder(*sequences._FIB), 101))
+    luc = list(islice(sequences._ladder(*sequences._LUCAS), 101))
     for n in [*range(41), 100]:
         flipped = BiPoly({(dx, ds): c * (-1) ** ds for (dx, ds), c in fib[n].terms()})
         z = x * (flipped * flipped).even_substitute(lift)  # x F(n)(u, -s)^2, u^2 -> x + 4s
@@ -404,6 +406,18 @@ def test_packed_member_is_the_polynomial_ladder_member(name):
     members = list(islice(sequences._ladder(*ladder), 301))
     for n in [*range(61), 300]:
         assert packed(n) == members[n], (name, n)
+
+
+@pytest.mark.parametrize(
+    "members, ladder",
+    [(_fib_list, sequences._FIB), (_lucas_list, sequences._LUCAS), (_z_list, sequences._Z)],
+    ids=["fibonacci", "lucas", "z"],
+)
+def test_member_lists_are_the_polynomial_ladders(members, ladder):
+    # The lists that sweeps and checks read are the packed recurrence routes;
+    # the ladder run on dict polynomials is their oracle.
+    for m in (0, 1, 2, 200):
+        assert members(m) == list(islice(sequences._ladder(*ladder), m + 1)), m
 
 
 @pytest.mark.parametrize("name", sorted(PACKED_LADDERS))

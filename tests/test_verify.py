@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spreadpoly import (
+    BiPoly,
     FIBONACCI_METHODS,
     LUCAS_METHODS,
     Z_METHODS,
@@ -206,6 +207,56 @@ def test_binet_fails_at_n3_alone_on_a_skewed_ladder_member(monkeypatch):
     expected = [("binet_fib_lucas", 3)] * verify._BINET_POINTS
     assert [(f.name, f.witness[0]) for f in failures] == expected
     assert len({f.range for f in failures}) == verify._BINET_POINTS
+
+
+# Per recurrence route, with x^5 added to member 5 of its packed ladder: a
+# check called with n alone that reads member 5, and what each suite to n = 9
+# reports, as (check, n); a suite not named reports nothing.
+_SKEWED_MEMBER_5 = {
+    "fibonacci": (lambda: identities.check_cassini(5), {
+        "cassini": {("cassini", n) for n in (4, 5, 6)},
+        "cross_method": {("fibonacci:closed", 5)},
+        "binet": {("binet_fib_lucas", 5)},
+        "gf": {("gf_fibonacci", 5)},
+    }),
+    "lucas": (lambda: identities.check_lucas_binomial(2, "odd"), {
+        "lucas_binomial": {("lucas_binomial_odd", n) for n in range(2, 10)},
+        "cross_method": {("lucas:closed", 5), ("lucas:from_fib", 5)},
+        "binet": {("binet_fib_lucas", 5)},
+        "gf": {("gf_lucas", 5)},
+    }),
+    "z": (lambda: identities.check_z_binomial(5), {
+        "z_cassini": {("z_cassini", n) for n in (4, 5, 6)},
+        "z_binomial": {("z_binomial", n) for n in range(5, 10)},
+        "symmetry": {("symmetry", 5)},
+        "coefficients": {("coefficients_match_z", 5)},
+        "chebyshev": {("chebyshev_bala", 5)},
+        "cross_method": {(f"z:{method}", 5) for method in Z_METHODS[1:]},
+        "binet": {("binet_z", 5)},
+        "gf": {("gf_z_shifted", 4)},
+    }),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_SKEWED_MEMBER_5))
+def test_every_suite_reads_the_packed_route_gen_runs(family, monkeypatch):
+    # The member lists of the sweeps and of checks called with n alone are
+    # the recurrence route's own members, so a wrong member there fails
+    # every suite that reads that family, not only the streamed ones.
+    route = (family, "recurrence")
+    first, ladder, bound, member = sequences._ROUTES[route]
+
+    def skewed(state, width, top, n):
+        return member(state, width, top, n) + BiPoly.monomial(int(n == 5), 5, 0)
+
+    monkeypatch.setitem(sequences._ROUTES, route, (first, ladder, bound, skewed))
+    reported = {
+        name: {(f.name, f.witness[0]) for f in suite(9).failures}
+        for name, suite in verify.SUITES.items()
+    }
+    lone, expected = _SKEWED_MEMBER_5[family]
+    assert not lone().passed
+    assert reported == {name: expected.get(name, set()) for name in verify.SUITES}
 
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=20)
