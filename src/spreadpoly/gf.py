@@ -9,7 +9,7 @@ and serves as an oracle that is independent of the direct constructors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .poly import BiPoly, _index
 
@@ -23,8 +23,7 @@ class MalformedGF(ValueError):
     would need division."""
 
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(NamedTuple):
     """A rational function N(z)/D(z) with BiPoly coefficients.
 
     ``numerator[j]`` and ``denominator[j]`` are the coefficients of z^j.

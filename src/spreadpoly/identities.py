@@ -41,12 +41,11 @@ equal, the integer decision is broken and ArithmeticError is raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .poly import BiPoly, UniPoly, _index, _Shifts, _slot_width
+from .poly import BiPoly, UniPoly, _compensated_horner, _index, _Shifts, _slot_width
 from .sequences import (
     _fib_list,
     _lucas_list,
@@ -82,8 +81,7 @@ _TRIG_SAMPLES = 100
 _TRIG_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one identity check.
 
     A witness is the failing index together with both sides rendered as
@@ -346,6 +344,22 @@ def check_coefficient_forms(n: int) -> CheckResult:
     return CheckResult("coefficient_forms", f"n={n}")
 
 
+def _trig_deviation(n: int) -> float:
+    """The largest deviation of Zx(n) and S(n) from the trigonometric
+    property over the sample angles; each member's coefficients are
+    converted to doubles once, for all the angles."""
+    zx = spread_z_univariate(n, method="via_l")._floats()
+    sp = wildberger_spread(n)._floats()
+    worst = 0.0
+    for i in range(1, _TRIG_SAMPLES + 1):
+        theta = (math.pi / 2) * i / (_TRIG_SAMPLES + 1)
+        sin2 = math.sin(theta) ** 2
+        target = math.sin(n * theta) ** 2
+        worst = max(worst, abs(_compensated_horner(zx, 4 * sin2) - 4 * target))
+        worst = max(worst, abs(_compensated_horner(sp, sin2) - target))
+    return worst
+
+
 def check_trig(n: int) -> CheckResult:
     """Floating-point spot check of the defining trigonometric property.
 
@@ -356,15 +370,7 @@ def check_trig(n: int) -> CheckResult:
     callers sweep small n only.
     """
     _index(n, 1)
-    zx = spread_z_univariate(n, method="via_l")
-    sp = wildberger_spread(n)
-    worst = 0.0
-    for i in range(1, _TRIG_SAMPLES + 1):
-        theta = (math.pi / 2) * i / (_TRIG_SAMPLES + 1)
-        sin2 = math.sin(theta) ** 2
-        target = math.sin(n * theta) ** 2
-        worst = max(worst, abs(zx.eval_float(4 * sin2) - 4 * target))
-        worst = max(worst, abs(sp.eval_float(sin2) - target))
+    worst = _trig_deviation(n)
     if worst < _TRIG_TOL:
         return CheckResult("trig", f"n={n}")
     return failure("trig", f"n={n}", n, f"max deviation {worst:.3e}", f"tolerance {_TRIG_TOL:g}")

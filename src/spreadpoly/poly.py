@@ -148,6 +148,35 @@ class _Shifts:
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant for doubles
 
 
+def _compensated_horner(coeffs: list[float], x: float) -> float:
+    """The value at x of the polynomial whose coefficients are ``coeffs``,
+    highest degree first, by the compensated Horner scheme.
+
+    These polynomials have huge alternating coefficients but small values
+    on the interval of interest, so naive Horner loses most digits to
+    cancellation.  Compensated Horner tracks the rounding error of every
+    step with error-free transformations (all in doubles) and folds it
+    back in at the end, which behaves like evaluating in twice the
+    working precision.
+    """
+    # TwoProduct(acc, x) and TwoSum(p, c), inline; x is split once.
+    t = _SPLIT * x
+    xhi = t - (t - x)
+    xlo = x - xhi
+    acc = 0.0
+    compensation = 0.0
+    for c in coeffs:
+        p = acc * x
+        t = _SPLIT * acc
+        ahi = t - (t - acc)
+        alo = acc - ahi
+        err_prod = ((ahi * xhi - p) + ahi * xlo + alo * xhi) + alo * xlo
+        acc = p + c
+        t = acc - p
+        compensation = compensation * x + (err_prod + ((p - (acc - t)) + (c - t)))
+    return acc + compensation
+
+
 class _SparsePoly:
     """The ring shared by BiPoly and UniPoly.
 
@@ -517,35 +546,14 @@ class UniPoly(_SparsePoly):
         return self._evaluate(x0, 0)
 
     def eval_float(self, x: float) -> float:
-        """Double-precision value by the compensated Horner scheme.
+        """Double-precision value by the compensated Horner scheme."""
+        return _compensated_horner(self._floats(), x)
 
-        These polynomials have huge alternating coefficients but small values
-        on the interval of interest, so naive Horner loses most digits to
-        cancellation.  Compensated Horner tracks the rounding error of every
-        step with error-free transformations (all in doubles) and folds it
-        back in at the end, which behaves like evaluating in twice the
-        working precision.
-        """
-        if not self._terms:
-            return 0.0
-        # TwoProduct(acc, x) and TwoSum(p, c), inline; x is split once.
-        t = _SPLIT * x
-        xhi = t - (t - x)
-        xlo = x - xhi
+    def _floats(self) -> list[float]:
+        """Every coefficient as a double, highest degree first; none for zero."""
         terms = self._terms
-        acc = 0.0
-        compensation = 0.0
-        for k in range(self.degree(), -1, -1):
-            p = acc * x
-            t = _SPLIT * acc
-            ahi = t - (t - acc)
-            alo = acc - ahi
-            err_prod = ((ahi * xhi - p) + ahi * xlo + alo * xhi) + alo * xlo
-            c = float(terms.get((k, 0), 0))
-            acc = p + c
-            t = acc - p
-            compensation = compensation * x + (err_prod + ((p - (acc - t)) + (c - t)))
-        return acc + compensation
+        top = self.degree() if terms else -1
+        return [float(terms.get((k, 0), 0)) for k in range(top, -1, -1)]
 
     def compose(self, r: UniPoly) -> UniPoly:
         """Exact polynomial composition p(r(x)), by Horner's scheme."""

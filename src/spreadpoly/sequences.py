@@ -77,12 +77,11 @@ divides by the discriminant x^2 + 4s, so every rational point works.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import count, islice
 from math import comb, factorial
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .poly import P, BiPoly, Rat, UniPoly, _coeff, _index, _Shifts, _slot_width
 
@@ -486,16 +485,25 @@ def coefficient_c(n: int, k: int, form: str = "ratio_binomial") -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Triangle:
-    """Rows 1..N of the coefficient triangle c(n, k), k = 1..n."""
-
+class _TriangleRows(NamedTuple):
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        for i, row in enumerate(self.rows, start=1):
+
+class Triangle(_TriangleRows):
+    """Rows 1..N of the coefficient triangle c(n, k), k = 1..n."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: tuple[tuple[int, ...], ...]) -> Triangle:
+        for i, row in enumerate(rows, start=1):
             if len(row) != i:
                 raise ValueError(f"row {i} must have {i} entries, has {len(row)}")
+        return super().__new__(cls, rows)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[tuple[tuple[int, ...], ...]]) -> Triangle:
+        # _replace builds through _make, so it is checked as well.
+        return cls(*iterable)
 
     def row(self, n: int) -> tuple[int, ...]:
         if not 1 <= n <= len(self.rows):

@@ -23,10 +23,9 @@ fits every check's bound, and hand each check the packed members.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .fixtures import a156308_rows
 from .gf import expand, gf_of
@@ -63,7 +62,6 @@ from .sequences import (
     _lucas_list,
     _stream,
     _z_list,
-    coefficient_c,
     fibonacci,
     lucas,
     spread_z_univariate,
@@ -85,8 +83,7 @@ _BINET_SEED = 1105
 _BINET_BOUND = 20
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     """One suite's outcome: its name, the range it swept, the number of checks
     run, and every failing result with its witness."""
 

@@ -347,7 +347,7 @@ def test_verify_coefficients_against_the_recurrence(capsys, monkeypatch):
     def skewed(n, k, form="ratio_binomial"):
         return original(n, k, form=form) + ((n, k) == (12, 5))
 
-    for module in (spreadpoly, sequences, verify, spreadpoly.identities):
+    for module in (spreadpoly, sequences, spreadpoly.identities):
         monkeypatch.setattr(module, "coefficient_c", skewed)
     code, out, _ = run_cli(["verify", "coefficients", "--max-n", "12"], capsys)
     assert code == 1

@@ -1,5 +1,6 @@
 """Tests for the identity checks, at hand-verified indices plus short sweeps."""
 
+import math
 from math import comb
 
 import pytest
@@ -31,7 +32,9 @@ from spreadpoly import (
     coefficient_c,
     expand,
     gf_of,
+    spread_z_univariate,
     triangle,
+    wildberger_spread,
 )
 
 
@@ -101,6 +104,23 @@ def test_trig_small_n():
     _all_pass(check_trig(n) for n in range(1, 11))
     with pytest.raises(ValueError):
         check_trig(0)
+
+
+def test_trig_deviation_is_bit_identical_to_the_per_angle_eval_float_form():
+    # check_trig converts each member's coefficients to doubles once, for all
+    # its angles; its worst deviation must be the very double that calling
+    # eval_float angle by angle gives.
+    for n in range(1, 21):
+        zx = spread_z_univariate(n, method="via_l")
+        sp = wildberger_spread(n)
+        worst = 0.0
+        for i in range(1, identities._TRIG_SAMPLES + 1):
+            theta = (math.pi / 2) * i / (identities._TRIG_SAMPLES + 1)
+            sin2 = math.sin(theta) ** 2
+            target = math.sin(n * theta) ** 2
+            worst = max(worst, abs(zx.eval_float(4 * sin2) - 4 * target))
+            worst = max(worst, abs(sp.eval_float(sin2) - target))
+        assert identities._trig_deviation(n).hex() == worst.hex(), n
 
 
 def test_trig_z2_hand_value():

@@ -1,5 +1,7 @@
 """The package surface: ``spreadpoly`` re-exports exactly its modules' ``__all__``."""
 
+import subprocess
+import sys
 import types
 
 import spreadpoly
@@ -19,3 +21,19 @@ def test_package_all_is_the_union_of_module_all():
     for name in dir(spreadpoly):
         if not name.startswith("_") and name not in names:
             assert isinstance(getattr(spreadpoly, name), types.ModuleType), name
+
+
+def test_a_launch_loads_no_dataclasses():
+    # What `spreadpoly` pays at every launch: the parser and every module it
+    # imports.  The per-layer tracer patches only the spreadpoly modules that
+    # are loaded at this point, so all six must stay among them.
+    probe = (
+        "import sys; before = set(sys.modules)\n"
+        "import spreadpoly.cli; spreadpoly.cli.build_parser()\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert "dataclasses" not in loaded
+    for name in ("poly", "sequences", "identities", "surd", "gf", "verify"):
+        assert f"spreadpoly.{name}" in loaded, name

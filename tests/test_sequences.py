@@ -227,6 +227,13 @@ def test_triangle_validation():
         triangle(3).row(4)
 
 
+def test_triangle_replace_checks_its_rows():
+    tri = triangle(2)
+    assert tri._replace(rows=tri.rows[:1]) == triangle(1)
+    with pytest.raises(ValueError, match=r"^row 2 must have 2 entries, has 1$"):
+        tri._replace(rows=((1,), (4,)))
+
+
 def test_triangle_matches_fixture():
     fixture = a156308_rows()
     assert len(fixture) == 10
