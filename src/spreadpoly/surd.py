@@ -255,16 +255,26 @@ def binet_z(n: int, q: Rat, s0: Rat) -> Fraction:
     return Fraction(2 * _binet(2 * n, x, big_d)[0], (2 * lam) ** (2 * n)) - 2 * Fraction(s0) ** n
 
 
-def _cubic_sides() -> tuple[BiPoly, BiPoly]:
-    """Both sides of (z - s)(z^2 - (x+2s)z + s^2) = z^3 - (x+3s)z^2 + s(x+3s)z - s^3,
-    with z as the first BiPoly variable, s as the second, and x = s^4.
+# The integer point of the cubic check: z^a s^b x^c |-> 2^(8 (16a + 4b + c)).
+_CUBIC_POINT = (1 << 128, 1 << 32, 1 << 8)
 
-    Each side has total degree 3 in z, s and x, so no term reaches s-degree 4
-    and z^a s^b x^c |-> z^a s^(b+4c) is one-to-one on their terms: the two
-    images are equal exactly when the sides are equal identically in z, s, x.
+
+def _cubic_sides(
+    z: int | BiPoly, s: int | BiPoly, x: int | BiPoly
+) -> tuple[int | BiPoly, int | BiPoly]:
+    """Both sides of (z - s)(z^2 - (x+2s)z + s^2) = z^3 - (x+3s)z^2 + s(x+3s)z - s^3
+    at (z, s, x): ints at ``_CUBIC_POINT`` to decide the identity, BiPolys at
+    (z, s, s^4) to write its witness.
+
+    Every exponent of z, s and x in either side is at most 3, so at the
+    integer point each monomial z^a s^b x^c lands in its own 8-bit slot,
+    number 16a + 4b + c.  Each side's absolute coefficients sum to at most
+    10, so every coefficient of lhs - rhs is at most 20 < 2^7 in absolute
+    value and is read back as a signed slot: the two ints are equal exactly
+    when the sides are equal identically in z, s and x.  For the same reason
+    (no s-degree reaches 4) z^a s^b x^c |-> z^a s^(b+4c) is one-to-one on
+    their terms, so the BiPoly images at x = s^4 are equal exactly then too.
     """
-    z, s = BiPoly.x(), BiPoly.s()
-    x = s**4
     lhs = (z - s) * (z * z - (s * 2 + x) * z + s * s)
     lead = s * 3 + x
     rhs = z**3 - lead * (z * z) + s * lead * z - s**3
@@ -280,17 +290,60 @@ def check_root_relations(q: Rat, s0: Rat) -> CheckResult:
     the cubic with roots alpha^2, alphabar^2 and s factors as
     (z - s)(z^2 - (x+2s)z + s^2); that identity does not depend on the point,
     and one exact comparison (``_cubic_sides``) proves it in z, s and x.
+
+    Every step is decided on integers.  With (X, lam, D) from
+    ``_discriminant`` and S = lam^2 s0, the roots scaled by 2 lam are
+    X +/- sqrt(D), so A = 2 lam alpha = X + sqrt(D) is an integer pair in
+    Z[sqrt(D)]:
+
+    0-1. ``characteristic_roots``' roots a + b sqrt(d) equal (q +/- sqrt(d))/2:
+         2 lam a = X and 2 b = +/-1, and both share one d;
+    2.   (beta beta_bar = s0) d - q^2 = 4 s0, that is lam^2 d - X^2 = 4 S;
+    3.   alpha^4 - (x + 2s) alpha^2 + s^2 = 0 times (2 lam)^4:
+         A^4 - 4 (X^2 + 2S) A^2 + 16 S^2 = 0, powers by ``_surd_pow``;
+    4.   the cubic's sides at the integer point ``_CUBIC_POINT``.
+
+    Only a failing step builds ``QuadExt`` values and ``BiPoly`` sides, to
+    write its witness (``_root_relations_witness``).
     """
+    x, lam, big_d = _discriminant(q, s0)
+    alpha, abar = characteristic_roots(q, s0)
+    big_s = (big_d - x * x) // 4
+    a, b, d = alpha.a, alpha.b, alpha.d
+    p2, q2 = _surd_pow(x, 1, big_d, 2)
+    p4, q4 = _surd_pow(x, 1, big_d, 4)
+    lead = 4 * (x * x + 2 * big_s)
+    lhs, rhs = _cubic_sides(*_CUBIC_POINT)
+    holds = (
+        2 * lam * a.numerator == x * a.denominator and 2 * b.numerator == b.denominator,
+        2 * lam * abar.a.numerator == x * abar.a.denominator
+        and 2 * abar.b.numerator == -abar.b.denominator
+        and abar.d == d,
+        lam * lam * d.numerator - x * x * d.denominator == 4 * big_s * d.denominator,
+        p4 - lead * p2 + 16 * big_s * big_s == 0 and q4 == lead * q2,
+        lhs == rhs,
+    )
+    rng = f"q={_coeff(q)}, s={_coeff(s0)}"
+    if all(holds):
+        return CheckResult("root_relations", rng)
+    return _root_relations_witness(q, s0, holds.index(False))
+
+
+def _root_relations_witness(q: Rat, s0: Rat, index: int) -> CheckResult:
+    """The failure of ``check_root_relations`` at step ``index``, its witness
+    written from the steps in ``QuadExt`` and ``BiPoly`` arithmetic.  Unless
+    these find step ``index`` the first to fail, the two decisions disagree
+    (ArithmeticError)."""
     alpha, abar = characteristic_roots(q, s0)
     d = alpha.d
     q, s0 = Fraction(q), Fraction(s0)
     x0 = q * q
-    name = "root_relations"
     rng = f"q={q}, s={s0}"
 
     sqrt_d = QuadExt(0, 1, d)
     beta = (sqrt_d + q) * Fraction(1, 2)
     beta_bar = (sqrt_d - q) * Fraction(1, 2)
+    s = BiPoly.s()
 
     steps: list[tuple[object, object]] = [
         (alpha, beta),
@@ -300,9 +353,13 @@ def check_root_relations(q: Rat, s0: Rat) -> CheckResult:
             alpha**4 - (x0 + 2 * s0) * alpha**2 + QuadExt.from_rational(s0 * s0, d),
             QuadExt.from_rational(0, d),
         ),
-        _cubic_sides(),
+        _cubic_sides(BiPoly.x(), s, s**4),
     ]
-    for index, (lhs, rhs) in enumerate(steps):
-        if lhs != rhs:
-            return failure(name, rng, index, str(lhs), str(rhs))
-    return CheckResult(name, rng)
+    first = next((i for i, (lhs, rhs) in enumerate(steps) if lhs != rhs), None)
+    if first != index:
+        raise ArithmeticError(
+            f"root_relations at {rng}: decided on integers, step {index} fails first;"
+            f" in QuadExt and BiPoly arithmetic, step {first}"
+        )
+    lhs, rhs = steps[index]
+    return failure("root_relations", rng, index, str(lhs), str(rhs))

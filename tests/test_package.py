@@ -1,5 +1,6 @@
 """The package surface: ``spreadpoly`` re-exports exactly its modules' ``__all__``."""
 
+import os
 import subprocess
 import sys
 import types
@@ -37,3 +38,32 @@ def test_a_launch_loads_no_dataclasses():
     assert "dataclasses" not in loaded
     for name in ("poly", "sequences", "identities", "surd", "gf", "verify"):
         assert f"spreadpoly.{name}" in loaded, name
+
+
+def test_a_launch_without_site_loads_no_resource_machinery():
+    # Without `site` (python -S) nothing else has loaded importlib.resources,
+    # so a launch must not either: only `verify coefficients` reads the
+    # vendored CSV, and it still reads it in that mode.
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.path.dirname(os.path.dirname(spreadpoly.__file__)),
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
+    probe = (
+        "import sys\n"
+        "import spreadpoly.cli; spreadpoly.cli.build_parser()\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True, env=env
+    )
+    loaded = set(proc.stdout.split())
+    assert "spreadpoly.fixtures" in loaded
+    for name in ("importlib.resources", "zipfile", "tempfile"):
+        assert name not in loaded, name
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "spreadpoly", "verify", "coefficients", "--max-n", "12"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "all PASS" in proc.stdout

@@ -1,5 +1,6 @@
 """Tests for exact quadratic-surd arithmetic and the Binet closed forms."""
 
+import hashlib
 import inspect
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spreadpoly import (
+    BiPoly,
     DegenerateDiscriminant,
     DiscriminantMismatch,
     QuadExt,
@@ -22,7 +24,7 @@ from spreadpoly import (
     lucas,
     z_polynomial,
 )
-from spreadpoly import surd
+from spreadpoly import poly, surd
 from spreadpoly.cli import main
 from spreadpoly.verify import _binet_grid
 
@@ -283,13 +285,18 @@ def test_root_relations_rational_inputs():
     assert check_root_relations(Fraction(3, 2), Fraction(-1, 3)).passed
 
 
-def _mutated_cubic(monkeypatch, old, new):
-    """Patch surd._cubic_sides with its own source, ``old`` replaced by ``new``."""
-    source = inspect.getsource(surd._cubic_sides)
+def _mutated(monkeypatch, name, old, new):
+    """Patch surd.<name> with its own source, ``old`` replaced by ``new``."""
+    source = inspect.getsource(getattr(surd, name))
     assert source.count(old) == 1
     namespace = dict(vars(surd))
     exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(surd, "_cubic_sides", namespace["_cubic_sides"])
+    monkeypatch.setattr(surd, name, namespace[name])
+
+
+def _mutated_cubic(monkeypatch, old, new):
+    """Patch surd._cubic_sides with its own source, ``old`` replaced by ``new``."""
+    _mutated(monkeypatch, "_cubic_sides", old, new)
 
 
 def test_cubic_with_a_squared_x_fails_at_every_grid_point(monkeypatch, capsys):
@@ -318,6 +325,143 @@ def test_cubic_sides_against_sympy():
     lhs = (z - s) * (z**2 - (x + 2 * s) * z + s**2)
     rhs = z**3 - (x + 3 * s) * z**2 + s * (x + 3 * s) * z - s**3
     assert sympy.expand(lhs - rhs) == 0
-    for side, built in zip((lhs, rhs), surd._cubic_sides()):
+    for side, built in zip((lhs, rhs), surd._cubic_sides(BiPoly.x(), BiPoly.s(), BiPoly.s() ** 4)):
         terms = sympy.Poly(sympy.expand(side.subs(x, s**4)), z, s).terms()
         assert {k: int(c) for k, c in terms} == dict(built.terms())
+
+
+# -- root relations decided on integers -------------------------------------------
+
+
+def _quadext_first_failure(q, s0):
+    """The first root-relation step that fails in QuadExt and BiPoly
+    arithmetic, or None: the steps as exact comparisons of the algebraic
+    values themselves, the reference for the integer decision."""
+    alpha, abar = surd.characteristic_roots(q, s0)
+    d = alpha.d
+    q, s0 = Fraction(q), Fraction(s0)
+    sqrt_d = QuadExt(0, 1, d)
+    beta = (sqrt_d + q) * Fraction(1, 2)
+    beta_bar = (sqrt_d - q) * Fraction(1, 2)
+    zero = QuadExt.from_rational(0, d)
+    steps = [
+        (alpha, beta),
+        (abar, -beta_bar),
+        (beta * beta_bar, QuadExt.from_rational(s0, d)),
+        (alpha**4 - (q * q + 2 * s0) * alpha**2 + s0 * s0, zero),
+        surd._cubic_sides(BiPoly.x(), BiPoly.s(), BiPoly.s() ** 4),
+    ]
+    return next((i for i, (lhs, rhs) in enumerate(steps) if lhs != rhs), None)
+
+
+def _root_points():
+    """The 26 grid points and 20 seeded rational ones: x0 = 0, perfect-square
+    discriminants (d = 4 at (0, 1), d = 9 at (1, 2)), negative ones, and
+    non-integral q and s."""
+    rng = random.Random(20)
+    points = [(0, 1), (1, 2), (1, -1), (0, Fraction(-1, 3)), (Fraction(3, 2), Fraction(-5, 7))]
+    while len(points) < 20:
+        q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        s0 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        if q * q + 4 * s0 != 0:
+            points.append((q, s0))
+    discriminants = [q * q + 4 * s0 for q, s0 in points]
+    assert 4 in discriminants and 9 in discriminants and any(d < 0 for d in discriminants)
+    assert any(Fraction(q).denominator > 1 and Fraction(s0).denominator > 1 for q, s0 in points)
+    return [*_binet_grid(), *points]
+
+
+def _skewed_roots(monkeypatch, roots, part):
+    """characteristic_roots with one part (a, b or d) of the roots numbered
+    ``roots`` (0 alpha, 1 alphabar) off by 1/3."""
+    original = surd.characteristic_roots
+
+    def skewed(q, s0):
+        pair = list(original(q, s0))
+        for i in roots:
+            parts = {"a": pair[i].a, "b": pair[i].b, "d": pair[i].d}
+            parts[part] += Fraction(1, 3)
+            pair[i] = QuadExt(parts["a"], parts["b"], parts["d"])
+        return tuple(pair)
+
+    monkeypatch.setattr(surd, "characteristic_roots", skewed)
+
+
+# Each mutation, and the steps it fails first (None: some points pass).  A
+# skewed root fails step 0 or 1, and a skewed d shared by both roots step 2.
+# The power kernel fails step 3 wherever q != 0: 3pq in its squaring alters
+# both parts of A^2 and A^4, -2pq only the sqrt part of A^2.
+_ROOT_MUTATIONS = {
+    "none": (lambda mp: None, {None}),
+    "alpha.a": (lambda mp: _skewed_roots(mp, (0,), "a"), {0}),
+    "alpha.b": (lambda mp: _skewed_roots(mp, (0,), "b"), {0}),
+    "alpha.d": (lambda mp: _skewed_roots(mp, (0,), "d"), {1}),
+    "alphabar.a": (lambda mp: _skewed_roots(mp, (1,), "a"), {1}),
+    "alphabar.b": (lambda mp: _skewed_roots(mp, (1,), "b"), {1}),
+    "alphabar.d": (lambda mp: _skewed_roots(mp, (1,), "d"), {1}),
+    "d": (lambda mp: _skewed_roots(mp, (0, 1), "d"), {2}),
+    "pow": (lambda mp: _mutated(mp, "_surd_pow", "2 * p * q", "3 * p * q"), {None, 3}),
+    "pow_sign": (lambda mp: _mutated(mp, "_surd_pow", "2 * p * q", "-2 * p * q"), {None, 3}),
+    "cubic": (lambda mp: _mutated(mp, "_cubic_sides", " - s**3\n", " - s**3 + s**4\n"), {4}),
+}
+
+
+@pytest.mark.parametrize("mutation", list(_ROOT_MUTATIONS))
+def test_root_relations_decide_as_the_quadext_steps(monkeypatch, mutation):
+    mutate, expected = _ROOT_MUTATIONS[mutation]
+    mutate(monkeypatch)
+    seen = set()
+    for q, s0 in _root_points():
+        result = check_root_relations(q, s0)
+        index = None if result.witness is None else result.witness[0]
+        assert index == _quadext_first_failure(q, s0), (q, s0)
+        seen.add(index)
+    assert seen == expected
+
+
+def test_cubic_integers_decode_to_the_bipoly_sides():
+    # In signed 8-bit slots the two ints are the sides' coefficients, slot
+    # 16a + 4b + c holding z^a s^b x^c, which is z^a s^(b+4c) at x = s^4.
+    s = BiPoly.s()
+    built = surd._cubic_sides(BiPoly.x(), s, s**4)
+    assert surd._CUBIC_POINT == (2**128, 2**32, 2**8)
+    for value, side in zip(surd._cubic_sides(*surd._CUBIC_POINT), built):
+        digits = poly._digits(value, 8, 64, 10)
+        terms = {
+            (slot >> 4, (slot >> 2 & 3) + 4 * (slot & 3)): c
+            for slot, c in enumerate(digits)
+            if c
+        }
+        assert terms == dict(side.terms())
+        assert sum(map(abs, digits)) <= 10
+
+
+def test_integer_decision_and_witness_disagreeing_raises(monkeypatch):
+    # Sides that differ as ints but agree as BiPolys: the witness path finds
+    # no failing step, and says so with an explicit raise (python -O too).
+    sides = surd._cubic_sides
+    monkeypatch.setattr(
+        surd, "_cubic_sides", lambda z, s, x: (0, 1) if isinstance(z, int) else sides(z, s, x)
+    )
+    with pytest.raises(ArithmeticError, match="step 4"):
+        check_root_relations(1, 2)
+
+
+# sha256 of `verify binet --max-n 3` stdout under each mutation, as written
+# by the QuadExt and BiPoly step list before the steps were decided on
+# integers: the witnesses are byte for byte what they were.
+_WITNESS_SHA256 = {
+    "pow": "d4327b45257c78b402b271a3a5aa0b8466a922a6910cedddef6450d3ef8cabe3",
+    "cubic_x_squared": "f397d08973c32a2d1c927368c85f633c135214ece49e6b46e94d3898e03a9b41",
+}
+
+
+@pytest.mark.parametrize("mutation", list(_WITNESS_SHA256))
+def test_witness_text_is_pinned(monkeypatch, capsys, mutation):
+    if mutation == "pow":
+        _mutated(monkeypatch, "_surd_pow", "2 * p * q", "3 * p * q")
+    else:
+        _mutated_cubic(monkeypatch, "lead = s * 3 + x\n", "lead = s * 3 + x * x\n")
+    assert main(["verify", "binet", "--max-n", "3"]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _WITNESS_SHA256[mutation]
