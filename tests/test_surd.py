@@ -387,10 +387,23 @@ def _skewed_roots(monkeypatch, roots, part):
     monkeypatch.setattr(surd, "characteristic_roots", skewed)
 
 
+def _doubled_lam(monkeypatch):
+    """The integral point (X, S, 2 lam): the roots come out as
+    (X +/- sqrt(D)) / (4 lam), which only a check against q and s0 sees."""
+    integral_point = surd._integral_point
+
+    def skewed(x0, s0):
+        x, s, lam = integral_point(x0, s0)
+        return x, s, 2 * lam
+
+    monkeypatch.setattr(surd, "_integral_point", skewed)
+
+
 # Each mutation, and the steps it fails first (None: some points pass).  A
 # skewed root fails step 0 or 1, and a skewed d shared by both roots step 2.
 # The power kernel fails step 3 wherever q != 0: 3pq in its squaring alters
-# both parts of A^2 and A^4, -2pq only the sqrt part of A^2.
+# both parts of A^2 and A^4, -2pq only the sqrt part of A^2.  A doubled lam
+# halves both parts of each root: step 0 fails wherever q != 0, step 2 at q = 0.
 _ROOT_MUTATIONS = {
     "none": (lambda mp: None, {None}),
     "alpha.a": (lambda mp: _skewed_roots(mp, (0,), "a"), {0}),
@@ -403,6 +416,7 @@ _ROOT_MUTATIONS = {
     "pow": (lambda mp: _mutated(mp, "_surd_pow", "2 * p * q", "3 * p * q"), {None, 3}),
     "pow_sign": (lambda mp: _mutated(mp, "_surd_pow", "2 * p * q", "-2 * p * q"), {None, 3}),
     "cubic": (lambda mp: _mutated(mp, "_cubic_sides", " - s**3\n", " - s**3 + s**4\n"), {4}),
+    "lam": (_doubled_lam, {0, 2}),
 }
 
 
