@@ -467,6 +467,7 @@ def test_integer_decision_and_witness_disagreeing_raises(monkeypatch):
 _WITNESS_SHA256 = {
     "pow": "d4327b45257c78b402b271a3a5aa0b8466a922a6910cedddef6450d3ef8cabe3",
     "cubic_x_squared": "f397d08973c32a2d1c927368c85f633c135214ece49e6b46e94d3898e03a9b41",
+    "lam": "a3c5314f18db1ab88191f69a2cee9c7914d0353591d7686352c8c1b2adaa54c7",
 }
 
 
@@ -474,6 +475,8 @@ _WITNESS_SHA256 = {
 def test_witness_text_is_pinned(monkeypatch, capsys, mutation):
     if mutation == "pow":
         _mutated(monkeypatch, "_surd_pow", "2 * p * q", "3 * p * q")
+    elif mutation == "lam":
+        _doubled_lam(monkeypatch)
     else:
         _mutated_cubic(monkeypatch, "lead = s * 3 + x\n", "lead = s * 3 + x * x\n")
     assert main(["verify", "binet", "--max-n", "3"]) == 1
