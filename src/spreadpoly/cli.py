@@ -167,9 +167,11 @@ def _cmd_triangle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     elif args.format == "json":
         print(_dump({"rows": [[str(v) for v in row] for row in tri.rows]}))
     else:
-        width = max(len(str(v)) for row in tri.rows for v in row)
+        # Every entry is positive, so the largest is the widest: each entry
+        # converts to decimal once.
+        width = len(str(max(map(max, tri.rows))))
         for row in tri.rows:
-            print("  ".join(f"{v:>{width}}" for v in row))
+            print("  ".join(str(v).rjust(width) for v in row))
     return 0
 
 

@@ -23,6 +23,10 @@ weight packs as ``_Shifts``, which multiplies a packed int by shifts and small
 products.  Unpacking reads signed slots back with a bias, in linear time, and
 raises ArithmeticError rather than return digits that may not be the
 coefficients.
+
+Whole rows of integer coefficients (of F, L and Z) run by exact ratios
+(``_ratio_row``): each entry is the one before times a small num/den, and a
+division that leaves a remainder raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import functools
 import operator
 from fractions import Fraction
-from typing import Callable, Collection, Iterator, Mapping, TypeVar, Union
+from typing import Callable, Collection, Iterable, Iterator, Mapping, TypeVar, Union
 
 __all__ = [
     "Rat",
@@ -122,6 +126,34 @@ def _digits(value: int, width: int, slots: int, bound: int) -> list[int]:
         raise ArithmeticError(f"value does not fit {slots} slots of {width} bits")
     data = memoryview(biased.to_bytes(size * slots, "little"))
     return [int.from_bytes(data[i : i + size], "little") - half for i in range(0, len(data), size)]
+
+
+def _ratio_row(first: int, steps: Iterable[tuple[int, int]]) -> Iterator[int]:
+    """``first``, then each entry as the one before times num/den, for each
+    (num, den) in ``steps``: a row of integer coefficients at one small
+    product and one exact division per entry.  ArithmeticError when a
+    division leaves a remainder."""
+    entry = first
+    yield entry
+    for num, den in steps:
+        entry, rest = divmod(entry * num, den)
+        if rest:
+            raise ArithmeticError(f"row entry times {num}/{den} came out non-integral")
+        yield entry
+
+
+def _c_row(n: int) -> Iterator[int]:
+    """c(n, 1), ..., c(n, n) for n >= 1, the coefficients of Z(n) (OEIS A156308):
+    c(n, 1) = n^2 and c(n, k+1) = c(n, k) (n-k)(n+k) / ((2k+1)(2k+2))."""
+    return _ratio_row(n * n, (((n - k) * (n + k), (2 * k + 1) * (2 * k + 2)) for k in range(1, n)))
+
+
+def _fib_lucas_row(n: int, top: int) -> Iterator[int]:
+    """The coefficients r(k) of s^k x^(top-2k), k = 0, 1, ..., of F(n) at
+    top = n - 1, C(n-1-k, k), and of L(n) at top = n >= 1, n/(n-k) C(n-k, k):
+    r(0) = 1 and r(k+1) = r(k) j (j-1) / ((k+1)(n-1-k)) at j = top - 2k."""
+    steps = zip(range(top, 1, -2), range(1, n))
+    return _ratio_row(1, ((j * (j - 1), i * (n - i)) for j, i in steps))
 
 
 class _Shifts:

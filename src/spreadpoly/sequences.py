@@ -14,7 +14,12 @@ Families:
 * l(n)(x) = L(n)(x, -1), Zx(n) = the univariate normalized spread polynomial,
   S(n) = Wildberger's spread polynomial, T(n) = Chebyshev (first kind).
 * c(n, k): the integer coefficient triangle of Z(n) (OEIS A156308), by three
-  closed forms.
+  closed forms per entry (``coefficient_c``, the oracle) and by whole rows.
+
+The ``closed`` routes of F, L and Z and ``triangle`` run their rows by exact
+ratios (``poly._c_row``, ``poly._fib_lucas_row``): each entry is the one
+before times a small num/den, the division checked.  They share no code with
+``coefficient_c`` or with any ladder.
 
 Each recurrence route is a ladder, data (seeds, weights) for a(k) = w0 a(k-1)
 + w1 a(k-2) + ..., run by one generator that holds only the last len(seeds)
@@ -83,7 +88,18 @@ from itertools import count, islice
 from math import comb, factorial
 from typing import Iterable, Iterator, NamedTuple
 
-from .poly import P, BiPoly, Rat, UniPoly, _coeff, _index, _Shifts, _slot_width
+from .poly import (
+    P,
+    BiPoly,
+    Rat,
+    UniPoly,
+    _c_row,
+    _coeff,
+    _fib_lucas_row,
+    _index,
+    _Shifts,
+    _slot_width,
+)
 
 __all__ = [
     "Triangle",
@@ -393,24 +409,23 @@ def fibonacci(n: int, method: str = "recurrence") -> BiPoly:
     """The two-variable Fibonacci polynomial F(n)(x, s).
 
     ``recurrence`` iterates F(n) = x F(n-1) + s F(n-2) from F(0) = 0,
-    F(1) = 1.  ``closed`` sums C(n-1-k, k) s^k x^(n-1-2k) directly.
+    F(1) = 1.  ``closed`` sums C(n-1-k, k) s^k x^(n-1-2k) by row ratios.
     """
     n = _index(n)
     method = _check_method(method, FIBONACCI_METHODS)
     if method == "recurrence":
         return _built("fibonacci", method, n)
-    return BiPoly(
-        {(n - 1 - 2 * k, k): comb(n - 1 - k, k) for k in range((n - 1) // 2 + 1)}
-    )
+    return BiPoly(dict(zip(zip(range(n - 1, -1, -2), count()), _fib_lucas_row(n, n - 1))))
 
 
 def lucas(n: int, method: str = "recurrence") -> BiPoly:
     """The two-variable Lucas polynomial L(n)(x, s).
 
     ``recurrence`` iterates the same recurrence as fibonacci from L(0) = 2,
-    L(1) = x.  ``closed`` sums (n/(n-k)) C(n-k, k) s^k x^(n-2k); the n = 0
-    entry is the constant 2 (the weight n/(n-k) is 0/0 there).  ``from_fib``
-    uses L(n) = F(n+1) + s F(n-1) and therefore needs n >= 1.
+    L(1) = x.  ``closed`` sums (n/(n-k)) C(n-k, k) s^k x^(n-2k) by row
+    ratios; the n = 0 entry is the constant 2 (the weight n/(n-k) is 0/0
+    there).  ``from_fib`` uses L(n) = F(n+1) + s F(n-1) and therefore needs
+    n >= 1.
     """
     n = _index(n)
     method = _check_method(method, LUCAS_METHODS)
@@ -420,12 +435,7 @@ def lucas(n: int, method: str = "recurrence") -> BiPoly:
         return _built("lucas", method, n)
     if n == 0:
         return BiPoly.constant(2)
-    return BiPoly(
-        {
-            (n - 2 * k, k): Fraction(n, n - k) * comb(n - k, k)
-            for k in range(n // 2 + 1)
-        }
-    )
+    return BiPoly(dict(zip(zip(range(n, -1, -2), count()), _fib_lucas_row(n, n))))
 
 
 def z_polynomial(n: int, method: str = "recurrence") -> BiPoly:
@@ -435,7 +445,7 @@ def z_polynomial(n: int, method: str = "recurrence") -> BiPoly:
         Z(n+3) = (x+3s) Z(n+2) - s(x+3s) Z(n+1) + s^3 Z(n) from the seeds
         Z(0) = 0, Z(1) = x, Z(2) = 4sx + x^2.
     closed
-        sum_k c(n, k) s^(n-k) x^k over the coefficient triangle.
+        sum_k c(n, k) s^(n-k) x^k, row n of the triangle by row ratios.
     via_lucas
         L(2n)(y, s) with y^2 -> x, minus 2 s^n.
     via_fib
@@ -447,9 +457,7 @@ def z_polynomial(n: int, method: str = "recurrence") -> BiPoly:
     n = _index(n)
     method = _check_method(method, Z_METHODS)
     if method == "closed":
-        return BiPoly(
-            {(k, n - k): coefficient_c(n, k, form="ratio_binomial") for k in range(1, n + 1)}
-        )
+        return BiPoly(dict(zip(zip(count(1), range(n - 1, -1, -1)), _c_row(n))))
     return _built("z", method, n)
 
 
@@ -459,7 +467,8 @@ def z_polynomial(n: int, method: str = "recurrence") -> BiPoly:
 def coefficient_c(n: int, k: int, form: str = "ratio_binomial") -> int:
     """The integer coefficient of s^(n-k) x^k in Z(n), for 1 <= k <= n.
 
-    Three independent closed forms:
+    The per-entry oracle of ``check_coefficient_forms``: ``gen`` and
+    ``triangle`` run whole rows instead.  Three independent closed forms:
 
     * ratio_binomial: n C(n+k-1, n-k) / k.
     * sum_binomials:  C(n+k, 2k) + C(n+k-1, 2k).
@@ -512,13 +521,9 @@ class Triangle(_TriangleRows):
 
 
 def triangle(N: int) -> Triangle:
-    """The coefficient triangle for n = 1..N."""
+    """The coefficient triangle for n = 1..N, each row by row ratios."""
     _index(N, 1, "N")
-    return Triangle(
-        rows=tuple(
-            tuple(coefficient_c(n, k) for k in range(1, n + 1)) for n in range(1, N + 1)
-        )
-    )
+    return Triangle(rows=tuple(tuple(_c_row(n)) for n in range(1, N + 1)))
 
 
 # -- univariate families ------------------------------------------------------

@@ -340,8 +340,25 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
 
 
 def test_verify_coefficients_against_the_recurrence(capsys, monkeypatch):
-    # c(12, 5) off by one wherever it is bound: Z(12) by its recurrence never
-    # reads the triangle, so coefficients_match_z must flag n = 12.
+    # An entry off by one in the row kernel that `gen` and `triangle` run, at
+    # c(12, 5) and, inside the vendored fixture (rows 1..10), at c(10, 5): Z by
+    # its recurrence never reads a row, so coefficients_match_z must flag both
+    # rows and a156308_fixture row 10.  coefficient_c is not on that path.
+    c_row = sequences._c_row
+
+    def skewed_row(n):
+        return (c + ((n, k) in {(10, 5), (12, 5)}) for k, c in enumerate(c_row(n), start=1))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sequences, "_c_row", skewed_row)
+        code, out, _ = run_cli(["verify", "coefficients", "--max-n", "12"], capsys)
+    assert code == 1
+    for witness in ("coefficients_match_z n=10", "coefficients_match_z n=12", "a156308_fixture row 10"):
+        assert f"witness [{witness}] index" in out, witness
+    assert "coefficient_forms" not in out
+
+    # c(12, 5) off by one in the per-entry oracle, wherever it is bound: only
+    # coefficient_forms reads it, and it must flag n = 12.
     original = sequences.coefficient_c
 
     def skewed(n, k, form="ratio_binomial"):
@@ -351,7 +368,8 @@ def test_verify_coefficients_against_the_recurrence(capsys, monkeypatch):
         monkeypatch.setattr(module, "coefficient_c", skewed)
     code, out, _ = run_cli(["verify", "coefficients", "--max-n", "12"], capsys)
     assert code == 1
-    assert "witness [coefficients_match_z n=12] index 12:" in out
+    assert "witness [coefficient_forms n=12] index 5:" in out
+    assert "coefficients_match_z" not in out and "a156308_fixture" not in out
 
 
 def test_verify_binet_against_the_doubling_kernel(capsys, monkeypatch):

@@ -4,6 +4,9 @@ import contextlib
 import functools
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
@@ -201,6 +204,69 @@ def test_coefficient_forms_agree_and_match_z():
             assert coefficient_c(n, k, form="sum_binomials") == c
             assert coefficient_c(n, k, form="product") == c
             assert z.coefficient(k, n - k) == c
+
+
+def test_c_row_is_the_per_entry_oracle():
+    for n in range(1, 301):
+        assert list(poly._c_row(n)) == [coefficient_c(n, k) for k in range(1, n + 1)], n
+
+
+def test_closed_rows_are_the_recurrence_members():
+    # The row routes at the edges: F(0) = 0, L(0) = 2, Z(0) = 0, and the first
+    # members typed out by hand.
+    x, s = BiPoly.x(), BiPoly.s()
+    assert fibonacci(0, "closed") == BiPoly.zero() and z_polynomial(0, "closed") == BiPoly.zero()
+    assert lucas(0, "closed") == BiPoly.constant(2)
+    assert [fibonacci(n, "closed") for n in (1, 2)] == [BiPoly.one(), x]
+    assert [lucas(n, "closed") for n in (1, 2)] == [x, x * x + 2 * s]
+    assert [z_polynomial(n, "closed") for n in (1, 2)] == [x, x * x + 4 * s * x]
+    fib, luc, z = _fib_list(300), _lucas_list(300), _z_list(300)
+    for n in range(301):
+        assert fibonacci(n, "closed") == fib[n], n
+        assert lucas(n, "closed") == luc[n], n
+        assert z_polynomial(n, "closed") == z[n], n
+
+
+# Every row route with one step's numerator off by one, so that step's
+# division leaves a remainder.
+ROW_BUILDS = {
+    "fibonacci": lambda: fibonacci(12, "closed"),
+    "lucas": lambda: lucas(12, "closed"),
+    "z": lambda: z_polynomial(12, "closed"),
+    "triangle": lambda: triangle(12),
+}
+
+
+def _inexact_step(ratio_row):
+    def skewed(first, steps):
+        return ratio_row(first, ((num + (i == 2), den) for i, (num, den) in enumerate(steps)))
+
+    return skewed
+
+
+@pytest.mark.parametrize("route", sorted(ROW_BUILDS))
+def test_an_inexact_row_step_raises(route, monkeypatch):
+    # An explicit raise, not an assert: the next test checks it under python -O.
+    with pytest.raises(ArithmeticError):
+        list(poly._ratio_row(1, [(3, 2)]))
+    monkeypatch.setattr(poly, "_ratio_row", _inexact_step(poly._ratio_row))
+    with pytest.raises(ArithmeticError):
+        ROW_BUILDS[route]()
+
+
+def test_an_inexact_row_step_raises_under_python_o():
+    # Every row route divides in the one kernel, so its raise is checked once.
+    probe = (
+        "from spreadpoly import poly\n"
+        "assert False, 'asserts are not stripped'\n"
+        "try:\n"
+        "    list(poly._ratio_row(1, [(3, 2)]))\n"
+        "except ArithmeticError:\n"
+        "    print('raised')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(poly.__file__))}
+    proc = subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout == "raised\n", proc.stderr
 
 
 def test_triangle_small():
