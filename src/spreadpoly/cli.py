@@ -11,18 +11,23 @@ on any other I/O error, such as output that cannot be written (one line on
 stderr), and 141 (128 + SIGPIPE) when the reader closes the output pipe
 early.  All output is deterministic; JSON coefficients are decimal strings
 because triangle entries outgrow 64-bit integers quickly.
+
+Each subcommand's arguments are declared once, in ``_SUBCOMMANDS``.  A call
+whose argv is the ordinary success form (positionals and exact ``--flag
+value`` pairs that convert) is decoded from that table without building any
+argparse parser; every other argv, and every usage error, goes through
+argparse, which alone writes help, usage and error text.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import re
 import sys
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NoReturn
 
 from . import verify
 from .gf import GF_KINDS, expand, gf_of
@@ -140,18 +145,25 @@ def _dump(obj: object) -> str:
 # -- subcommand handlers --------------------------------------------------------
 
 
-def _cmd_gen(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _usage_error(command: str, message: str) -> NoReturn:
+    """Exit 2 with `message` under the usage line of `command`, whose parser
+    is built only now: the decoded path builds none until it is needed."""
+    _subparser(command).error(message)
+
+
+def _cmd_gen(args: argparse.Namespace) -> int:
     methods, builder, _ = _FAMILIES[args.family]
     if args.method is not None and args.method not in methods:
         if methods:
-            parser.error(
-                f"family {args.family} accepts methods {', '.join(methods)}; got {args.method!r}"
+            _usage_error(
+                args.command,
+                f"family {args.family} accepts methods {', '.join(methods)}; got {args.method!r}",
             )
-        parser.error(f"family {args.family} has a single construction; drop --method")
+        _usage_error(args.command, f"family {args.family} has a single construction; drop --method")
     try:
         poly = builder(args.n, args.method)
     except ValueError as exc:  # an index the construction does not cover
-        parser.error(str(exc))
+        _usage_error(args.command, str(exc))
     if args.format == "json":
         print(_dump({"family": args.family, "n": args.n, "terms": _terms_json(poly)}))
     else:
@@ -159,7 +171,7 @@ def _cmd_gen(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_triangle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_triangle(args: argparse.Namespace) -> int:
     tri = triangle(args.n)
     if args.format == "csv":
         for row in tri.rows:
@@ -175,24 +187,25 @@ def _cmd_triangle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     return 0
 
 
-def _cmd_eval(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace) -> int:
     _, _, evaluator = _FAMILIES[args.family]
     bivariate = args.family in _BIVARIATE
     if bivariate and args.s0 is None:
-        parser.error(f"family {args.family} is bivariate; supply both x0 and s0")
+        _usage_error(args.command, f"family {args.family} is bivariate; supply both x0 and s0")
     if not bivariate and args.s0 is not None:
-        parser.error(f"family {args.family} is univariate; supply x0 only")
+        _usage_error(args.command, f"family {args.family} is univariate; supply x0 only")
     bits = point_bits_bound(args.n, args.x0, args.s0 or 0)
     if bits > _EVAL_MAX_BITS:
-        parser.error(
+        _usage_error(
+            args.command,
             f"{args.family}({args.n}) at this point may need up to {bits} bits, "
-            f"above the limit of {_EVAL_MAX_BITS}"
+            f"above the limit of {_EVAL_MAX_BITS}",
         )
     print(evaluator(args.n, args.x0, args.s0))
     return 0
 
 
-def _cmd_series(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_series(args: argparse.Namespace) -> int:
     coeffs = expand(gf_of(args.kind), args.n)
     if args.format == "json":
         print(_dump([_terms_json(p) for p in coeffs]))
@@ -202,7 +215,7 @@ def _cmd_series(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     return 0
 
 
-def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     reports = [verify.SUITES[name](args.max_n) for name in names]
     for report in reports:
@@ -220,62 +233,84 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 # -- parser wiring ----------------------------------------------------------------
 
+# A word of '-' and a digit is a value, not an option flag (no option starts
+# with a digit), so every negative literal reaches _rational.  _Parser and
+# _decode both read values by this one rule.
+_NEGATIVE_NUMBER = re.compile(r"^-\d")
+
 
 class _Parser(argparse.ArgumentParser):
-    # Teach argparse that a word of '-' and a digit is a value, not an option
-    # flag (no option starts with a digit), so every negative literal reaches
-    # _rational.  The stock matcher is assigned per instance, hence the override.
+    # The stock negative-number matcher is assigned per instance, hence the
+    # override.
     def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)  # type: ignore[arg-type]
-        self._negative_number_matcher = re.compile(r"^-\d")
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
-def _gen_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("family", choices=sorted(_FAMILIES))
-    parser.add_argument("n", type=_nonneg)
-    parser.add_argument("--method", default=None)
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.set_defaults(handler=functools.partial(_cmd_gen, parser))
+_FORMATS = ("text", "json")
 
-
-def _triangle_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("n", metavar="N", type=_positive)
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.set_defaults(handler=functools.partial(_cmd_triangle, parser))
-
-
-def _eval_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("family", choices=sorted(_FAMILIES))
-    parser.add_argument("n", type=_nonneg)
-    parser.add_argument("x0", type=_rational)
-    parser.add_argument("s0", type=_rational, nargs="?", default=None)
-    parser.set_defaults(handler=functools.partial(_cmd_eval, parser))
-
-
-def _series_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("kind", choices=GF_KINDS)
-    parser.add_argument("n", metavar="N", type=_nonneg)
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.set_defaults(handler=functools.partial(_cmd_series, parser))
-
-
-def _verify_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("suite", choices=["all"] + list(verify.SUITES))
-    parser.add_argument("--max-n", dest="max_n", type=_positive, default=50)
-    parser.set_defaults(handler=functools.partial(_cmd_verify, parser))
-
-
-# Subcommand -> (help line, the function that adds its arguments and binds
-# its handler to the parser it is given).
-_SUBCOMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
-    "gen": ("generate one polynomial", _gen_arguments),
-    "triangle": ("coefficient triangle rows 1..N", _triangle_arguments),
-    "eval": ("evaluate a family member at an exact rational point", _eval_arguments),
-    "series": ("generating-function expansion", _series_arguments),
-    "verify": ("run cross-validation suites", _verify_arguments),
+# Subcommand -> (help line, handler, arguments).  Each argument is declared
+# once, as its name or flag and the keywords of add_argument; both the parsers
+# and _decode read it from here.
+_SUBCOMMANDS: dict[
+    str,
+    tuple[str, Callable[[argparse.Namespace], int], tuple[tuple[str, dict[str, object]], ...]],
+] = {
+    "gen": (
+        "generate one polynomial",
+        _cmd_gen,
+        (
+            ("family", {"choices": sorted(_FAMILIES)}),
+            ("n", {"type": _nonneg}),
+            ("--method", {"default": None}),
+            ("--format", {"choices": _FORMATS, "default": "text"}),
+        ),
+    ),
+    "triangle": (
+        "coefficient triangle rows 1..N",
+        _cmd_triangle,
+        (
+            ("n", {"metavar": "N", "type": _positive}),
+            ("--format", {"choices": (*_FORMATS, "csv"), "default": "text"}),
+        ),
+    ),
+    "eval": (
+        "evaluate a family member at an exact rational point",
+        _cmd_eval,
+        (
+            ("family", {"choices": sorted(_FAMILIES)}),
+            ("n", {"type": _nonneg}),
+            ("x0", {"type": _rational}),
+            ("s0", {"type": _rational, "nargs": "?", "default": None}),
+        ),
+    ),
+    "series": (
+        "generating-function expansion",
+        _cmd_series,
+        (
+            ("kind", {"choices": GF_KINDS}),
+            ("n", {"metavar": "N", "type": _nonneg}),
+            ("--format", {"choices": _FORMATS, "default": "text"}),
+        ),
+    ),
+    "verify": (
+        "run cross-validation suites",
+        _cmd_verify,
+        (
+            ("suite", {"choices": ("all", *verify.SUITES)}),
+            ("--max-n", {"dest": "max_n", "type": _positive, "default": 50}),
+        ),
+    ),
 }
 
 _PROG = "spreadpoly"
+
+
+def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
+    _, handler, arguments = _SUBCOMMANDS[command]
+    for name, keywords in arguments:
+        parser.add_argument(name, **keywords)  # type: ignore[arg-type]
+    parser.set_defaults(handler=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,33 +320,96 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact spread / Fibonacci / Lucas polynomial toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_line))
+    for name, (help_line, _, _) in _SUBCOMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_line), name)
     return parser
 
 
+def _subparser(command: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand alone, with the same prog, help and
+    errors as that subparser of build_parser()."""
+    parser = _Parser(prog=f"{_PROG} {command}")
+    _add_arguments(parser, command)
+    parser.set_defaults(command=command)
+    return parser
+
+
+def _decode(command: str, tokens: list[str]) -> argparse.Namespace | None:
+    """The Namespace that the parser of `command` makes of `tokens`, built
+    without argparse, or None where the decoder leaves `tokens` to argparse.
+
+    It accepts positionals and exact ``--flag value`` pairs in any order,
+    with the declared converters and choices.  It returns None, and never
+    prints or raises, on anything else: -h, --, a bare -, an unknown,
+    abbreviated, =-joined or repeated flag, a flag with no value or with a
+    value that starts with -, a converter or choice failure, and a wrong
+    number of positionals.  An optional (nargs="?") positional is filled in
+    order, as argparse fills it when no flag splits the positionals; eval,
+    the one subcommand that has one, has no flags."""
+    _, handler, arguments = _SUBCOMMANDS[command]
+    flags: dict[str, str] = {}
+    words: list[str] = []
+    stream = iter(tokens)
+    for token in stream:
+        if token[:1] != "-" or _NEGATIVE_NUMBER.match(token):
+            words.append(token)
+            continue
+        value = next(stream, "-")  # a missing value defers as one that starts with -
+        if token in flags or value[:1] == "-":
+            return None
+        flags[token] = value
+    positionals = iter(words)
+    args = argparse.Namespace(command=command, handler=handler)
+    for name, keywords in arguments:
+        if name[0] == "-":
+            text = flags.pop(name, None)
+            dest = keywords.get("dest", name.lstrip("-").replace("-", "_"))
+        else:
+            text = next(positionals, None)
+            dest = name
+            if text is None and keywords.get("nargs") != "?":
+                return None
+        if text is None:
+            value = keywords.get("default")
+        else:
+            convert = keywords.get("type")
+            try:
+                value = convert(text) if convert else text  # type: ignore[operator]
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            choices = keywords.get("choices")
+            if choices is not None and value not in choices:  # type: ignore[operator]
+                return None
+        setattr(args, dest, value)
+    if flags or next(positionals, None) is not None:
+        return None
+    return args
+
+
 def _parse(argv: list[str]) -> tuple[argparse.Namespace, list[str]]:
-    """Parse argv with only the parser of the subcommand that argv[0] names.
-    It prints the same help and errors as that subparser of build_parser(),
-    at about a sixth of the cost of building build_parser().  Any other argv
-    (none, -h, an unknown word) goes through build_parser()."""
+    """Parse argv, building no parser for the ordinary success form of a
+    subcommand (see _decode).  Any other argv whose argv[0] names a
+    subcommand goes through that subcommand's parser alone, which prints the
+    same help and errors as the full parser at about a sixth of the cost of
+    building build_parser(); the rest (none, -h, an unknown word) goes
+    through build_parser()."""
     if argv and argv[0] in _SUBCOMMANDS:
-        parser = _Parser(prog=f"{_PROG} {argv[0]}")
-        _SUBCOMMANDS[argv[0]][1](parser)
-        parser.set_defaults(command=argv[0])
-        return parser.parse_known_args(argv[1:])
+        args = _decode(argv[0], argv[1:])
+        if args is not None:
+            return args, []
+        return _subparser(argv[0]).parse_known_args(argv[1:])
     return build_parser().parse_known_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     args, extra = _parse(sys.argv[1:] if argv is None else argv)
-    # Each handler is bound to its own subparser, so a usage error it raises
-    # prints that subcommand's usage line; so do extra arguments.  Output is
-    # exact, so the interpreter's int-to-str digit limit (Python 3.10.7 and
-    # later) is lifted while the handler runs.  The flush at the end makes a
-    # closed pipe raise here, not at interpreter exit.
+    # A usage error that a handler raises prints its subcommand's usage line;
+    # so do extra arguments.  Output is exact, so the interpreter's int-to-str
+    # digit limit (Python 3.10.7 and later) is lifted while the handler runs.
+    # The flush at the end makes a closed pipe raise here, not at interpreter
+    # exit.
     if extra:
-        args.handler.args[0].error(f"unrecognized arguments: {' '.join(extra)}")
+        _usage_error(args.command, f"unrecognized arguments: {' '.join(extra)}")
     set_limit = getattr(sys, "set_int_max_str_digits", None)
     old = sys.get_int_max_str_digits() if set_limit else None
     try:

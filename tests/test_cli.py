@@ -1,14 +1,20 @@
 """CLI behavior: golden outputs, formats, and the exit-code contract."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spreadpoly
 from spreadpoly import BiPoly, Z_METHODS, z_polynomial
+from spreadpoly.gf import GF_KINDS
 from spreadpoly.cli import main
 import spreadpoly.cli as cli_module
 from spreadpoly import sequences, verify
@@ -472,18 +478,138 @@ _PARSER_CASES = [
     ["triangle", "19", "--format", "csv"],
     ["series", "z_shifted", "11"],
     ["eval", "Z", "670", "-2/7", "-1/4"],
+    # What the decoder accepts in its own way (flags first, int() spellings)
+    # and each form it leaves to argparse.
+    ["gen", "--format", "json", "--method", "closed", "Z", "3"],
+    ["gen", "Z", "+4", "--method", "closed"],
+    ["triangle", " 5 ", "--format", "csv"],
+    ["series", "lucas", "1_0"],
+    ["verify", "cassini", "--max-n", "\u0663"],
+    ["gen", "Z", "30", "--format=json"],
+    ["gen", "Z", "3", "--format", "json", "--format", "text"],
+    ["gen", "Z", "3", "--format"],
+    ["gen", "Z", "3", "--method", "-x"],
+    ["gen", "Z", "3", "--method", "--format"],
+    ["gen", "Z", "3", "-h"],
+    ["gen", "Z"],
+    ["triangle", "-"],
+    ["triangle", "5", "-"],
+    ["triangle", "- 5"],
+    ["triangle", "5", "--format", ""],
+    ["series", "z_shifted", "3", "--fo=json"],
+    ["verify", "cassini", "--max-n=5"],
+    ["verify", "cassini", "--max-n", "-5"],
+    ["verify", "cassini", "--max-n", "5", "--max-n", "6"],
+    ["verify", "--max-n", "5"],
+    ["eval", "F", "3", "--", "1", "-3/-4"],
+    ["eval", "F", "3", "1", "-"],
+    ["eval", "F", "3", "1", "2", "--"],
 ]
 
 
 @pytest.mark.parametrize("argv", _PARSER_CASES, ids=" ".join)
 def test_subcommand_parser_matches_the_full_parser(argv, capsys, monkeypatch):
-    # main builds only the parser that argv[0] names; it must print and exit
-    # exactly as a parse through the whole of build_parser() does.
+    # main decodes argv without a parser, or builds only the parser that
+    # argv[0] names; either way it must print and exit exactly as a parse
+    # through the whole of build_parser() does.
     alone = run_cli(list(argv), capsys)
     monkeypatch.setattr(
         cli_module, "_parse", lambda args: cli_module.build_parser().parse_known_args(args)
     )
     assert run_cli(list(argv), capsys) == alone
+
+
+# The tokens argv is drawn from: subcommand words, the names each subcommand
+# chooses from, int() spellings, rational literals, option values and flags
+# in every form argparse treats specially.
+_NAMES = ["all", "Q", "catalan", *cli_module._FAMILIES, *GF_KINDS, *verify.SUITES]
+_INTS = ["3", "0", "7", "+4", "1_0", " 5 ", "\u0663", "-3", "1.5", "x", ""]
+_RATIONALS = ["1", "-3/-4", "1/2", "-1_0/3", "1/0", "-1e3", "\u0663/7"]
+_OPTION_VALUES = ["json", "text", "csv", "closed", "recurrence", "5", "-1", "nope", ""]
+_FLAGS = [
+    "--format", "--method", "--max-n", "--fo", "--max", "--format=json", "--max-n=5",
+    "--maxn", "-h", "--help", "--", "-",
+]
+_WORDS = list(cli_module._SUBCOMMANDS) + _NAMES + _INTS + _RATIONALS
+
+
+@st.composite
+def _argv(draw):
+    # Positionals of the usual kinds in order, sometimes one short or one
+    # too many, with flag items inserted anywhere, before them too.  Names,
+    # flags and option values lean to the ones the subcommand declares, so
+    # that a good share of argv is decoded: choices are weighted, so they come
+    # from a drawn Random rather than from Hypothesis's own integer draws.
+    rng = draw(st.randoms(use_true_random=True))
+    command = rng.choice(list(cli_module._SUBCOMMANDS))
+    arguments = cli_module._SUBCOMMANDS[command][2]
+    words = []
+    for name, keywords in arguments:
+        if not name.startswith("-"):
+            pool = _RATIONALS if name in ("x0", "s0") else _INTS
+            if "choices" in keywords:
+                pool = 3 * list(keywords["choices"]) + _NAMES
+            words.append(rng.choice(pool))
+    words = words[: len(words) - (rng.random() < 0.2)]
+    if rng.random() < 0.1:
+        words.append(rng.choice(_WORDS))
+    items = [[word] for word in words]
+    own = {name: keywords for name, keywords in arguments if name.startswith("-")}
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        flag = rng.choice(4 * list(own) + _FLAGS)
+        item = [flag]
+        if rng.random() < 0.9:
+            values = 3 * list(own.get(flag, {}).get("choices", ())) + _OPTION_VALUES
+            item.append(rng.choice(values))
+        items.insert(rng.randint(0, len(items)), item)
+    return [command, *(token for item in items for token in item)]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_argv())
+@example(["eval", "F", "3", "1", "-3/-4"])
+@example(["gen", "--format", "json", "Z", "\u0663"])
+@example(["verify", "all", "--max-n", " 5 "])
+def test_decoder_matches_the_full_parser(argv):
+    # Whenever the decoder accepts argv, build_parser() reads the same
+    # Namespace from it, with no extra arguments; accepting or not, the
+    # decoder prints nothing.
+    output = io.StringIO()
+    with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+        decoded = cli_module._decode(argv[0], argv[1:])
+    assert output.getvalue() == ""
+    if decoded is None:
+        return
+    with contextlib.redirect_stderr(output):
+        full, extra = cli_module.build_parser().parse_known_args(argv)
+    assert extra == []
+    assert vars(decoded) == vars(full)
+
+
+def test_workload_ops_build_no_parser(capsys, monkeypatch):
+    # One op of each kind that the benchmark workloads run is decoded: it
+    # exits 0 without constructing any ArgumentParser.  An =-joined flag is
+    # left to argparse, which constructs exactly one, its subcommand's.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (
+        ["gen", "Z", "25", "--method", "parity", "--format", "json"],
+        ["triangle", "19", "--format", "csv"],
+        ["series", "z_shifted", "11"],
+        ["verify", "cassini", "--max-n", "5"],
+        ["eval", "Z", "670", "-1/8", "1/4"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "") and out, argv
+    assert built == []
+    assert run_cli(["gen", "Z", "3", "--format=json"], capsys)[0] == 0
+    assert built == ["spreadpoly gen"]
 
 
 # -- entry point -------------------------------------------------------------------

@@ -298,6 +298,46 @@ def test_triangle_matches_fixture():
         assert tri.row(i) == tuple(row)
 
 
+def test_triangle_past_the_fixture_against_sympy(monkeypatch):
+    # The vendored fixture stops at row 10.  Rows 11-60 come from sympy's
+    # Chebyshev T, which shares nothing with the row kernel: the spread
+    # polynomial is S(n) = (1 - T_n(1 - 2x))/2, and c(n, k) is
+    # (-1)^(k-1) [x^k] S(n) / 4^(k-1).
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    expected = {}
+    for n in range(11, 61):
+        t_n = sympy.chebyshevt_poly(n, x, polys=True).compose(sympy.Poly(1 - 2 * x, x))
+        spread = (1 - t_n) * sympy.Rational(1, 2)
+        row = [
+            (-1) ** (k - 1) * _from_sympy(spread.coeff_monomial(x**k)) / 4 ** (k - 1)
+            for k in range(1, n + 1)
+        ]
+        assert all(c.denominator == 1 for c in row), n
+        expected[n] = [int(c) for c in row]
+
+    def mismatches():
+        rows = triangle(60).rows
+        assert [len(rows[n - 1]) for n in expected] == list(expected)
+        return [
+            (n, k)
+            for n, row in expected.items()
+            for k, c in enumerate(row, start=1)
+            if rows[n - 1][k - 1] != c
+        ]
+
+    assert mismatches() == []
+    # c(12, 5) off by one in the row kernel, where triangle() binds it, is
+    # caught at that entry alone.
+    c_row = sequences._c_row
+    monkeypatch.setattr(
+        sequences,
+        "_c_row",
+        lambda n: (c + ((n, k) == (12, 5)) for k, c in enumerate(c_row(n), start=1)),
+    )
+    assert mismatches() == [(12, 5)]
+
+
 # -- univariate families -------------------------------------------------------------
 
 
