@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .poly import BiPoly, _index
+from .poly import BiPoly, _add_product, _index
 
 __all__ = ["MalformedGF", "RationalGF", "GF_KINDS", "gf_of", "expand"]
 
@@ -63,14 +63,21 @@ def gf_of(kind: str) -> RationalGF:
 
 
 def expand(gf: RationalGF, N: int) -> list[BiPoly]:
-    """Coefficients a(0)..a(N) of the formal series N(z)/D(z), exactly."""
+    """Coefficients a(0)..a(N) of the formal series N(z)/D(z), exactly.
+
+    Each a(n) = N(n) - sum_j D(j) a(n-j) is added into one term map, a copy of
+    N(n), by the product loop that BiPoly multiplication runs, so the series
+    stays in dict arithmetic and shares no step with the packed ladders.
+    """
     _index(N, what="N")
     if not gf.denominator or gf.denominator[0] != BiPoly.one():
         raise MalformedGF("denominator must have constant term 1")
+    if not all(isinstance(p, BiPoly) for p in (*gf.numerator, *gf.denominator)):
+        raise TypeError("generating function coefficients must be BiPoly")
     out: list[BiPoly] = []
     for n in range(N + 1):
-        a_n = gf.numerator[n] if n < len(gf.numerator) else BiPoly.zero()
+        acc = dict(gf.numerator[n]._terms) if n < len(gf.numerator) else {}
         for j in range(1, min(n, len(gf.denominator) - 1) + 1):
-            a_n = a_n - gf.denominator[j] * out[n - j]
-        out.append(a_n)
+            _add_product(acc, gf.denominator[j], out[n - j], -1)
+        out.append(BiPoly._trusted(acc))
     return out

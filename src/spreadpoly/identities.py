@@ -220,7 +220,7 @@ def _value_at(p: UniPoly, point: _Shifts) -> int:
     coeffs = dict(p.terms())
     acc = 0
     for k in range(max(coeffs, default=-1), -1, -1):
-        acc = point * acc + coeffs.get(k, 0)
+        acc = point.add_to(coeffs.get(k, 0), acc)
     return acc
 
 

@@ -13,16 +13,19 @@ string.
 ``BiPoly`` and ``UniPoly`` share one sparse ring implementation that keys
 terms by ``(deg_x, deg_s)``; a ``UniPoly`` stores its terms as ``(k, 0)``.
 Both evaluate through one body, and ``compose`` and ``even_substitute`` are
-one Horner pass in x.  Only the public constructors validate their input.
-Operation results are canonical by construction and skip those checks.
+one Horner pass in x.  Every product runs one loop (``_add_product``), which
+adds p q into a term map, or subtracts it: ``gf.expand`` builds each series
+coefficient in one map through it.  Only the public constructors validate
+their input.  Operation results are canonical by construction and skip those
+checks.
 
 Beneath the ring sits a packing kernel for integer polynomials (Kronecker
 substitution): a ``UniPoly`` packs as its value at x = 2^W, a ``BiPoly`` as
 its value at (x, s) = (1, 2^W), one W-bit slot per degree in x or in s.  A
-weight packs as ``_Shifts``, which multiplies a packed int by shifts and small
-products.  Unpacking reads signed slots back with a bias, in linear time, and
-raises ArithmeticError rather than return digits that may not be the
-coefficients.
+weight packs as ``_Shifts``, whose one step adds weight * a into a running
+total by shifts, adds, subtracts and small products.  Unpacking reads signed
+slots back with a bias, in linear time, and raises ArithmeticError rather
+than return digits that may not be the coefficients.
 
 Whole rows of integer coefficients (of F, L and Z) run by exact ratios
 (``_ratio_row``): each entry is the one before times a small num/den, and a
@@ -159,20 +162,27 @@ def _fib_lucas_row(n: int, top: int) -> Iterator[int]:
 class _Shifts:
     """A packed weight sum_j c_j 2^(shift_j), applied to a packed int a as
     sum_j c_j (a << shift_j): linear in a, where one big-int product by the
-    weight's value would be a lopsided multiply."""
+    weight's value would be a lopsided multiply.
+
+    ``add_to`` is the one step: it adds weight * a into a running total, so a
+    ladder step, the Z[sqrt(D)] ladder and a Horner step build no product per
+    weight and no separate sum; ``weight * a`` is that step from 0."""
 
     __slots__ = ("_pairs",)
 
     def __init__(self, slot_sums: Mapping[int, int]) -> None:
-        self._pairs = tuple((c, shift) for shift, c in slot_sums.items() if c) or ((0, 0),)
+        self._pairs = tuple((c, shift) for shift, c in slot_sums.items() if c)
+
+    def add_to(self, total: int, a: int) -> int:
+        """total + weight * a, every term added into the one running total: a
+        coefficient of +1 or -1 is an add or a subtract, and shift 0 no shift."""
+        for c, shift in self._pairs:
+            term = a << shift if shift else a
+            total = total + term if c == 1 else total - term if c == -1 else total + c * term
+        return total
 
     def __mul__(self, a: int) -> int:
-        # A lone shift with c = 1, the common weight, costs one pass over a.
-        (c, shift), *rest = self._pairs
-        total = a << shift if c == 1 else c * (a << shift)
-        for c, shift in rest:
-            total += a << shift if c == 1 else c * (a << shift)
-        return total
+        return self.add_to(0, a)
 
     __rmul__ = __mul__
 
@@ -207,6 +217,22 @@ def _compensated_horner(coeffs: list[float], x: float) -> float:
         t = acc - p
         compensation = compensation * x + (err_prod + ((p - (acc - t)) + (c - t)))
     return acc + compensation
+
+
+def _add_product(
+    acc: dict[Key, Rat], p: _SparsePoly, q: _SparsePoly, sign: int = 1
+) -> dict[Key, Rat]:
+    """acc + sign p q, added into the term map acc term by term (zeros are left
+    for ``_trusted`` to drop): the ring's one product loop, and a subtract at
+    sign -1."""
+    if len(p) > len(q):
+        p, q = q, p
+    for (ax, asdeg), ac in p._terms.items():
+        ac *= sign
+        for (bx, bs), bc in q._terms.items():
+            key = (ax + bx, asdeg + bs)
+            acc[key] = acc.get(key, 0) + ac * bc
+    return acc
 
 
 class _SparsePoly:
@@ -299,15 +325,7 @@ class _SparsePoly:
             return self.scale(other)
         if not isinstance(other, type(self)):
             return NotImplemented
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
-        acc: dict[Key, Rat] = {}
-        for (ax, asdeg), ac in a.items():
-            for (bx, bs), bc in b.items():
-                key = (ax + bx, asdeg + bs)
-                acc[key] = acc.get(key, 0) + ac * bc
-        return self._trusted(acc)
+        return self._trusted(_add_product({}, self, other))
 
     __rmul__ = __mul__
 

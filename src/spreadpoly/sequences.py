@@ -26,9 +26,11 @@ Each recurrence route is a ladder, data (seeds, weights) for a(k) = w0 a(k-1)
 members, so no route keeps a list.  A route runs its ladder on packed ints
 (Kronecker substitution): a member packs as its value at (x, s) = (1, 2^W),
 one W-bit slot per s-degree, and T(n) as its value at x = 2^W; weights act as
-shifts.  No information is lost: F(n) and L(n) are weighted-homogeneous with
-dx + 2 ds = n - 1 and n, Z(n) with dx + ds = n, so the s-degree of a term
-fixes its x-degree.
+shifts (``poly._Shifts``).  A step adds each weighted member straight into one
+running total, a coefficient of +1 or -1 as an add or a subtract, so it builds
+no product per weight and no separate sum.  No information is lost: F(n) and
+L(n) are weighted-homogeneous with dx + 2 ds = n - 1 and n, Z(n) with
+dx + ds = n, so the s-degree of a term fixes its x-degree.
 
 A single-n builder and a sweep's stream (``_stream``) run the same route
 (``_ROUTES``): the builder at the width of member n, reading member n alone,
@@ -86,7 +88,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import count, islice
 from math import comb, factorial
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, TypeVar
 
 from .poly import (
     P,
@@ -151,18 +153,27 @@ _X, _S = BiPoly.x(), BiPoly.s()
 _FIB = ((BiPoly.zero(), BiPoly.one()), (_X, _S))
 _LUCAS = ((BiPoly.constant(2), _X), (_X, _S))
 _Z = ((BiPoly.zero(), _X, _X * _X + 4 * _S * _X), (_X + 3 * _S, -_S * (_X + 3 * _S), _S**3))
-# The int -1 is a scale, not a product by the constant polynomial.
-_CHEBYSHEV = ((UniPoly.one(), UniPoly.x()), (UniPoly({1: 2}), -1))
+_CHEBYSHEV = ((UniPoly.one(), UniPoly.x()), (UniPoly({1: 2}), UniPoly({0: -1})))
+M = TypeVar("M")  # a ladder member as a step sees it: a packed int or a pair
 
 
-def _ladder(seeds: tuple[P, ...], weights: tuple[P | int, ...]) -> Iterator[P]:
-    """a(0), a(1), ... of one ladder, holding only the last len(seeds) members."""
+def _ladder(
+    seeds: tuple[M, ...], weights: tuple[_Shifts | _RootD | _BothParts, ...]
+) -> Iterator[M]:
+    """a(0), a(1), ... of one ladder, holding only the last len(seeds) members.
+    A step starts its total at w0 a(k-1) and adds each further weight's term
+    into it (``add_to``), so the weights are packed ones: ``_Shifts`` on ints,
+    or the pair weights of ``_fib_surds``."""
     window = deque(seeds, maxlen=len(seeds))
     yield from seeds
+    first, *rest = weights
     while True:
-        terms = (w * a for w, a in zip(weights, reversed(window)))
-        window.append(sum(terms, next(terms)))
-        yield window[-1]
+        members = reversed(window)
+        total = first * next(members)
+        for w, a in zip(rest, members):
+            total = w.add_to(total, a)
+        window.append(total)
+        yield total
 
 
 def _windows(stream: Iterator[P], size: int) -> Iterator[tuple[P, ...]]:
@@ -173,14 +184,11 @@ def _windows(stream: Iterator[P], size: int) -> Iterator[tuple[P, ...]]:
         yield tuple(window)
 
 
-def _packed_ladder(ladder: tuple[tuple[P, ...], tuple[P | int, ...]], width: int) -> Iterator[int]:
+def _packed_ladder(ladder: tuple[tuple[P, ...], tuple[P, ...]], width: int) -> Iterator[int]:
     """A ladder run on ints: its seeds packed and its weights as shifts, in
     ``width``-bit slots."""
     seeds, weights = ladder
-    return _ladder(
-        tuple(a._packed(width) for a in seeds),
-        tuple(w if isinstance(w, int) else w._shifts(width) for w in weights),
-    )
+    return _ladder(tuple(a._packed(width) for a in seeds), tuple(w._shifts(width) for w in weights))
 
 
 # The sum of the absolute coefficients of member n (the width lemma above).
@@ -207,38 +215,40 @@ def _s_bound(n: int) -> int:
 # -- substitutions as evaluation points ----------------------------------------
 
 
-class _Surd(tuple):
-    """a + b sqrt(D) as the pair (a, b): an element of Z[sqrt(D)]."""
-
-    __slots__ = ()
-
-    def __add__(self, other: _Surd) -> _Surd:
-        return _Surd((self[0] + other[0], self[1] + other[1]))
+# An element a + b sqrt(D) of Z[sqrt(D)] is the pair (a, b).
+_Surd = tuple[int, int]
 
 
-class _SurdWeight(tuple):
-    """A weight on _Surd as (c, d): c times both parts, or, when c is None,
-    sqrt(D) with d the packed D, which maps a + b sqrt(D) to D b + a sqrt(D)."""
+class _RootD(tuple):
+    """sqrt(D) as a weight on pairs, (d,) with d the packed D: (a, b) -> (D b, a)."""
 
     __slots__ = ()
 
     def __mul__(self, z: _Surd) -> _Surd:
-        (c, d), (a, b) = self, z
-        return _Surd((d * b, a)) if c is None else _Surd((c * a, c * b))
+        return self[0] * z[1], z[0]
 
 
-def _fib_surds(d: _Shifts, minus_s: _Shifts | int) -> Iterator[_Surd]:
+class _BothParts(tuple):
+    """(c,) for a packed weight c on pairs: each part added into its running total."""
+
+    __slots__ = ()
+
+    def add_to(self, total: _Surd, z: _Surd) -> _Surd:
+        (c,) = self
+        return c.add_to(total[0], z[0]), c.add_to(total[1], z[1])
+
+
+def _fib_surds(d: _Shifts, minus_s: _Shifts) -> Iterator[_Surd]:
     """F(n)(sqrt(D), -s) for n = 0, 1, ...: the flipped Fibonacci ladder run in
     Z[sqrt(D)], with D and -s packed weights."""
-    seeds = (_Surd((0, 0)), _Surd((1, 0)))
-    return _ladder(seeds, (_SurdWeight((None, d)), _SurdWeight((minus_s, None))))
+    return _ladder(((0, 0), (1, 0)), (_RootD((d,)), _BothParts((minus_s,))))
 
 
 def _squared(z: _Surd, d: _Shifts) -> int:
     """z^2 for z = F(n)(sqrt(D), -s): the x-degrees of F(n) share one parity, so
     z is a or b sqrt(D) and its square a^2 + D b^2 is an int."""
     a, b = z
-    return a * a + d * (b * b)
+    return d.add_to(a * a, b * b)
 
 
 def _lift(width: int) -> _Shifts:
@@ -254,7 +264,7 @@ def _x_minus_4(width: int) -> _Shifts:
 def _l_at(x: _Shifts) -> Iterator[int]:
     """l(n) = L(n)(x, -1) for n = 0, 1, ..., at the int point that the packed
     weight x stands for."""
-    return _ladder((2, x * 1), (x, -1))
+    return _ladder((2, x * 1), (x, _Shifts({0: -1})))
 
 
 # -- routes: one packed ladder each ---------------------------------------------
@@ -348,7 +358,9 @@ _ROUTES = {
     ),
     ("zx", "via_l"): (0, lambda w: _l_at(_Shifts({0: 2, w: -1})), _z_bound, _zx_from_l),
     ("zx", "via_l2n"): (0, _lucas_evens, lambda n: _lucas_bound(2 * n), _zx_via_l2n),
-    ("zx", "from_bivariate"): (0, lambda w: _fib_surds(_x_minus_4(w), 1), _z_bound, _zx_from_surd),
+    ("zx", "from_bivariate"): (
+        0, lambda w: _fib_surds(_x_minus_4(w), _Shifts({0: 1})), _z_bound, _zx_from_surd
+    ),
     ("l", "recurrence"): (0, partial(_packed_ladder, _LUCAS), _lucas_bound, _l_from_lucas),
     ("t", "recurrence"): (
         0, partial(_packed_ladder, _CHEBYSHEV), _chebyshev_bound, UniPoly._unpacked

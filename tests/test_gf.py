@@ -6,6 +6,7 @@ from spreadpoly import (
     BiPoly,
     MalformedGF,
     RationalGF,
+    UniPoly,
     expand,
     fibonacci,
     gf_of,
@@ -98,3 +99,40 @@ def test_malformed_denominator_rejected():
         expand(bad, 3)
     with pytest.raises(ValueError):
         expand(gf_of("fibonacci"), -1)
+
+
+def test_mixed_polynomial_types_rejected():
+    # Every coefficient of N and D must be a BiPoly, also the ones a short
+    # expansion never reads: the series is added into BiPoly term maps.
+    one = BiPoly.one()
+    cases = [
+        RationalGF(numerator=(UniPoly.x(),), denominator=(one, -X)),
+        RationalGF(numerator=(X,), denominator=(one, -UniPoly.x())),
+        RationalGF(numerator=(X, UniPoly.one()), denominator=(one,)),
+    ]
+    for gf in cases:
+        for N in (0, 3):
+            with pytest.raises(TypeError):
+                expand(gf, N)
+
+
+def test_expand_leaves_its_input_unchanged():
+    # a(n) starts from a copy of N(n): lucas has a(1) = -x + x * 2 = x, which
+    # must not be written back into the numerator's -x.
+    gf = gf_of("lucas")
+    before = [dict(p.terms()) for p in (*gf.numerator, *gf.denominator)]
+    first = expand(gf, 6)
+    assert [dict(p.terms()) for p in (*gf.numerator, *gf.denominator)] == before
+    assert first[1] == X and gf.numerator[1] == -X
+    assert expand(gf, 6) == first
+
+
+def test_cancelled_coefficients_are_dropped():
+    # (1 + z) / (1 + z) = 1: every later a(n) cancels to the zero polynomial,
+    # which stores no term; so does the x^2 of x (1 + x z) / (1 + x z).
+    one = BiPoly.one()
+    out = expand(RationalGF(numerator=(one, one), denominator=(one, one)), 3)
+    assert out == [one, BiPoly.zero(), BiPoly.zero(), BiPoly.zero()]
+    assert [len(p) for p in out] == [1, 0, 0, 0]
+    out = expand(RationalGF(numerator=(X, X * X), denominator=(one, X)), 2)
+    assert [len(p) for p in out] == [1, 0, 0] and out[0] == X

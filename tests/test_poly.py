@@ -509,6 +509,25 @@ def test_shifts_multiply_as_the_packed_weight():
         assert a._packed(16) * weight._shifts(16) == (weight * a)._packed(16)
 
 
+signed_ints = st.one_of(st.just(0), st.integers(-(2**80), 2**80))
+shift_sums = st.dictionaries(
+    st.one_of(st.just(0), st.integers(0, 96)), st.sampled_from([-3, -1, 1, 2, 3]), max_size=4
+)
+
+
+@given(shift_sums, signed_ints, signed_ints)
+@example({}, 5, 7)
+@example({0: 1}, 0, -3)
+@example({0: -1, 8: 1, 16: -3, 24: 2, 32: 3}, -(2**70) + 1, 2**64)
+def test_shifts_add_to_is_the_shifted_sum(slot_sums, total, a):
+    # total + sum c (a << shift): +1 and -1 run as an add and a subtract,
+    # shift 0 as no shift, and the empty weight adds nothing.
+    weight = poly._Shifts(slot_sums)
+    expected = sum(c * (a << shift) for shift, c in slot_sums.items())
+    assert weight.add_to(total, a) == total + expected
+    assert weight * a == a * weight == expected
+
+
 def test_unpack_refuses_what_does_not_fit():
     # Explicit raises, so they hold under python -O.  A value one slot too
     # large, either sign, does not fit; the largest that fits does.

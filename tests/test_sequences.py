@@ -4,6 +4,7 @@ import contextlib
 import functools
 import io
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -390,6 +391,18 @@ def test_wildberger_spread_width_bound_is_exact():
         assert sequences._s_bound(n) == sum(sizes), n
 
 
+def polynomial_ladder(seeds, weights):
+    """a(0), a(1), ... of a ladder run on dict polynomials with the ring's own
+    product and sum, a(k) = w0 a(k-1) + w1 a(k-2) + ...: the oracle for the
+    packed kernel, which shares none of its arithmetic."""
+    window = list(seeds)
+    yield from window
+    while True:
+        terms = [w * a for w, a in zip(weights, reversed(window))]
+        window = [*window[1:], functools.reduce(operator.add, terms)]
+        yield window[-1]
+
+
 def test_substitution_formulas_are_the_builders():
     # The paper's substitutions, run with public ops on the members of the
     # defining ladders, themselves run on dict polynomials, not packed.  No
@@ -397,8 +410,8 @@ def test_substitution_formulas_are_the_builders():
     # packed ladder runs at.
     x, s = BiPoly.x(), BiPoly.s()
     lift = x + 4 * s
-    fib = list(islice(sequences._ladder(*sequences._FIB), 101))
-    luc = list(islice(sequences._ladder(*sequences._LUCAS), 101))
+    fib = list(islice(polynomial_ladder(*sequences._FIB), 101))
+    luc = list(islice(polynomial_ladder(*sequences._LUCAS), 101))
     for n in [*range(41), 100]:
         flipped = BiPoly({(dx, ds): c * (-1) ** ds for (dx, ds), c in fib[n].terms()})
         z = x * (flipped * flipped).even_substitute(lift)  # x F(n)(u, -s)^2, u^2 -> x + 4s
@@ -506,7 +519,7 @@ PACKED_ROUTES = {route: build for route, build in STREAMED_ROUTES.items() if rou
 def test_packed_member_is_the_polynomial_ladder_member(name):
     # Covers n = 0, 1, 2 and the signed ladders (flipped F, T).
     ladder, packed, _ = PACKED_LADDERS[name]
-    members = list(islice(sequences._ladder(*ladder), 301))
+    members = list(islice(polynomial_ladder(*ladder), 301))
     for n in [*range(61), 300]:
         assert packed(n) == members[n], (name, n)
 
@@ -520,7 +533,7 @@ def test_member_lists_are_the_polynomial_ladders(members, ladder):
     # The lists that sweeps and checks read are the packed recurrence routes;
     # the ladder run on dict polynomials is their oracle.
     for m in (0, 1, 2, 200):
-        assert members(m) == list(islice(sequences._ladder(*ladder), m + 1)), m
+        assert members(m) == list(islice(polynomial_ladder(*ladder), m + 1)), m
 
 
 @pytest.mark.parametrize("name", sorted(PACKED_LADDERS))
@@ -528,7 +541,7 @@ def test_width_bound_covers_every_coefficient(name):
     # The bound is the exact sum of the absolute coefficients, so no slot
     # holds more than it.
     ladder, _, bound = PACKED_LADDERS[name]
-    for n, member in enumerate(islice(sequences._ladder(*ladder), 201)):
+    for n, member in enumerate(islice(polynomial_ladder(*ladder), 201)):
         sizes = [abs(c) for _, c in member.terms()]
         assert bound(n) == sum(sizes) >= max(sizes, default=0), (name, n)
 

@@ -20,7 +20,7 @@ from spreadpoly import (
     univariate_l,
     z_polynomial,
 )
-from spreadpoly import identities, poly, sequences, verify
+from spreadpoly import gf, identities, poly, sequences, verify
 from spreadpoly.identities import compare_polynomials
 
 N = 15
@@ -277,3 +277,33 @@ def test_term_sum_over_sweep_tables_is_evaluate(build, n, spare, x0, s0):
     degrees = range(n + spare + 1)
     (px, den_x), (ps, den_s) = poly._scaled_powers(x0, degrees), poly._scaled_powers(s0, degrees)
     assert Fraction(member._term_sum(px, ps), den_x * den_s) == member.evaluate(x0, s0)
+
+
+def test_series_and_ladders_share_no_accumulate(monkeypatch):
+    # gf compares the dict-arithmetic series with the packed ladders (the
+    # z_shifted denominator is exactly the Z ladder's weights).  A skew of
+    # the packed accumulate, +1 in the lowest slot of every total it returns,
+    # must show: were the series run through it too, both sides would move
+    # together and agree.
+    add_to = poly._Shifts.add_to
+    monkeypatch.setattr(poly._Shifts, "add_to", lambda self, total, a: add_to(self, total, a) + 1)
+    assert not verify.SUITES["gf"](10).ok
+
+
+def test_series_and_ladders_share_no_product_loop(monkeypatch):
+    # The series subtracts D(j) a(n-j) through the ring's product loop, which
+    # BiPoly multiplication also runs (on its add path); no packed ladder runs
+    # it.  A skew of the subtract path alone fails gf and leaves every route
+    # of cross_method in agreement.
+    add_product = poly._add_product
+
+    def skewed(acc, p, q, sign=1):
+        add_product(acc, p, q, sign)
+        if sign < 0:
+            acc[0, 0] = acc.get((0, 0), 0) + 1
+        return acc
+
+    monkeypatch.setattr(poly, "_add_product", skewed)
+    monkeypatch.setattr(gf, "_add_product", skewed)
+    assert not verify.SUITES["gf"](10).ok
+    assert verify.SUITES["cross_method"](N).ok
