@@ -15,8 +15,9 @@ because triangle entries outgrow 64-bit integers quickly.
 Each subcommand's arguments are declared once, in ``_SUBCOMMANDS``.  A call
 whose argv is the ordinary success form (positionals and exact ``--flag
 value`` pairs that convert) is decoded from that table without building any
-argparse parser; every other argv, and every usage error, goes through
-argparse, which alone writes help, usage and error text.
+argparse parser; every other argv, and every usage error, goes through the
+one full parser of ``build_parser()``, so argparse alone writes help, usage
+and error text.
 """
 
 from __future__ import annotations
@@ -146,9 +147,10 @@ def _dump(obj: object) -> str:
 
 
 def _usage_error(command: str, message: str) -> NoReturn:
-    """Exit 2 with `message` under the usage line of `command`, whose parser
-    is built only now: the decoded path builds none until it is needed."""
-    _subparser(command).error(message)
+    """Exit 2 with `message` under the usage line of `command`, written by
+    that subcommand's parser in build_parser(), which is built only now: the
+    decoded path builds none until it is needed."""
+    build_parser().commands[command].error(message)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -240,6 +242,8 @@ _NEGATIVE_NUMBER = re.compile(r"^-\d")
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, argparse.ArgumentParser]  # set by build_parser()
+
     # The stock negative-number matcher is assigned per instance, hence the
     # override.
     def __init__(self, *args: object, **kwargs: object) -> None:
@@ -250,8 +254,8 @@ class _Parser(argparse.ArgumentParser):
 _FORMATS = ("text", "json")
 
 # Subcommand -> (help line, handler, arguments).  Each argument is declared
-# once, as its name or flag and the keywords of add_argument; both the parsers
-# and _decode read it from here.
+# once, as its name or flag and the keywords of add_argument; both
+# build_parser() and _decode read it from here.
 _SUBCOMMANDS: dict[
     str,
     tuple[str, Callable[[argparse.Namespace], int], tuple[tuple[str, dict[str, object]], ...]],
@@ -303,34 +307,21 @@ _SUBCOMMANDS: dict[
     ),
 }
 
-_PROG = "spreadpoly"
 
-
-def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
-    _, handler, arguments = _SUBCOMMANDS[command]
-    for name, keywords in arguments:
-        parser.add_argument(name, **keywords)  # type: ignore[arg-type]
-    parser.set_defaults(handler=handler)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The whole command line: the top-level parser and every subcommand's."""
+def build_parser() -> _Parser:
+    """The whole command line: the top-level parser and every subcommand's,
+    which it keeps by name in ``commands``."""
     parser = _Parser(
-        prog=_PROG,
+        prog="spreadpoly",
         description="Exact spread / Fibonacci / Lucas polynomial toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (help_line, _, _) in _SUBCOMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_line), name)
-    return parser
-
-
-def _subparser(command: str) -> argparse.ArgumentParser:
-    """The parser of one subcommand alone, with the same prog, help and
-    errors as that subparser of build_parser()."""
-    parser = _Parser(prog=f"{_PROG} {command}")
-    _add_arguments(parser, command)
-    parser.set_defaults(command=command)
+    for name, (help_line, handler, arguments) in _SUBCOMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for flag, keywords in arguments:
+            command.add_argument(flag, **keywords)  # type: ignore[arg-type]
+        command.set_defaults(handler=handler)
+    parser.commands = sub.choices
     return parser
 
 
@@ -388,16 +379,11 @@ def _decode(command: str, tokens: list[str]) -> argparse.Namespace | None:
 
 def _parse(argv: list[str]) -> tuple[argparse.Namespace, list[str]]:
     """Parse argv, building no parser for the ordinary success form of a
-    subcommand (see _decode).  Any other argv whose argv[0] names a
-    subcommand goes through that subcommand's parser alone, which prints the
-    same help and errors as the full parser at about a sixth of the cost of
-    building build_parser(); the rest (none, -h, an unknown word) goes
-    through build_parser()."""
+    subcommand (see _decode); any other argv goes through build_parser()."""
     if argv and argv[0] in _SUBCOMMANDS:
         args = _decode(argv[0], argv[1:])
         if args is not None:
             return args, []
-        return _subparser(argv[0]).parse_known_args(argv[1:])
     return build_parser().parse_known_args(argv)
 
 

@@ -35,7 +35,9 @@ the witness of a failure.
 
 The members are integer polynomials, as every family's are.  When the values
 differ, the polynomial comparison builds the witness; if it finds both sides
-equal, the integer decision is broken and ArithmeticError is raised.
+equal, the integer decision is broken and ArithmeticError is raised.  A
+bivariate member that is neither zero nor homogeneous of its degree leaves no
+values to compare, and the polynomial comparison decides alone.
 """
 
 from __future__ import annotations
@@ -131,9 +133,10 @@ def _agree(
     return CheckResult(name, f"n={n}")
 
 
-def _failed(result: CheckResult) -> CheckResult:
-    """The polynomial route's result for a check whose values differed."""
-    if result.passed:
+def _failed(result: CheckResult, compared: bool = True) -> CheckResult:
+    """The polynomial route's result for a check whose values differed, or
+    for one whose members left no values to compare (``compared`` false)."""
+    if result.passed and compared:
         raise ArithmeticError(
             f"{result.name} {result.range}: the values differ but the polynomials agree"
         )
@@ -236,7 +239,7 @@ def check_cassini(n: int, members: Sequence[BiPoly] = ()) -> CheckResult:
     before, mid, after = members
     lhs = mid * mid - before * after
     rhs = BiPoly.monomial(_sign(n - 1), 0, n - 1)
-    return _failed(compare_polynomials("cassini", f"n={n}", n, lhs, rhs))
+    return _failed(compare_polynomials("cassini", f"n={n}", n, lhs, rhs), packed is not None)
 
 
 def check_z_cassini(n: int, members: Sequence[BiPoly] = ()) -> CheckResult:
@@ -251,7 +254,8 @@ def check_z_cassini(n: int, members: Sequence[BiPoly] = ()) -> CheckResult:
     before, mid, after = members
     lhs = before * after
     inner = mid - BiPoly.monomial(1, 1, n - 1)
-    return _failed(compare_polynomials("z_cassini", f"n={n}", n, lhs, inner * inner))
+    result = compare_polynomials("z_cassini", f"n={n}", n, lhs, inner * inner)
+    return _failed(result, packed is not None)
 
 
 def check_lucas_binomial(n: int, parity: str, members: Sequence[BiPoly] = ()) -> CheckResult:
@@ -283,7 +287,8 @@ def check_lucas_binomial(n: int, parity: str, members: Sequence[BiPoly] = ()) ->
         rhs = BiPoly.monomial(1, top, 0) + BiPoly.monomial(_sign(n) * comb(top, n), 0, n)
     else:
         rhs = BiPoly.monomial(1, top, 0)
-    return _failed(compare_polynomials(f"lucas_binomial_{parity}", f"n={n}", n, total, rhs))
+    result = compare_polynomials(f"lucas_binomial_{parity}", f"n={n}", n, total, rhs)
+    return _failed(result, packed is not None)
 
 
 def check_z_binomial(n: int, members: Sequence[BiPoly] = ()) -> CheckResult:
@@ -304,9 +309,8 @@ def check_z_binomial(n: int, members: Sequence[BiPoly] = ()) -> CheckResult:
     total = BiPoly.zero()
     for j in range(n + 1):
         total = total + BiPoly.monomial(_sign(j) * comb(2 * n, j), 0, j) * z[n - j]
-    return _failed(
-        compare_polynomials("z_binomial", f"n={n}", n, total, BiPoly.monomial(1, n, 0))
-    )
+    result = compare_polynomials("z_binomial", f"n={n}", n, total, BiPoly.monomial(1, n, 0))
+    return _failed(result, packed is not None)
 
 
 def check_symmetry(n: int, members: Sequence[UniPoly | BiPoly] = ()) -> CheckResult:

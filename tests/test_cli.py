@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -274,6 +275,41 @@ def test_eval_result_size_bound(capsys, monkeypatch):
     assert "bits" in err and str(cli_module._EVAL_MAX_BITS) in err
 
 
+# -- usage errors that a handler raises -----------------------------------------
+
+# Each call of _usage_error: argv and the message it must print.
+_HANDLER_USAGE_ERRORS = [
+    (
+        ["gen", "Z", "3", "--method", "nope"],
+        "family Z accepts methods recurrence, closed, via_lucas, via_fib, parity; got 'nope'",
+    ),
+    (
+        ["gen", "T", "3", "--method", "recurrence"],
+        "family T has a single construction; drop --method",
+    ),
+    (["gen", "L", "0", "--method", "from_fib"], "from_fib references F(n-1) and needs n >= 1"),
+    (["eval", "Z", "3", "1"], "family Z is bivariate; supply both x0 and s0"),
+    (["eval", "T", "3", "1", "2"], "family T is univariate; supply x0 only"),
+    (
+        ["eval", "T", str(10**30), "9"],
+        f"T({10**30}) at this point may need up to "
+        f"{sequences.point_bits_bound(10**30, Fraction(9), 0)} bits, above the limit of 1048576",
+    ),
+    (["gen", "Z", "3", "extra"], "unrecognized arguments: extra"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", _HANDLER_USAGE_ERRORS, ids=[" ".join(a) for a, _ in _HANDLER_USAGE_ERRORS]
+)
+def test_handler_usage_errors_are_exact(argv, message, capsys):
+    # Exit 2, nothing on stdout, and on stderr exactly what the subcommand's
+    # parser writes: its usage, then the message under its prog.
+    usage = cli_module.build_parser().commands[argv[0]].format_usage()
+    expected = f"{usage}spreadpoly {argv[0]}: error: {message}\n"
+    assert run_cli(argv, capsys) == (2, "", expected)
+
+
 # -- series ---------------------------------------------------------------------
 
 
@@ -509,9 +545,9 @@ _PARSER_CASES = [
 
 @pytest.mark.parametrize("argv", _PARSER_CASES, ids=" ".join)
 def test_subcommand_parser_matches_the_full_parser(argv, capsys, monkeypatch):
-    # main decodes argv without a parser, or builds only the parser that
-    # argv[0] names; either way it must print and exit exactly as a parse
-    # through the whole of build_parser() does.
+    # main decodes argv without a parser, or leaves it to build_parser();
+    # either way it must print and exit exactly as a parse through the whole
+    # of build_parser() does.
     alone = run_cli(list(argv), capsys)
     monkeypatch.setattr(
         cli_module, "_parse", lambda args: cli_module.build_parser().parse_known_args(args)
@@ -589,7 +625,8 @@ def test_decoder_matches_the_full_parser(argv):
 def test_workload_ops_build_no_parser(capsys, monkeypatch):
     # One op of each kind that the benchmark workloads run is decoded: it
     # exits 0 without constructing any ArgumentParser.  An =-joined flag is
-    # left to argparse, which constructs exactly one, its subcommand's.
+    # left to argparse: build_parser() constructs the one full parser, the
+    # top-level one and then every subcommand's.
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -609,7 +646,7 @@ def test_workload_ops_build_no_parser(capsys, monkeypatch):
         assert (code, err) == (0, "") and out, argv
     assert built == []
     assert run_cli(["gen", "Z", "3", "--format=json"], capsys)[0] == 0
-    assert built == ["spreadpoly gen"]
+    assert built == ["spreadpoly", *(f"spreadpoly {name}" for name in cli_module._SUBCOMMANDS)]
 
 
 # -- entry point -------------------------------------------------------------------

@@ -23,6 +23,8 @@ from spreadpoly import (
     check_z_cassini,
     compare_polynomials,
     fibonacci,
+    lucas,
+    z_polynomial,
 )
 from spreadpoly import (
     QuadExt,
@@ -401,6 +403,80 @@ def test_differing_values_on_equal_polynomials_raise(monkeypatch):
     for check in (check_chebyshev_bala, check_l_doubling):
         with pytest.raises(ArithmeticError, match="the values differ"):
             check(3)
+
+
+# check -> (n, parity, its members at n, the member that gets a stray term,
+# and the sign of the top member in the left side minus the right).  Cassini
+# reads F(1) = 1 at n = 2 and z_cassini is given Z(0) = 1 at n = 1, so that
+# each top member enters its identity with a unit coefficient.
+_STRAY = {
+    "check_cassini": (2, (), lambda: [fibonacci(k) for k in (1, 2, 3)], 1, -1),
+    "check_z_cassini": (1, (), lambda: [BiPoly.one(), z_polynomial(1), z_polynomial(2)], 1, 1),
+    "check_lucas_binomial even": (2, ("even",), lambda: [lucas(k) for k in range(5)], 2, 1),
+    "check_lucas_binomial odd": (2, ("odd",), lambda: [lucas(k) for k in range(6)], 3, 1),
+    "check_z_binomial": (3, (), lambda: [z_polynomial(k) for k in range(4)], 1, 1),
+}
+
+
+@pytest.mark.parametrize("check", _STRAY, ids=_STRAY)
+def test_non_homogeneous_members_are_decided_by_their_polynomials(check):
+    # A constant added to a member of positive degree leaves it
+    # weighted-homogeneous of no degree, so no values are compared: the
+    # polynomials decide alone, and an identity that holds passes rather than
+    # raising.  One more on the top member breaks it, for the witness that
+    # the reference sides give.
+    n, parity, build, stray, sign = _STRAY[check]
+    name = check.split()[0]
+    members = build()
+    members[stray] = members[stray] + 7
+    _, [(lhs, rhs)] = _sides(name, n, members, *parity)
+    members[-1] = members[-1] + sign * (rhs - lhs)
+    _, [(lhs, rhs)] = _sides(name, n, members, *parity)
+    assert lhs == rhs
+    checked = getattr(identities, name)
+    assert checked(n, *parity, members).passed
+    members[-1] = members[-1] + 1
+    result = checked(n, *parity, members)
+    assert not result.passed
+    assert result == _reference(name, n, *parity, members)
+
+
+def test_even_lucas_binomial_witness():
+    # A skew of L(2) by s keeps it homogeneous, so the values are compared
+    # and differ, and the even right side x^(2n) + (-s)^n C(2n, n) goes into
+    # the witness.
+    for n in (1, 2, 3):
+        members = [lucas(k) for k in range(2 * n + 1)]
+        members[2] = members[2] + BiPoly.s()
+        result = check_lucas_binomial(n, "even", members)
+        assert result == _reference("check_lucas_binomial", n, "even", members)
+        assert not result.passed and result.witness[0] == n
+
+
+def test_trig_witness(monkeypatch):
+    # Zx(n) one too high deviates by 1 at every angle.
+    zx = identities.spread_z_univariate
+    monkeypatch.setattr(identities, "spread_z_univariate", lambda n, method: zx(n, method) + 1)
+    assert check_trig(4) == CheckResult(
+        "trig", "n=4", (4, "max deviation 1.000e+00", "tolerance 1e-09")
+    )
+    # The tolerance itself is a deviation too large.
+    monkeypatch.setattr(identities, "_trig_deviation", lambda n: identities._TRIG_TOL)
+    assert check_trig(4).witness == (4, "max deviation 1.000e-09", "tolerance 1e-09")
+
+
+def test_chebyshev_divisibility_witness():
+    # 2 T(3) + 2 x^2: coefficient 2 of x^2 is not divisible by 2^2, so
+    # 2 T(3)(y/2) is not an integer polynomial, and the witness names that.
+    members = (
+        identities.chebyshev_t(3) + UniPoly({2: 1}),
+        identities.univariate_l(3),
+        identities.spread_z_univariate(3, method="via_l"),
+        identities.z_polynomial(3),
+    )
+    assert check_chebyshev_bala(3, members) == CheckResult(
+        "chebyshev_bala", "n=3", (3, "8*x^3 + 2*x^2 - 6*x", "coefficient k divisible by 2^k")
+    )
 
 
 def _homogeneous(degree, s_weight, coefficient):

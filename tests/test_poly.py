@@ -256,6 +256,14 @@ def test_even_substitute_odd_degree_rejected():
         BiPoly({(3, 0): 1}).even_substitute(X)
 
 
+@pytest.mark.parametrize("target", [UniPoly.x(), 2], ids=["UniPoly", "int"])
+def test_even_substitute_rejects_a_target_of_another_class(target):
+    # A UniPoly target is refused before any ring operation could mix the
+    # two classes, and an int before it could act as a constant polynomial.
+    with pytest.raises(TypeError, match="^substitution target must be a BiPoly$"):
+        BiPoly({(2, 0): 1}).even_substitute(target)
+
+
 @given(bipolys)
 def test_even_substitute_round_trip(h):
     doubled = BiPoly({(2 * dx, ds): c for (dx, ds), c in h.terms()})
@@ -308,6 +316,12 @@ def test_weighted_degree_errors():
 def test_compose_identity():
     p = UniPoly({3: 2, 1: -1, 0: 5})
     assert p.compose(UniPoly.x()) == p
+
+
+@pytest.mark.parametrize("target", [BiPoly.x(), 2], ids=["BiPoly", "int"])
+def test_compose_rejects_a_target_of_another_class(target):
+    with pytest.raises(TypeError, match="^composition target must be a UniPoly$"):
+        UniPoly({2: 1, 0: 1}).compose(target)
 
 
 def test_compose_hand_cases():
