@@ -23,8 +23,11 @@ the witness of a failure.
   [-2^(W-1), 2^(W-1)) are unique: once every |c_j| < 2^(W-1), the value is 0
   exactly when the polynomial is.  |c_j| is bounded from the members' own
   absolute coefficient sums, as sum|a| sum|b| bounds every coefficient of a
-  product a b, and W is the ``_slot_width`` of that bound.  A sweep packs its
-  members once (``_pack``), at the width of the largest bound of its checks.
+  product a b, and W is the ``_slot_width`` of that bound.  These four checks
+  read members by index, ``members[k]`` being F(k), L(k) or Z(k), and raise
+  ValueError when the members stop short of the highest index read.  A sweep
+  packs its list once (``_pack``), at the width of the largest bound of its
+  checks, and hands that same packing to every check.
 * Univariate (the Chebyshev/Bala route and l(2n) = l(n)(x^2 - 2)).  Both sides
   are evaluated at X = 2^W by Horner's scheme, the point x + 2, -x, 2x or
   x^2 - 2 applied as shift-adds.  The coefficients of p(x + 2) and
@@ -144,19 +147,9 @@ def _failed(result: CheckResult, compared: bool = True) -> CheckResult:
 
 
 class _Packed(tuple):
-    """Bivariate members that iterate as the polynomials themselves and carry,
-    for each, its ``weighted_degree`` under ``weights`` (None when zero), its
-    absolute coefficient sum and its value at (x, s) = (1, 2^width).  A slice
-    keeps the packing, so a sweep packs each member once."""
-
-    def __getitem__(self, key):
-        item = tuple.__getitem__(self, key)
-        if not isinstance(key, slice):
-            return item
-        part = tuple.__new__(_Packed, item)
-        part.weights, part.width = self.weights, self.width
-        part.degrees, part.sums, part.values = self.degrees[key], self.sums[key], self.values[key]
-        return part
+    """Bivariate members that iterate and index as the polynomials themselves
+    and carry, for each, its ``weighted_degree`` under ``weights`` (None when
+    zero), its absolute coefficient sum and its value at (x, s) = (1, 2^width)."""
 
 
 def _pack(
@@ -181,7 +174,11 @@ def _packed_for(
 ) -> _Packed | None:
     """The members packed at a width that fits ``bound``, a sweep's packing
     when it does, or None when member k is neither zero nor
-    weighted-homogeneous of degree ``degrees[k]``."""
+    weighted-homogeneous of degree ``degrees[k]``.  ValueError when the
+    members stop short of the highest index k."""
+    last = max(degrees)
+    if len(members) <= last:
+        raise ValueError(f"the check reads member {last}, but was given {len(members)} members")
     packed = members
     if not (
         isinstance(packed, _Packed)
@@ -194,14 +191,12 @@ def _packed_for(
     return None
 
 
-def _cassini_bound(sums: Sequence[int]) -> int:
-    before, mid, after = sums
-    return mid * mid + before * after + 1
+def _cassini_bound(n: int, sums: Sequence[int]) -> int:
+    return sums[n] ** 2 + sums[n - 1] * sums[n + 1] + 1
 
 
-def _z_cassini_bound(sums: Sequence[int]) -> int:
-    before, mid, after = sums
-    return before * after + (mid + 1) ** 2
+def _z_cassini_bound(n: int, sums: Sequence[int]) -> int:
+    return sums[n - 1] * sums[n + 1] + (sums[n] + 1) ** 2
 
 
 def _lucas_binomial_bound(n: int, top: int, sums: Sequence[int]) -> int:
@@ -228,30 +223,40 @@ def _value_at(p: UniPoly, point: _Shifts) -> int:
 
 
 def check_cassini(n: int, members: Sequence[BiPoly] = ()) -> CheckResult:
-    """F(n)^2 - F(n-1)*F(n+1) = (-s)^(n-1), exactly; members (F(n-1), F(n), F(n+1))."""
+    """F(n)^2 - F(n-1)*F(n+1) = (-s)^(n-1), exactly.
+
+    members[k] is F(k), for k up to at least n + 1, as in the binomial
+    checks; it is no longer the window (F(n-1), F(n), F(n+1)).
+    """
     _index(n, 1)
-    members = members or _fib_list(n + 1)[n - 1 :]
-    packed = _packed_for(members, (1, 2), _cassini_bound, {0: n - 2, 1: n - 1, 2: n})
+    fib = members or _fib_list(n + 1)
+    degrees = {n - 1: n - 2, n: n - 1, n + 1: n}
+    packed = _packed_for(fib, (1, 2), lambda sums: _cassini_bound(n, sums), degrees)
     if packed is not None:
-        before, mid, after = packed.values
+        before, mid, after = packed.values[n - 1 : n + 2]
         if mid * mid - before * after == _sign(n - 1) << packed.width * (n - 1):
             return CheckResult("cassini", f"n={n}")
-    before, mid, after = members
+    before, mid, after = fib[n - 1 : n + 2]
     lhs = mid * mid - before * after
     rhs = BiPoly.monomial(_sign(n - 1), 0, n - 1)
     return _failed(compare_polynomials("cassini", f"n={n}", n, lhs, rhs), packed is not None)
 
 
 def check_z_cassini(n: int, members: Sequence[BiPoly] = ()) -> CheckResult:
-    """Z(n-1)*Z(n+1) = (Z(n) - s^(n-1)*x)^2, exactly; members (Z(n-1), Z(n), Z(n+1))."""
+    """Z(n-1)*Z(n+1) = (Z(n) - s^(n-1)*x)^2, exactly.
+
+    members[k] is Z(k), for k up to at least n + 1, as in the binomial
+    checks; it is no longer the window (Z(n-1), Z(n), Z(n+1)).
+    """
     _index(n, 1)
-    members = members or _z_list(n + 1)[n - 1 :]
-    packed = _packed_for(members, (1, 1), _z_cassini_bound, {0: n - 1, 1: n, 2: n + 1})
+    z = members or _z_list(n + 1)
+    degrees = {n - 1: n - 1, n: n, n + 1: n + 1}
+    packed = _packed_for(z, (1, 1), lambda sums: _z_cassini_bound(n, sums), degrees)
     if packed is not None:
-        before, mid, after = packed.values
+        before, mid, after = packed.values[n - 1 : n + 2]
         if before * after == (mid - (1 << packed.width * (n - 1))) ** 2:
             return CheckResult("z_cassini", f"n={n}")
-    before, mid, after = members
+    before, mid, after = z[n - 1 : n + 2]
     lhs = before * after
     inner = mid - BiPoly.monomial(1, 1, n - 1)
     result = compare_polynomials("z_cassini", f"n={n}", n, lhs, inner * inner)

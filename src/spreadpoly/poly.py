@@ -428,13 +428,11 @@ class _SparsePoly:
 
         Descending x-degree then descending s-degree; coefficient 1 and
         exponent 1 are elided; signs are explicit.  ``max_terms`` truncates
-        long polynomials for display.
+        long polynomials for display, to at least one term.
         """
-        if not self._terms:
-            return "0"
         keys = sorted(self._terms, reverse=True)
         truncated = 0
-        if max_terms is not None and len(keys) > max_terms:
+        if max_terms is not None and len(keys) > _index(max_terms, 1, "max_terms"):
             truncated = len(keys) - max_terms
             keys = keys[:max_terms]
         out: list[str] = []
@@ -455,7 +453,7 @@ class _SparsePoly:
                 out.append(f"-{body}" if c < 0 else body)
         if truncated:
             out.append(f"+ ... ({truncated} more terms)")
-        return " ".join(out)
+        return " ".join(out) or "0"
 
     def __str__(self) -> str:
         return self.render()

@@ -527,7 +527,7 @@ class Triangle(_TriangleRows):
         return cls(*iterable)
 
     def row(self, n: int) -> tuple[int, ...]:
-        if not 1 <= n <= len(self.rows):
+        if _index(n, 1, "row index") > len(self.rows):
             raise ValueError(f"row index {n} outside 1..{len(self.rows)}")
         return self.rows[n - 1]
 

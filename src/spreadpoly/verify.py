@@ -9,15 +9,16 @@ A sweep runs each route's ladder once, for n = 0..max_n, and hands every
 check the members it streamed (``sequences._stream``), so a sweep to N takes
 O(N) ladder steps.  A stream runs the same packed ladder as the route's
 single-n builder, the code ``gen`` runs, at the slot width of the largest
-index the sweep reads: max_n, max_n + 1 for the Cassini windows, 2 max_n
-for ``doubling``'s l(2n) and 2 max_n + 1 for ``lucas_binomial``.  A suite
-that reads members by index takes them as a list of the F, L or Z
-``recurrence`` stream (``_fib_list``, ``_lucas_list``, ``_z_list``), so every
-suite checks the members ``gen`` builds.  Every route has a stream of its
-own, started from its own seeds: two routes never share a generator, which
-keeps their agreement a cross-validation.  The Cassini and binomial sweeps
-also pack their members once (``identities._pack``), at the one width that
-fits every check's bound, and hand each check the packed members.
+index the sweep reads: max_n, max_n + 1 for the Cassini checks' a(n + 1),
+2 max_n for ``doubling``'s l(2n) and 2 max_n + 1 for ``lucas_binomial``.
+The four bivariate suites (Cassini and binomial) read members by index, from
+a list of the F, L or Z ``recurrence`` stream (``_fib_list``,
+``_lucas_list``, ``_z_list``), so every suite checks the members ``gen``
+builds.  Every route has a stream of its own, started from its own seeds:
+two routes never share a generator, which keeps their agreement a
+cross-validation.  Each bivariate sweep packs its list once
+(``_pack_once``), at the one width that fits every check's bound, and hands
+that same packing to every check.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .identities import (
     _TRIG_SAMPLES,
     _TRIG_TOL,
     CheckResult,
+    _Packed,
     _cassini_bound,
     _lucas_binomial_bound,
     _pack,
@@ -119,25 +121,23 @@ def _from_one(*streams: Iterable) -> Iterable[tuple]:
     return islice(zip(*streams), 1, None)
 
 
-def _packed_windows(
-    members: list[BiPoly], weights: tuple[int, int], bound: Callable[[list[int]], int]
-) -> Iterable[tuple]:
-    """The windows (a(n-1), a(n), a(n+1)) for n = 1..len(members) - 2, the
-    members packed once at the width that ``bound`` fits on every window."""
-    count = len(members) - 2
-    packed = _pack(members, weights, lambda sums: max(bound(sums[k : k + 3]) for k in range(count)))
-    return (packed[k : k + 3] for k in range(count))
+def _pack_once(
+    members: list[BiPoly],
+    weights: tuple[int, int],
+    bound: Callable[[int, list[int]], int],
+    ns: Iterable[int],
+) -> _Packed:
+    """The members packed once, at the width that ``bound`` fits at every n of
+    ``ns``, for the checks of all those n to share."""
+    return _pack(members, weights, lambda sums: max(bound(n, sums) for n in ns))
 
 
 def _suite_lucas_binomial(max_n: int) -> SuiteReport:
-    lucas_polys = _pack(
+    lucas_polys = _pack_once(
         _lucas_list(2 * max_n + 1),
         (1, 2),
-        lambda sums: max(
-            _lucas_binomial_bound(n, top, sums)
-            for n in range(max_n + 1)
-            for top in (2 * n, 2 * n + 1)
-        ),
+        lambda n, sums: max(_lucas_binomial_bound(n, top, sums) for top in (2 * n, 2 * n + 1)),
+        range(max_n + 1),
     )
     return _collect(
         "lucas_binomial",
@@ -332,26 +332,20 @@ SUITES: dict[str, Callable[[int], SuiteReport]] = {
         "cassini",
         check_cassini,
         max_n,
-        _packed_windows(_fib_list(max_n + 1), (1, 2), _cassini_bound),
+        repeat(_pack_once(_fib_list(max_n + 1), (1, 2), _cassini_bound, range(1, max_n + 1))),
     ),
     "z_cassini": lambda max_n: _suite_each_n(
         "z_cassini",
         check_z_cassini,
         max_n,
-        _packed_windows(_z_list(max_n + 1), (1, 1), _z_cassini_bound),
+        repeat(_pack_once(_z_list(max_n + 1), (1, 1), _z_cassini_bound, range(1, max_n + 1))),
     ),
     "lucas_binomial": _suite_lucas_binomial,
     "z_binomial": lambda max_n: _suite_each_n(
         "z_binomial",
         check_z_binomial,
         max_n,
-        repeat(
-            _pack(
-                _z_list(max_n),
-                (1, 1),
-                lambda sums: max(_z_binomial_bound(n, sums) for n in range(1, max_n + 1)),
-            )
-        ),
+        repeat(_pack_once(_z_list(max_n), (1, 1), _z_binomial_bound, range(1, max_n + 1))),
     ),
     "symmetry": lambda max_n: _suite_each_n(
         "symmetry",

@@ -547,7 +547,11 @@ _PARSER_CASES = [
 def test_subcommand_parser_matches_the_full_parser(argv, capsys, monkeypatch):
     # main decodes argv without a parser, or leaves it to build_parser();
     # either way it must print and exit exactly as a parse through the whole
-    # of build_parser() does.
+    # of build_parser() does.  Only an argv that _decode accepts compares two
+    # paths here: one that it declines takes build_parser() on both runs, so
+    # for it this pins only that main prints and exits the same way twice.
+    # (The name predates the one full parser; no per-subcommand parser is
+    # left to compare.)
     alone = run_cli(list(argv), capsys)
     monkeypatch.setattr(
         cli_module, "_parse", lambda args: cli_module.build_parser().parse_known_args(args)

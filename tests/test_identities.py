@@ -181,6 +181,7 @@ _INDEXED = {
     "binet_lucas": lambda n: binet_lucas(n, 1, 1),
     "binet_z": lambda n: binet_z(n, 1, 1),
     "triangle": triangle,
+    "Triangle.row": lambda n: triangle(3).row(n),
     "coefficient_c_n": lambda n: coefficient_c(n, 1),
     "coefficient_c_k": lambda n: coefficient_c(1, n),
     "expand": lambda n: expand(gf_of("fibonacci"), n),
@@ -222,10 +223,10 @@ def _sides(name, n, members, parity=None):
     """The check's name and its pairs of sides as polynomials, built as the
     checks built them before they were decided on integers."""
     if name == "check_cassini":
-        before, mid, after = members
+        before, mid, after = members[n - 1 : n + 2]
         return "cassini", [(mid * mid - before * after, BiPoly.monomial((-1) ** (n - 1), 0, n - 1))]
     if name == "check_z_cassini":
-        before, mid, after = members
+        before, mid, after = members[n - 1 : n + 2]
         inner = mid - BiPoly.monomial(1, 1, n - 1)
         return "z_cassini", [(before * after, inner * inner)]
     if name == "check_lucas_binomial":
@@ -261,8 +262,8 @@ def _reference(check, n, *args):
 
 # The members a check builds for itself when called with n alone.
 _ALONE = {
-    "check_cassini": lambda n: identities._fib_list(n + 1)[n - 1 :],
-    "check_z_cassini": lambda n: identities._z_list(n + 1)[n - 1 :],
+    "check_cassini": lambda n: identities._fib_list(n + 1),
+    "check_z_cassini": lambda n: identities._z_list(n + 1),
     "check_lucas_binomial": lambda n, parity: identities._lucas_list(2 * n + (parity == "odd")),
     "check_z_binomial": lambda n: identities._z_list(n),
     "check_chebyshev_bala": lambda n: (
@@ -393,9 +394,9 @@ def test_differing_values_on_equal_polynomials_raise(monkeypatch):
     # A sweep's packing with one value off: the values differ, the
     # polynomials agree, so the integer decision is broken.  An explicit
     # raise, so it also holds under python -O.
-    members = [fibonacci(k) for k in (3, 4, 5)]
-    packed = identities._pack(members, (1, 2), identities._cassini_bound)
-    packed.values[1] += 1
+    members = [fibonacci(k) for k in range(6)]
+    packed = identities._pack(members, (1, 2), lambda sums: identities._cassini_bound(4, sums))
+    packed.values[4] += 1
     with pytest.raises(ArithmeticError, match=r"cassini n=4: the values differ"):
         check_cassini(4, packed)
     value_at = identities._value_at
@@ -405,12 +406,39 @@ def test_differing_values_on_equal_polynomials_raise(monkeypatch):
             check(3)
 
 
+# check -> (n, parity, members that stop one short of the highest index the
+# check reads at n).  An old-style Cassini window (a(n-1), a(n), a(n+1)) at
+# n >= 2 is such a list.
+_SHORT = {
+    "check_cassini": (3, (), lambda: [fibonacci(2), fibonacci(3)], 4),
+    "check_cassini window": (3, (), lambda: [fibonacci(k) for k in (2, 3, 4)], 4),
+    "check_z_cassini window": (2, (), lambda: [z_polynomial(k) for k in (1, 2, 3)], 3),
+    "check_lucas_binomial even": (3, ("even",), lambda: [lucas(k) for k in range(3)], 6),
+    "check_lucas_binomial odd": (3, ("odd",), lambda: [lucas(k) for k in range(7)], 7),
+    "check_z_binomial": (3, (), lambda: [z_polynomial(0), z_polynomial(1)], 3),
+}
+
+
+@pytest.mark.parametrize("check", _SHORT, ids=_SHORT)
+def test_too_few_members_raise_a_clean_error(check):
+    n, parity, build, last = _SHORT[check]
+    members = build()
+    checked = getattr(identities, check.split()[0])
+    message = f"^the check reads member {last}, but was given {len(members)} members$"
+    with pytest.raises(ValueError, match=message):
+        checked(n, *parity, members)
+    # Packed as a sweep packs them, they are still too few.
+    weights = (1, 1) if "z_" in check else (1, 2)
+    with pytest.raises(ValueError, match=message):
+        checked(n, *parity, identities._pack(members, weights, lambda sums: 0))
+
+
 # check -> (n, parity, its members at n, the member that gets a stray term,
 # and the sign of the top member in the left side minus the right).  Cassini
 # reads F(1) = 1 at n = 2 and z_cassini is given Z(0) = 1 at n = 1, so that
 # each top member enters its identity with a unit coefficient.
 _STRAY = {
-    "check_cassini": (2, (), lambda: [fibonacci(k) for k in (1, 2, 3)], 1, -1),
+    "check_cassini": (2, (), lambda: [fibonacci(k) for k in range(4)], 2, -1),
     "check_z_cassini": (1, (), lambda: [BiPoly.one(), z_polynomial(1), z_polynomial(2)], 1, 1),
     "check_lucas_binomial even": (2, ("even",), lambda: [lucas(k) for k in range(5)], 2, 1),
     "check_lucas_binomial odd": (2, ("odd",), lambda: [lucas(k) for k in range(6)], 3, 1),

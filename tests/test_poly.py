@@ -468,6 +468,17 @@ def test_render_truncation():
     p = BiPoly({(k, 0): 1 for k in range(10)})
     text = p.render(max_terms=4)
     assert "(6 more terms)" in text
+    assert (BiPoly.x() + BiPoly.s()).render(max_terms=1) == "x + ... (1 more terms)"
+    assert (BiPoly.x() + BiPoly.s()).render(max_terms=2) == "x + s"
+    assert UniPoly.zero().render(max_terms=1) == "0"
+
+
+@pytest.mark.parametrize("max_terms", [0, -1, True, 1.0])
+def test_render_rejects_max_terms_below_one(max_terms):
+    # Truncating to no terms would print only "+ ... (n more terms)".
+    for p in (BiPoly.x(), BiPoly.x() + BiPoly.s(), BiPoly.zero(), UniPoly.x()):
+        with pytest.raises(ValueError, match=r"^max_terms must be an integer >= 1, got "):
+            p.render(max_terms=max_terms)
 
 
 # -- value semantics ---------------------------------------------------------------

@@ -280,8 +280,11 @@ def test_triangle_validation():
         triangle(0)
     with pytest.raises(ValueError):
         Triangle(rows=((1,), (4,)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^row index 4 outside 1\.\.3$"):
         triangle(3).row(4)
+    for n in (0, -1, 1.0, True):
+        with pytest.raises(ValueError, match=r"^row index must be an integer >= 1, got "):
+            triangle(3).row(n)
 
 
 def test_triangle_replace_checks_its_rows():

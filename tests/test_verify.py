@@ -27,14 +27,8 @@ N = 15
 
 # Per-n suite -> (its check, the members check n reads, by single-n builders).
 PER_N = {
-    "cassini": (
-        "check_cassini",
-        lambda n: (fibonacci(n - 1), fibonacci(n), fibonacci(n + 1)),
-    ),
-    "z_cassini": (
-        "check_z_cassini",
-        lambda n: (z_polynomial(n - 1), z_polynomial(n), z_polynomial(n + 1)),
-    ),
+    "cassini": ("check_cassini", lambda n: [fibonacci(k) for k in range(n + 2)]),
+    "z_cassini": ("check_z_cassini", lambda n: [z_polynomial(k) for k in range(n + 2)]),
     "z_binomial": ("check_z_binomial", lambda n: [z_polynomial(k) for k in range(n + 1)]),
     "symmetry": (
         "check_symmetry",
@@ -70,7 +64,7 @@ def _recording(check, calls):
 
 
 def _same_members(streamed, built):
-    # A binomial check reads a prefix of the list its sweep holds.
+    # A bivariate check reads a prefix of the list its sweep holds.
     if isinstance(built, list):
         return list(streamed[: len(built)]) == built
     return tuple(streamed) == built
@@ -102,6 +96,34 @@ def test_lucas_binomial_sweep_hands_each_check_its_own_members(monkeypatch):
         assert _same_members(members, [lucas(k) for k in range(top + 1)]), (n, parity)
     standalone = [check(n, parity) for n, parity in expected]
     assert report == verify._collect("lucas_binomial", report.detail, standalone)
+
+
+_BIVARIATE = {
+    "cassini": "check_cassini",
+    "z_cassini": "check_z_cassini",
+    "lucas_binomial": "check_lucas_binomial",
+    "z_binomial": "check_z_binomial",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_BIVARIATE))
+def test_bivariate_sweep_packs_its_list_once_for_every_check(suite, monkeypatch):
+    # One _pack call in the whole sweep, in verify or in a check, and every
+    # check is handed that very packing.
+    name = _BIVARIATE[suite]
+    calls, packings = [], []
+    pack = identities._pack
+
+    def recorded_pack(*args):
+        packings.append(pack(*args))
+        return packings[-1]
+
+    monkeypatch.setattr(verify, "_pack", recorded_pack)
+    monkeypatch.setattr(identities, "_pack", recorded_pack)
+    monkeypatch.setattr(verify, name, _recording(getattr(identities, name), calls))
+    assert verify.SUITES[suite](N).ok
+    assert len(packings) == 1
+    assert calls and all(args[-1] is packings[0] for args in calls)
 
 
 def test_cross_method_matches_single_n_builders():
