@@ -223,11 +223,8 @@ def _value_at(p: UniPoly, point: _Shifts) -> int:
 
 
 def check_cassini(n: int, members: Sequence[BiPoly] = ()) -> CheckResult:
-    """F(n)^2 - F(n-1)*F(n+1) = (-s)^(n-1), exactly.
-
-    members[k] is F(k), for k up to at least n + 1, as in the binomial
-    checks; it is no longer the window (F(n-1), F(n), F(n+1)).
-    """
+    """F(n)^2 - F(n-1)*F(n+1) = (-s)^(n-1), exactly; members[k] is F(k), k <= n + 1
+    at least, as in the binomial checks (no longer the window around F(n))."""
     _index(n, 1)
     fib = members or _fib_list(n + 1)
     degrees = {n - 1: n - 2, n: n - 1, n + 1: n}
@@ -243,11 +240,8 @@ def check_cassini(n: int, members: Sequence[BiPoly] = ()) -> CheckResult:
 
 
 def check_z_cassini(n: int, members: Sequence[BiPoly] = ()) -> CheckResult:
-    """Z(n-1)*Z(n+1) = (Z(n) - s^(n-1)*x)^2, exactly.
-
-    members[k] is Z(k), for k up to at least n + 1, as in the binomial
-    checks; it is no longer the window (Z(n-1), Z(n), Z(n+1)).
-    """
+    """Z(n-1)*Z(n+1) = (Z(n) - s^(n-1)*x)^2, exactly; members[k] is Z(k), k <= n + 1
+    at least, as in the binomial checks (no longer the window around Z(n))."""
     _index(n, 1)
     z = members or _z_list(n + 1)
     degrees = {n - 1: n - 1, n: n, n + 1: n + 1}

@@ -98,19 +98,11 @@ def test_lucas_binomial_sweep_hands_each_check_its_own_members(monkeypatch):
     assert report == verify._collect("lucas_binomial", report.detail, standalone)
 
 
-_BIVARIATE = {
-    "cassini": "check_cassini",
-    "z_cassini": "check_z_cassini",
-    "lucas_binomial": "check_lucas_binomial",
-    "z_binomial": "check_z_binomial",
-}
-
-
-@pytest.mark.parametrize("suite", sorted(_BIVARIATE))
+@pytest.mark.parametrize("suite", ["cassini", "lucas_binomial", "z_binomial", "z_cassini"])
 def test_bivariate_sweep_packs_its_list_once_for_every_check(suite, monkeypatch):
     # One _pack call in the whole sweep, in verify or in a check, and every
     # check is handed that very packing.
-    name = _BIVARIATE[suite]
+    name = f"check_{suite}"
     calls, packings = [], []
     pack = identities._pack
 
