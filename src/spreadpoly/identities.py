@@ -9,9 +9,11 @@ sweep streams once for all n from one generator per route
 (``spreadpoly.verify``); called with n alone, the check builds them itself.
 The identity body is the same either way.
 
-The six polynomial identities are decided on integers, each side's value at
-one packing point; the polynomials are multiplied and composed only to write
-the witness of a failure.
+Each of the six polynomial identities is stated once, as a function of its
+members and of the ring operations it needs (``_bivariate``,
+``_univariate``).  Run on each side's value at one packing point, that
+function decides the check; run on the polynomials, only when the values
+differ, it writes the witness of a failure.
 
 * Bivariate (Cassini for F and Z, the binomial sums of L and Z).  F(k) is
   weighted-homogeneous of degree k - 1 and L(k) of degree k under the weights
@@ -29,12 +31,13 @@ the witness of a failure.
   packs its list once (``_pack``), at the width of the largest bound of its
   checks, and hands that same packing to every check.
 * Univariate (the Chebyshev/Bala route and l(2n) = l(n)(x^2 - 2)).  Both sides
-  are evaluated at X = 2^W by Horner's scheme, the point x + 2, -x, 2x or
-  x^2 - 2 applied as shift-adds.  The coefficients of p(x + 2) and
-  p(x^2 - 2) are bounded by |p|(3), those of p(-x) and p(2x) by |p|(1) and
-  |p|(2), |p| having p's absolute coefficients; with W the width of twice the
-  largest bound, every coefficient of a difference fits a slot, so equal
-  values mean equal polynomials.
+  are evaluated at X = 2^W by Horner's scheme, each point x + 2, -x, 2x or
+  x^2 - 2 a UniPoly applied as the shift-adds of its packed weight.  The
+  coefficients of p(x + 2) and p(x^2 - 2) are bounded by |p|(3), those of
+  p(-x) and p(2x) by |p|(1) and |p|(2), |p| having p's absolute
+  coefficients; with W the width of twice the largest bound, every
+  coefficient of a difference fits a slot, so equal values mean equal
+  polynomials.
 
 The members are integer polynomials, as every family's are.  When the values
 differ, the polynomial comparison builds the witness; if it finds both sides
@@ -84,6 +87,11 @@ WITNESS_TERM_LIMIT = 40
 # The float spot check's sample count and its bound on the deviation.
 _TRIG_SAMPLES = 100
 _TRIG_TOL = 1e-9
+
+# The points r at which the univariate identities read their members, p(r(x)).
+_X_PLUS_2, _MINUS_X, _TWO_X, _X2_MINUS_2 = (
+    UniPoly({1: 1, 0: 2}), UniPoly({1: -1}), UniPoly({1: 2}), UniPoly({2: 1, 0: -2})
+)
 
 
 class CheckResult(NamedTuple):
@@ -222,39 +230,46 @@ def _value_at(p: UniPoly, point: _Shifts) -> int:
     return acc
 
 
+def _bivariate(
+    name: str, n: int, members: Sequence[BiPoly], weights: tuple[int, int],
+    bound: Callable[[list[int]], int], degrees: dict[int, int], sides: Callable[..., tuple],
+) -> CheckResult:
+    """The check of the identity ``sides(a, s, x)``, its two sides from the
+    members a, the products s(c, p, j) = c p s^j and the powers x(k) = x^k:
+    decided on the packed values, where s^j is a shift by W j and x is 1, and
+    built from the polynomials when those differ or cannot be compared."""
+    packed = _packed_for(members, weights, bound, degrees)
+    if packed is not None:
+        width = packed.width
+        lhs, rhs = sides(packed.values, lambda c, p, j: c * p << width * j, lambda k: 1)
+        if lhs == rhs:
+            return CheckResult(name, f"n={n}")
+    pair = sides(
+        members, lambda c, p, j: BiPoly.monomial(c, 0, j) * p, lambda k: BiPoly.monomial(1, k, 0)
+    )
+    return _failed(_agree(name, n, [pair]), packed is not None)
+
+
 def check_cassini(n: int, members: Sequence[BiPoly] = ()) -> CheckResult:
     """F(n)^2 - F(n-1)*F(n+1) = (-s)^(n-1), exactly; members[k] is F(k), k <= n + 1
     at least, as in the binomial checks (no longer the window around F(n))."""
     _index(n, 1)
-    fib = members or _fib_list(n + 1)
-    degrees = {n - 1: n - 2, n: n - 1, n + 1: n}
-    packed = _packed_for(fib, (1, 2), lambda sums: _cassini_bound(n, sums), degrees)
-    if packed is not None:
-        before, mid, after = packed.values[n - 1 : n + 2]
-        if mid * mid - before * after == _sign(n - 1) << packed.width * (n - 1):
-            return CheckResult("cassini", f"n={n}")
-    before, mid, after = fib[n - 1 : n + 2]
-    lhs = mid * mid - before * after
-    rhs = BiPoly.monomial(_sign(n - 1), 0, n - 1)
-    return _failed(compare_polynomials("cassini", f"n={n}", n, lhs, rhs), packed is not None)
+    return _bivariate(
+        "cassini", n, members or _fib_list(n + 1), (1, 2), lambda sums: _cassini_bound(n, sums),
+        {n - 1: n - 2, n: n - 1, n + 1: n},
+        lambda a, s, x: (a[n] * a[n] - a[n - 1] * a[n + 1], s(_sign(n - 1), 1, n - 1)),
+    )
 
 
 def check_z_cassini(n: int, members: Sequence[BiPoly] = ()) -> CheckResult:
     """Z(n-1)*Z(n+1) = (Z(n) - s^(n-1)*x)^2, exactly; members[k] is Z(k), k <= n + 1
     at least, as in the binomial checks (no longer the window around Z(n))."""
     _index(n, 1)
-    z = members or _z_list(n + 1)
-    degrees = {n - 1: n - 1, n: n, n + 1: n + 1}
-    packed = _packed_for(z, (1, 1), lambda sums: _z_cassini_bound(n, sums), degrees)
-    if packed is not None:
-        before, mid, after = packed.values[n - 1 : n + 2]
-        if before * after == (mid - (1 << packed.width * (n - 1))) ** 2:
-            return CheckResult("z_cassini", f"n={n}")
-    before, mid, after = z[n - 1 : n + 2]
-    lhs = before * after
-    inner = mid - BiPoly.monomial(1, 1, n - 1)
-    result = compare_polynomials("z_cassini", f"n={n}", n, lhs, inner * inner)
-    return _failed(result, packed is not None)
+    return _bivariate(
+        "z_cassini", n, members or _z_list(n + 1), (1, 1), lambda sums: _z_cassini_bound(n, sums),
+        {n - 1: n - 1, n: n, n + 1: n + 1},
+        lambda a, s, x: (a[n - 1] * a[n + 1], (a[n] - s(1, x(1), n - 1)) ** 2),
+    )
 
 
 def check_lucas_binomial(n: int, parity: str, members: Sequence[BiPoly] = ()) -> CheckResult:
@@ -269,25 +284,15 @@ def check_lucas_binomial(n: int, parity: str, members: Sequence[BiPoly] = ()) ->
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     _index(n)
     top = 2 * n if parity == "even" else 2 * n + 1
-    lucas_polys = members or _lucas_list(top)
-    degrees = {k: k for k in range(top, top - 2 * n - 1, -2)}
-    packed = _packed_for(
-        lucas_polys, (1, 2), lambda sums: _lucas_binomial_bound(n, top, sums), degrees
+    return _bivariate(
+        f"lucas_binomial_{parity}", n, members or _lucas_list(top), (1, 2),
+        lambda sums: _lucas_binomial_bound(n, top, sums),
+        {k: k for k in range(top, top - 2 * n - 1, -2)},
+        lambda a, s, x: (
+            sum(s(_sign(j) * comb(top, j), a[top - 2 * j], j) for j in range(n + 1)),
+            x(top) + (s(_sign(n) * comb(top, n), 1, n) if parity == "even" else 0),
+        ),
     )
-    if packed is not None:
-        values, width = packed.values, packed.width
-        total = sum(_sign(j) * comb(top, j) * values[top - 2 * j] << width * j for j in range(n + 1))
-        if total == 1 + (_sign(n) * comb(top, n) << width * n if parity == "even" else 0):
-            return CheckResult(f"lucas_binomial_{parity}", f"n={n}")
-    total = BiPoly.zero()
-    for j in range(n + 1):
-        total = total + BiPoly.monomial(_sign(j) * comb(top, j), 0, j) * lucas_polys[top - 2 * j]
-    if parity == "even":
-        rhs = BiPoly.monomial(1, top, 0) + BiPoly.monomial(_sign(n) * comb(top, n), 0, n)
-    else:
-        rhs = BiPoly.monomial(1, top, 0)
-    result = compare_polynomials(f"lucas_binomial_{parity}", f"n={n}", n, total, rhs)
-    return _failed(result, packed is not None)
 
 
 def check_z_binomial(n: int, members: Sequence[BiPoly] = ()) -> CheckResult:
@@ -297,19 +302,14 @@ def check_z_binomial(n: int, members: Sequence[BiPoly] = ()) -> CheckResult:
     x^0 = 1, so that boundary index is excluded rather than reinterpreted.
     """
     _index(n, 1)
-    z = members or _z_list(n)
-    degrees = {k: k for k in range(n + 1)}
-    packed = _packed_for(z, (1, 1), lambda sums: _z_binomial_bound(n, sums), degrees)
-    if packed is not None:
-        values, width = packed.values, packed.width
-        total = sum(_sign(j) * comb(2 * n, j) * values[n - j] << width * j for j in range(n + 1))
-        if total == 1:
-            return CheckResult("z_binomial", f"n={n}")
-    total = BiPoly.zero()
-    for j in range(n + 1):
-        total = total + BiPoly.monomial(_sign(j) * comb(2 * n, j), 0, j) * z[n - j]
-    result = compare_polynomials("z_binomial", f"n={n}", n, total, BiPoly.monomial(1, n, 0))
-    return _failed(result, packed is not None)
+    return _bivariate(
+        "z_binomial", n, members or _z_list(n), (1, 1), lambda sums: _z_binomial_bound(n, sums),
+        {k: k for k in range(n + 1)},
+        lambda a, s, x: (
+            sum(s(_sign(j) * comb(2 * n, j), a[n - j], j) for j in range(n + 1)),
+            x(n),
+        ),
+    )
 
 
 def check_symmetry(n: int, members: Sequence[UniPoly | BiPoly] = ()) -> CheckResult:
@@ -379,6 +379,20 @@ def check_trig(n: int) -> CheckResult:
     return failure("trig", f"n={n}", n, f"max deviation {worst:.3e}", f"tolerance {_TRIG_TOL:g}")
 
 
+def _univariate(name: str, n: int, bound: int, sides: Callable[..., list]) -> CheckResult:
+    """The check of the identity ``sides(at)``, its pairs of sides from members
+    p, each read as at(p) = p or at(p, r) = p(r(x)): decided on the values at
+    X = 2^W, W the width of twice ``bound``, where r(X) is a packed weight,
+    and built from the polynomials when those differ."""
+    width = _slot_width(2 * bound)
+    pairs = sides(
+        lambda p, r=None: p._packed(width) if r is None else _value_at(p, r._shifts(width))
+    )
+    if all(lhs == rhs for lhs, rhs in pairs):
+        return CheckResult(name, f"n={n}")
+    return _failed(_agree(name, n, sides(lambda p, r=None: p if r is None else p.compose(r))))
+
+
 def check_chebyshev_bala(n: int, members: Sequence[UniPoly | BiPoly] = ()) -> CheckResult:
     """The Chebyshev route to the same polynomials.
 
@@ -407,27 +421,13 @@ def check_chebyshev_bala(n: int, members: Sequence[UniPoly | BiPoly] = ()) -> Ch
         _abs_at(doubled, 1),
         _abs_at(ln, 2),
     )
-    width = _slot_width(2 * bound)
-    plus_2 = _Shifts({width: 1, 0: 2})
-    base = _value_at(halved, plus_2) - 2
-    links = (
-        _value_at(ln, plus_2) - 2,
-        -_value_at(zx, _Shifts({width: -1})),
-        at_1._packed(width),
-    )
-    if all(link == base for link in links) and (
-        doubled._packed(width) == _value_at(ln, _Shifts({width + 1: 1}))
-    ):
-        return CheckResult("chebyshev_bala", f"n={n}")
-    shifted = UniPoly({1: 1, 0: 2})
-    base, *links = (
-        halved.compose(shifted) - 2,
-        ln.compose(shifted) - 2,
-        -zx.compose(UniPoly({1: -1})),
-        at_1,
-    )
-    pairs = [(base, link) for link in links] + [(doubled, ln.compose(UniPoly({1: 2})))]
-    return _failed(_agree("chebyshev_bala", n, pairs))
+
+    def sides(at: Callable[..., UniPoly | int]) -> list[tuple]:
+        base = at(halved, _X_PLUS_2) - 2
+        links = (at(ln, _X_PLUS_2) - 2, -at(zx, _MINUS_X), at(at_1))
+        return [(base, link) for link in links] + [(at(doubled), at(ln, _TWO_X))]
+
+    return _univariate("chebyshev_bala", n, bound, sides)
 
 
 def check_l_doubling(n: int, members: Sequence[UniPoly] = ()) -> CheckResult:
@@ -443,10 +443,7 @@ def check_l_doubling(n: int, members: Sequence[UniPoly] = ()) -> CheckResult:
         spread_z_univariate(n, method="via_l"),
     )
     bound = max(_abs_at(doubled, 1), _abs_at(ln, 3), _abs_at(zx_l2n, 1), _abs_at(zx_l, 1))
-    width = _slot_width(2 * bound)
-    if doubled._packed(width) == _value_at(ln, _Shifts({2 * width: 1, 0: -2})) and (
-        zx_l2n._packed(width) == zx_l._packed(width)
-    ):
-        return CheckResult("l_doubling", f"n={n}")
-    pairs = [(doubled, ln.compose(UniPoly({2: 1, 0: -2}))), (zx_l2n, zx_l)]
-    return _failed(_agree("l_doubling", n, pairs))
+    return _univariate(
+        "l_doubling", n, bound,
+        lambda at: [(at(doubled), at(ln, _X2_MINUS_2)), (at(zx_l2n), at(zx_l))],
+    )

@@ -52,7 +52,7 @@ from .identities import (
     compare_polynomials,
     failure,
 )
-from .poly import BiPoly, _scaled_powers
+from .poly import BiPoly, _index, _scaled_powers
 from .sequences import (
     FIBONACCI_METHODS,
     LUCAS_METHODS,
@@ -323,6 +323,12 @@ def _suite_gf(max_n: int) -> SuiteReport:
     return _collect("gf", f"series coefficients 0..{max_n}", run())
 
 
+def _guarded(sweep: Callable[[int], SuiteReport]) -> Callable[[int], SuiteReport]:
+    """``sweep``, run only for a max_n that is an int (never a bool) of at
+    least 1, else ValueError."""
+    return lambda max_n: sweep(_index(max_n, 1, "max_n"))
+
+
 # Every suite by name, in the order ``verify all`` runs them.  The per-n
 # suites name their check inside a lambda, so the check is looked up in this
 # module when the suite runs and a patched check_* takes effect.  Each builds
@@ -381,3 +387,6 @@ SUITES: dict[str, Callable[[int], SuiteReport]] = {
     "binet": _suite_binet,
     "gf": _suite_gf,
 }
+
+# One guard on max_n, shared by every sweep, in this same dict.
+SUITES.update({name: _guarded(sweep) for name, sweep in SUITES.items()})

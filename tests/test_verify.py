@@ -118,6 +118,25 @@ def test_bivariate_sweep_packs_its_list_once_for_every_check(suite, monkeypatch)
     assert calls and all(args[-1] is packings[0] for args in calls)
 
 
+def test_passing_sweeps_decide_every_packed_check_on_integers(monkeypatch):
+    # A check that falls back to its polynomials prints the same report, so
+    # only a count of the fallbacks shows that its packed route was skipped
+    # (say, by a wrong degree in its degree map).
+    failed = identities._failed
+    calls = []
+    monkeypatch.setattr(identities, "_failed", lambda *args: calls.append(args) or failed(*args))
+    for suite in ("cassini", "z_cassini", "lucas_binomial", "z_binomial", "chebyshev", "doubling"):
+        assert verify.SUITES[suite](54).ok
+    assert calls == []
+
+
+@pytest.mark.parametrize("max_n", [0, -1, True, 2.0])
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_sweep_rejects_a_max_n_that_is_not_an_int_of_at_least_one(suite, max_n):
+    with pytest.raises(ValueError, match=rf"^max_n must be an integer >= 1, got {max_n!r}$"):
+        verify.SUITES[suite](max_n)
+
+
 def test_cross_method_matches_single_n_builders():
     routes = (
         ("z", z_polynomial, Z_METHODS),
