@@ -28,8 +28,9 @@ differ, it writes the witness of a failure.
   product a b, and W is the ``_slot_width`` of that bound.  These four checks
   read members by index, ``members[k]`` being F(k), L(k) or Z(k), and raise
   ValueError when the members stop short of the highest index read.  A sweep
-  packs its list once (``_pack``), at the width of the largest bound of its
-  checks, and hands that same packing to every check.
+  packs its list once (``_pack``), at the width of its last check's bound,
+  and hands that same packing to every check; a check whose own bound does
+  not fit that width repacks the members (``_packed_for``).
 * Univariate (the Chebyshev/Bala route and l(2n) = l(n)(x^2 - 2)).  Both sides
   are evaluated at X = 2^W by Horner's scheme, each point x + 2, -x, 2x or
   x^2 - 2 a UniPoly applied as the shift-adds of its packed weight.  The
@@ -53,7 +54,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .poly import BiPoly, UniPoly, _compensated_horner, _index, _Shifts, _slot_width
+from .poly import BiPoly, UniPoly, _index, _Shifts, _slot_width
 from .sequences import (
     _fib_list,
     _lucas_list,
@@ -349,17 +350,18 @@ def check_coefficient_forms(n: int) -> CheckResult:
 
 def _trig_deviation(n: int) -> float:
     """The largest deviation of Zx(n) and S(n) from the trigonometric
-    property over the sample angles; each member's coefficients are
-    converted to doubles once, for all the angles."""
-    zx = spread_z_univariate(n, method="via_l")._floats()
-    sp = wildberger_spread(n)._floats()
+    property over the sample angles.  Each member is evaluated exactly at
+    each double sin^2 t (or 4 sin^2 t) and rounded once, as ``eval_float``
+    does; its coefficients are read once, for all the angles."""
+    zx = spread_z_univariate(n, method="via_l")._at_double()
+    sp = wildberger_spread(n)._at_double()
     worst = 0.0
     for i in range(1, _TRIG_SAMPLES + 1):
         theta = (math.pi / 2) * i / (_TRIG_SAMPLES + 1)
         sin2 = math.sin(theta) ** 2
         target = math.sin(n * theta) ** 2
-        worst = max(worst, abs(_compensated_horner(zx, 4 * sin2) - 4 * target))
-        worst = max(worst, abs(_compensated_horner(sp, sin2) - target))
+        worst = max(worst, abs(zx(4 * sin2) - 4 * target))
+        worst = max(worst, abs(sp(sin2) - target))
     return worst
 
 
@@ -367,10 +369,13 @@ def check_trig(n: int) -> CheckResult:
     """Floating-point spot check of the defining trigonometric property.
 
     Zx(n)(4 sin^2 t) should equal 4 sin^2(n t) and S(n)(sin^2 t) should equal
-    sin^2(n t); both are evaluated by Horner in doubles over _TRIG_SAMPLES
-    angles spread through (0, pi/2) and must agree to within _TRIG_TOL.
-    Coefficient growth makes doubles meaningless much past n = 20, so
-    callers sweep small n only.
+    sin^2(n t) over _TRIG_SAMPLES angles spread through (0, pi/2).  Each side
+    is a double: the polynomial's exact value at the double sin^2 t (or
+    4 sin^2 t), rounded once, and ``math.sin`` squared.  They must agree to
+    within _TRIG_TOL.  Rounding enters only through the doubles t, sin^2 t
+    and sin^2(n t) and the one rounding of each value, never through
+    cancellation, so the check is not limited to small n; the suite sweeps
+    n <= 20, its stated scope.
     """
     _index(n, 1)
     worst = _trig_deviation(n)

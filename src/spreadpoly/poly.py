@@ -3,7 +3,8 @@
 Coefficients are exact rationals: plain ``int`` while a value is integral,
 ``fractions.Fraction`` otherwise.  The two representations compare and hash
 identically, so polynomial equality is plain dict equality and nothing ever
-rounds.
+rounds, apart from ``UniPoly.eval_float``: the exact value at a double, rounded
+once.
 
 Polynomials are immutable value objects.  Canonical form stores no zero
 coefficients, and iteration/rendering order is fixed (descending degree in x,
@@ -35,6 +36,7 @@ division that leaves a remainder raises ArithmeticError.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from fractions import Fraction
 from typing import Callable, Collection, Iterable, Iterator, Mapping, TypeVar, Union
@@ -185,38 +187,6 @@ class _Shifts:
         return self.add_to(0, a)
 
     __rmul__ = __mul__
-
-
-_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant for doubles
-
-
-def _compensated_horner(coeffs: list[float], x: float) -> float:
-    """The value at x of the polynomial whose coefficients are ``coeffs``,
-    highest degree first, by the compensated Horner scheme.
-
-    These polynomials have huge alternating coefficients but small values
-    on the interval of interest, so naive Horner loses most digits to
-    cancellation.  Compensated Horner tracks the rounding error of every
-    step with error-free transformations (all in doubles) and folds it
-    back in at the end, which behaves like evaluating in twice the
-    working precision.
-    """
-    # TwoProduct(acc, x) and TwoSum(p, c), inline; x is split once.
-    t = _SPLIT * x
-    xhi = t - (t - x)
-    xlo = x - xhi
-    acc = 0.0
-    compensation = 0.0
-    for c in coeffs:
-        p = acc * x
-        t = _SPLIT * acc
-        ahi = t - (t - acc)
-        alo = acc - ahi
-        err_prod = ((ahi * xhi - p) + ahi * xlo + alo * xhi) + alo * xlo
-        acc = p + c
-        t = acc - p
-        compensation = compensation * x + (err_prod + ((p - (acc - t)) + (c - t)))
-    return acc + compensation
 
 
 def _add_product(
@@ -594,14 +564,31 @@ class UniPoly(_SparsePoly):
         return self._evaluate(x0, 0)
 
     def eval_float(self, x: float) -> float:
-        """Double-precision value by the compensated Horner scheme."""
-        return _compensated_horner(self._floats(), x)
+        """The value at the double x, correctly rounded: exact at x itself,
+        rounded once.  OverflowError when that value is past the double
+        range; a non-finite x raises as ``float.as_integer_ratio`` does
+        (OverflowError for an infinity, ValueError for nan)."""
+        return self._at_double()(x)
 
-    def _floats(self) -> list[float]:
-        """Every coefficient as a double, highest degree first; none for zero."""
+    def _at_double(self) -> Callable[[float], float]:
+        """This polynomial as a function of a double, its coefficients read
+        once: Horner's scheme on ints at x = num/2^e, each coefficient shifted
+        by e per degree in place of a power of the denominator, and one
+        correctly rounded int/int division by the common denominator."""
         terms = self._terms
-        top = self.degree() if terms else -1
-        return [float(terms.get((k, 0), 0)) for k in range(top, -1, -1)]
+        scale = math.lcm(*(c.denominator for c in terms.values()))
+        top = max(terms, default=(0, 0))[0]
+        coeffs = [int(terms.get((k, 0), 0) * scale) for k in range(top, -1, -1)]
+
+        def at(x: float) -> float:
+            num, den = float(x).as_integer_ratio()
+            e = den.bit_length() - 1
+            acc = 0
+            for k, c in enumerate(coeffs):
+                acc = acc * num + (c << e * k)
+            return acc / (scale << e * top)
+
+        return at
 
     def compose(self, r: UniPoly) -> UniPoly:
         """Exact polynomial composition p(r(x)), by Horner's scheme."""

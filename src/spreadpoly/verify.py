@@ -16,9 +16,9 @@ a list of the F, L or Z ``recurrence`` stream (``_fib_list``,
 ``_lucas_list``, ``_z_list``), so every suite checks the members ``gen``
 builds.  Every route has a stream of its own, started from its own seeds:
 two routes never share a generator, which keeps their agreement a
-cross-validation.  Each bivariate sweep packs its list once
-(``_pack_once``), at the one width that fits every check's bound, and hands
-that same packing to every check.
+cross-validation.  Each bivariate sweep packs its list once (``_pack``), at
+the width that its last check's bound fits, and hands that same packing to
+every check; a check whose own bound does not fit that width repacks.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .identities import (
     _TRIG_SAMPLES,
     _TRIG_TOL,
     CheckResult,
-    _Packed,
     _cassini_bound,
     _lucas_binomial_bound,
     _pack,
@@ -52,7 +51,7 @@ from .identities import (
     compare_polynomials,
     failure,
 )
-from .poly import BiPoly, _index, _scaled_powers
+from .poly import _index, _scaled_powers
 from .sequences import (
     FIBONACCI_METHODS,
     LUCAS_METHODS,
@@ -75,9 +74,9 @@ from .surd import _binet, check_root_relations
 
 __all__ = ["SuiteReport", "SUITES"]
 
-# Doubles lose the trigonometric property past this degree (the coefficients
-# reach ~1e7 and the evaluation cancels catastrophically), so the float suite
-# never sweeps beyond it.
+# The float suite's stated scope (acceptance criterion 7 and its report
+# line), not a numerical limit: each member is evaluated exactly at the
+# double angle and rounded once, so no cancellation grows with n.
 _TRIG_MAX_N = 20
 
 _BINET_POINTS = 25
@@ -121,23 +120,12 @@ def _from_one(*streams: Iterable) -> Iterable[tuple]:
     return islice(zip(*streams), 1, None)
 
 
-def _pack_once(
-    members: list[BiPoly],
-    weights: tuple[int, int],
-    bound: Callable[[int, list[int]], int],
-    ns: Iterable[int],
-) -> _Packed:
-    """The members packed once, at the width that ``bound`` fits at every n of
-    ``ns``, for the checks of all those n to share."""
-    return _pack(members, weights, lambda sums: max(bound(n, sums) for n in ns))
-
-
 def _suite_lucas_binomial(max_n: int) -> SuiteReport:
-    lucas_polys = _pack_once(
-        _lucas_list(2 * max_n + 1),
+    top = 2 * max_n + 1
+    lucas_polys = _pack(
+        _lucas_list(top),
         (1, 2),
-        lambda n, sums: max(_lucas_binomial_bound(n, top, sums) for top in (2 * n, 2 * n + 1)),
-        range(max_n + 1),
+        lambda sums: max(_lucas_binomial_bound(max_n, t, sums) for t in (top - 1, top)),
     )
     return _collect(
         "lucas_binomial",
@@ -338,20 +326,20 @@ SUITES: dict[str, Callable[[int], SuiteReport]] = {
         "cassini",
         check_cassini,
         max_n,
-        repeat(_pack_once(_fib_list(max_n + 1), (1, 2), _cassini_bound, range(1, max_n + 1))),
+        repeat(_pack(_fib_list(max_n + 1), (1, 2), lambda sums: _cassini_bound(max_n, sums))),
     ),
     "z_cassini": lambda max_n: _suite_each_n(
         "z_cassini",
         check_z_cassini,
         max_n,
-        repeat(_pack_once(_z_list(max_n + 1), (1, 1), _z_cassini_bound, range(1, max_n + 1))),
+        repeat(_pack(_z_list(max_n + 1), (1, 1), lambda sums: _z_cassini_bound(max_n, sums))),
     ),
     "lucas_binomial": _suite_lucas_binomial,
     "z_binomial": lambda max_n: _suite_each_n(
         "z_binomial",
         check_z_binomial,
         max_n,
-        repeat(_pack_once(_z_list(max_n), (1, 1), _z_binomial_bound, range(1, max_n + 1))),
+        repeat(_pack(_z_list(max_n), (1, 1), lambda sums: _z_binomial_bound(max_n, sums))),
     ),
     "symmetry": lambda max_n: _suite_each_n(
         "symmetry",

@@ -582,3 +582,82 @@ def test_packed_verdict_is_polynomial_equality(family, n, data):
     weights = (1, s_weight)
     for width_bound in (lambda sums: bound(n, sums), lambda sums: 0):
         assert check(n, identities._pack(members, weights, width_bound)).passed == holds
+
+
+# check -> (weights, its bound at n on a list of absolute coefficient sums,
+# the highest index it reads at n, the weighted degree of member k, and the
+# family's recurrence list up to a given index)
+_BOUNDS = {
+    "check_cassini": (
+        (1, 2), identities._cassini_bound, lambda n: n + 1, lambda k: k - 1, sequences._fib_list
+    ),
+    "check_z_cassini": (
+        (1, 1), identities._z_cassini_bound, lambda n: n + 1, lambda k: k, sequences._z_list
+    ),
+    "check_lucas_binomial even": (
+        (1, 2),
+        lambda n, sums: identities._lucas_binomial_bound(n, 2 * n, sums),
+        lambda n: 2 * n,
+        lambda k: k,
+        sequences._lucas_list,
+    ),
+    "check_lucas_binomial odd": (
+        (1, 2),
+        lambda n, sums: identities._lucas_binomial_bound(n, 2 * n + 1, sums),
+        lambda n: 2 * n + 1,
+        lambda k: k,
+        sequences._lucas_list,
+    ),
+    "check_z_binomial": (
+        (1, 1), identities._z_binomial_bound, lambda n: n, lambda k: k, sequences._z_list
+    ),
+}
+
+
+def _abs_sums(members):
+    return [sum(abs(c) for _, c in m.terms()) for m in members]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(sorted(_BOUNDS)), st.integers(1, 4), st.data())
+def test_each_bound_holds_every_coefficient_of_the_difference_of_the_sides(check, n, data):
+    # Members of the check's degrees with coefficients of both signs, far
+    # from the family's own, and zero members, where the right side alone
+    # sets the difference: the width of the bound must hold every
+    # coefficient of lhs - rhs, or unequal sides could pack to equal values.
+    (_, s_weight), bound, last, degree, _ = _BOUNDS[check]
+    name, *parity = check.split()
+    coefficient = st.integers(-(2**80), 2**80)
+    drawn = [data.draw(_homogeneous(degree(k), s_weight, coefficient)) for k in range(last(n) + 1)]
+    for members in (drawn, [BiPoly.zero()] * len(drawn)):
+        _, [(lhs, rhs)] = _sides(name, n, members, *parity)
+        largest = max((abs(c) for _, c in (lhs - rhs).terms()), default=0)
+        assert bound(n, _abs_sums(members)) >= largest
+
+
+@pytest.mark.parametrize("tripled", [False, True], ids=["family", "top member tripled"])
+@pytest.mark.parametrize("check", _BOUNDS, ids=_BOUNDS)
+def test_a_packing_one_slot_too_narrow_is_repacked(check, tripled, monkeypatch):
+    # A sweep's packing 8 bits narrower than the check's own bound needs, the
+    # bound's bit length within two bits of that narrow width: the check must
+    # not decide at it, but repack once, and give the verdict of its list.
+    weights, bound, last, _, family = _BOUNDS[check]
+    name, *parity = check.split()
+    checked = getattr(identities, name)
+    for n in range(2, 40):
+        members = family(last(n))
+        if tripled:
+            members[-1] = 3 * members[-1]
+        narrow = identities._pack(members, weights, lambda sums: bound(n, sums) >> 8)
+        bits = bound(n, narrow.sums).bit_length()
+        if bits - narrow.width in (0, 1):
+            break
+    else:
+        pytest.fail("no n below 40 gives a bound within two bits of the narrow width")
+    assert narrow.width == poly._slot_width(bound(n, narrow.sums)) - 8
+    expected = checked(n, *parity, members)
+    packings = []
+    pack = identities._pack
+    monkeypatch.setattr(identities, "_pack", lambda *args: packings.append(args) or pack(*args))
+    assert checked(n, *parity, narrow) == expected
+    assert len(packings) == 1

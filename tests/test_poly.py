@@ -394,43 +394,57 @@ def test_eval_float_simple():
     assert UniPoly.zero().eval_float(3.0) == 0.0
 
 
-def _two_sum(a, b):
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
+def _exactly_rounded(value_at, x):
+    """value_at(x) as hex, or the name of the OverflowError it raises."""
+    try:
+        return value_at(x).hex()
+    except OverflowError:
+        return "OverflowError"
 
 
-def _two_prod(a, b):
-    p = a * b
-    ta = 134217729.0 * a
-    ahi = ta - (ta - a)
-    alo = a - ahi
-    tb = 134217729.0 * b
-    bhi = tb - (tb - b)
-    blo = b - bhi
-    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+def _assert_exact_at(p, x):
+    # The exact value at the double x itself, rounded once by float(Fraction).
+    reference = _exactly_rounded(lambda v: float(p.evaluate(Fraction(v))), x)
+    assert _exactly_rounded(p.eval_float, x) == reference, (p, x)
 
 
-def _compensated_horner(p, x):
-    """Compensated Horner with the error-free transformations as separate
-    helpers, x split at every degree: the oracle for eval_float's inline form."""
-    acc = compensation = 0.0
-    for k in range(p.degree(), -1, -1):
-        prod, err_prod = _two_prod(acc, x)
-        acc, err_sum = _two_sum(prod, float(p.coefficient(k)))
-        compensation = compensation * x + (err_prod + err_sum)
-    return acc + compensation
-
-
-def test_eval_float_is_bit_identical_to_the_two_helper_form():
+def test_eval_float_is_the_exact_value_rounded_once_at_the_trig_angles():
     # Zx(n) at 4 sin^2 t and S(n) at sin^2 t, n <= 20, at the trig suite's
-    # angles: the inline steps must give the very same doubles.
+    # angles, where their alternating coefficients cancel.
     for n in range(1, 21):
         zx, sp = spread_z_univariate(n, method="via_l"), wildberger_spread(n)
         for i in range(1, _TRIG_SAMPLES + 1):
             sin2 = math.sin((math.pi / 2) * i / (_TRIG_SAMPLES + 1)) ** 2
-            for poly_, x in ((zx, 4 * sin2), (sp, sin2)):
-                assert poly_.eval_float(x).hex() == _compensated_horner(poly_, x).hex(), (n, i)
+            _assert_exact_at(zx, 4 * sin2)
+            _assert_exact_at(sp, sin2)
+
+
+@given(
+    st.dictionaries(exponents, rational_coeffs, max_size=5).map(UniPoly),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+@example(UniPoly({1: 1}), 1e308)
+@example(UniPoly({2: Fraction(1, 3), 0: -1}), 1e308)
+@example(UniPoly({5: Fraction(-7, 2), 1: 3}), 1e-300)
+@example(UniPoly({1: Fraction(1, 4), 0: Fraction(1, 3)}), 5e-324)
+@example(UniPoly({3: 1, 1: -1}), -2.2250738585072014e-308)
+def test_eval_float_is_the_exact_value_rounded_once(p, x):
+    _assert_exact_at(p, x)
+
+
+def test_eval_float_past_the_double_range_and_at_non_finite_x():
+    # Values within the double range at points so large that splitting x
+    # into halves in doubles would overflow to nan.
+    assert UniPoly({1: 1}).eval_float(1e301) == 1e301
+    assert UniPoly({1: 1, 0: 1}).eval_float(1e308) == 1e308
+    with pytest.raises(OverflowError):
+        UniPoly({2: 1}).eval_float(1e200)
+    # A non-finite x raises as float.as_integer_ratio does.
+    for x in (math.inf, -math.inf):
+        with pytest.raises(OverflowError):
+            UniPoly({1: 1}).eval_float(x)
+    with pytest.raises(ValueError):
+        UniPoly({1: 1}).eval_float(math.nan)
 
 
 def test_evaluate_univariate_exact():

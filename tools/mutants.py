@@ -3,6 +3,8 @@
 Usage (from the repository root):
 
     python3 tools/mutants.py src/spreadpoly/identities.py --sample 40 --seed 1 > report.json
+    python3 tools/mutants.py src/spreadpoly/identities.py \
+        --tests tests/test_identities.py tests/test_verify.py > report.json
 
 Each mutant changes one token of the module: a binary operator swapped for a
 partner (+ and -, * and //, << and >>, ...), a comparison swapped (== and !=,
@@ -11,7 +13,13 @@ through ``ast.unparse``, into a copy of its package in a temporary directory,
 and ``python -m <package> verify all --max-n 12`` runs there in a subprocess.
 A mutant survives when that run gives the same exit code and the same stdout
 sha256 as the unmutated module, itself unparsed, gives; any other exit code,
-output, a run past two minutes or past 1 GiB of address space kills it.  The unmutated baseline must exit 0.
+output, a run past two minutes or past 1 GiB of address space kills it.  The
+unmutated baseline must exit 0.
+
+With ``--tests FILE...`` a mutant that survives ``verify`` meets a second
+stage: ``python -m pytest -q -x -p no:cacheprovider FILE...`` runs against
+the mutated copy, under the same time and memory limits, and kills it
+(``killed_by_tests``) unless it passes.  The unmutated copy must pass them.
 
 A mutant is keyed by module, function and operator occurrence, never by line:
 ``spreadpoly.identities:check_cassini:Sub->Add#2`` is the third (from 0)
@@ -19,8 +27,9 @@ A mutant is keyed by module, function and operator occurrence, never by line:
 included, in source order; ``<module>`` holds the code outside every function.
 ``--sample K`` runs K mutants drawn with ``--seed`` (all of them when K is 0).
 The JSON report on stdout holds the baseline, the counts, the counts per
-function and every mutant's outcome; a summary line goes to stderr.  Exit
-code 0 whatever survives; 2 when the baseline fails or the module is not in a
+function and every mutant's outcome (``killed``, ``killed_by_tests`` or
+``survived``); a summary line goes to stderr.  Exit code 0 whatever survives;
+2 when the baseline fails ``verify`` or the tests, or the module is not in a
 package.
 Standard library only.
 """
@@ -38,7 +47,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 _BINARY = {
     ast.Add: ast.Sub,
@@ -68,6 +77,7 @@ _COMPARE = {
 }
 
 _MAX_N = 12
+_STATUSES = ("killed", "killed_by_tests", "survived")
 _TIMEOUT_S = 120
 # The address space a mutant's run may take, so that a mutant which builds a
 # huge int fails instead of exhausting the host.
@@ -148,7 +158,7 @@ def _run(root: Path, command: list[str]) -> tuple[int | str, str]:
     return done.returncode, hashlib.sha256(done.stdout).hexdigest()
 
 
-def probe(path: Path, sample: int, seed: int) -> dict:
+def probe(path: Path, sample: int, seed: int, tests: Sequence[Path] = ()) -> dict:
     package = path.resolve().parent
     if not (package / "__init__.py").exists():
         raise SystemExit(f"mutants: {path} is not in a package")
@@ -159,6 +169,8 @@ def probe(path: Path, sample: int, seed: int) -> dict:
     if sample:
         chosen = sorted(random.Random(seed).sample(chosen, min(sample, len(keys))))
     command = [sys.executable, "-m", package.name, "verify", "all", "--max-n", str(_MAX_N)]
+    pytest = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    test_command = [*pytest, *(str(test.resolve()) for test in tests)]
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         copy = root / package.name
@@ -169,26 +181,31 @@ def probe(path: Path, sample: int, seed: int) -> dict:
         if baseline[0] != 0:
             print(f"mutants: the unmutated baseline exited {baseline[0]}", file=sys.stderr)
             raise SystemExit(2)
+        if tests and _run(root, test_command)[0] != 0:
+            print("mutants: the unmutated baseline fails the tests", file=sys.stderr)
+            raise SystemExit(2)
         outcomes, by_function = {}, {}
         for i in chosen:
             target.write_text(mutated(source, i))
-            outcome = _run(root, command)
-            status = "survived" if outcome == baseline else "killed"
+            status = "killed"
+            if _run(root, command) == baseline:
+                passed = not tests or _run(root, test_command)[0] == 0
+                status = "survived" if passed else "killed_by_tests"
             outcomes[keys[i]] = status
             function = keys[i].split(":")[1]
-            counts = by_function.setdefault(function, {"killed": 0, "survived": 0})
+            counts = by_function.setdefault(function, dict.fromkeys(_STATUSES, 0))
             counts[status] += 1
-    survived = sum(status == "survived" for status in outcomes.values())
+    totals = {status: sum(s == status for s in outcomes.values()) for status in _STATUSES}
     return {
         "module": module,
         "command": ["python", *command[1:]],
+        "tests_command": ["python", *pytest[1:], *map(str, tests)] if tests else None,
         "baseline": {"exit": baseline[0], "stdout_sha256": baseline[1]},
         "mutants": len(keys),
         "sample": sample or None,
         "seed": seed if sample else None,
         "run": len(outcomes),
-        "killed": len(outcomes) - survived,
-        "survived": survived,
+        **totals,
         "by_function": by_function,
         "outcomes": outcomes,
     }
@@ -199,12 +216,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("module", type=Path, help="a module file inside its package")
     parser.add_argument("--sample", type=int, default=0, help="mutants to run; 0 runs all")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--tests", type=Path, nargs="+", default=[], metavar="FILE",
+        help="test files that every mutant surviving verify must also pass",
+    )
     args = parser.parse_args(argv)
-    report = probe(args.module, args.sample, args.seed)
+    report = probe(args.module, args.sample, args.seed, args.tests)
     sys.stdout.write(json.dumps(report, indent=1) + "\n")
     print(
         f"mutants: {report['module']}: {report['run']} of {report['mutants']} run,"
-        f" {report['survived']} survived",
+        f" {report['killed_by_tests']} killed by tests, {report['survived']} survived",
         file=sys.stderr,
     )
     return 0
