@@ -24,7 +24,9 @@ Beneath the ring sits a packing kernel for integer polynomials (Kronecker
 substitution): a ``UniPoly`` packs as its value at x = 2^W, a ``BiPoly`` as
 its value at (x, s) = (1, 2^W), one W-bit slot per degree in x or in s.  A
 weight packs as ``_Shifts``, whose one step adds weight * a into a running
-total by shifts, adds, subtracts and small products.  Unpacking reads signed
+total by shifts, adds, subtracts and small products; a product weight * a
+starts from its first term, so it copies nothing that it does not shift or
+scale.  Unpacking reads signed
 slots back with a bias, in linear time, and raises ArithmeticError rather
 than return digits that may not be the coefficients.
 
@@ -168,7 +170,10 @@ class _Shifts:
 
     ``add_to`` is the one step: it adds weight * a into a running total, so a
     ladder step, the Z[sqrt(D)] ladder and a Horner step build no product per
-    weight and no separate sum; ``weight * a`` is that step from 0."""
+    weight and no separate sum.  ``weight * a``, the first term of a ladder
+    step, starts its total from its first term rather than adding that term
+    to 0, which would copy it: the weight x of F and L, packed as 1, gives a
+    itself."""
 
     __slots__ = ("_pairs",)
 
@@ -184,7 +189,16 @@ class _Shifts:
         return total
 
     def __mul__(self, a: int) -> int:
-        return self.add_to(0, a)
+        """weight * a: ``add_to`` from 0, except that a term met while the
+        total is still 0 becomes the total (times c), not an add to 0."""
+        total = 0
+        for c, shift in self._pairs:
+            term = a << shift if shift else a
+            if total:
+                total = total + term if c == 1 else total - term if c == -1 else total + c * term
+            else:
+                total = term if c == 1 else c * term
+        return total
 
     __rmul__ = __mul__
 
@@ -261,9 +275,6 @@ class _SparsePoly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     # -- ring operations ----------------------------------------------------
 
     def _combine(self: P, other: P | Rat, op: Callable[[Rat, Rat], Rat]) -> P:
@@ -285,7 +296,7 @@ class _SparsePoly:
         return self._combine(other, operator.sub)
 
     def __rsub__(self: P, other: Rat) -> P:
-        return (-self) + other
+        return -self + other
 
     def __neg__(self: P) -> P:
         return self._trusted({key: -c for key, c in self._terms.items()})

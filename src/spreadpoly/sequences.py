@@ -44,7 +44,8 @@ runs at, and no builder runs Horner:
 
 * parity: y^2 -> x (halve_degrees) changes nothing at y = x = 1, so Z(n)(1,
   2^W) is L(n)(1, 2^W)^2 for odd n and (1 + 4 * 2^W) F(n)(1, 2^W)^2 for
-  even n, with W from Z(n)'s bound.
+  even n, with W from Z(n)'s bound.  The builder steps only the ladder it
+  reads; a sweep reads both parities, so it steps both.
 * via_fib: u^2 -> x + 4s makes u = sqrt(D), D = 1 + 4 * 2^W at (1, 2^W).
   The flipped Fibonacci ladder runs in Z[sqrt(D)] on pairs (a, b) = a + b
   sqrt(D); sqrt(D) and -s act as shift-adds, and the square of member n is
@@ -299,11 +300,20 @@ def _z_from_surd(z: _Surd, width: int, bound: int, n: int) -> BiPoly:
     return _z_unpacked(_squared(z, _lift(width)), width, bound, n)
 
 
-def _z_from_parity(pair: tuple[int, int], width: int, bound: int, n: int) -> BiPoly:
-    """Z(n)(1, 2^W) from the pair (L(n), F(n)): L(n)^2 at odd n and
-    (x + 4s) F(n)^2 at even n."""
-    odd, even = pair
-    return _z_unpacked(odd**2 if n % 2 else _lift(width) * even**2, width, bound, n)
+def _parity_ladder(width: int, n: int | None = None) -> Iterator[int]:
+    """L(k) at odd k and F(k) at even k, packed, for k = 0, 1, ...: the member
+    that Z(k) reads.  A sweep reads both parities, so both ladders run; member
+    n alone (``n`` given) runs only the ladder of its parity."""
+    if n is not None:
+        return _packed_ladder((_FIB, _LUCAS)[n % 2], width)
+    pairs = zip(_packed_ladder(_FIB, width), _packed_ladder(_LUCAS, width))
+    return (pair[k % 2] for k, pair in enumerate(pairs))
+
+
+def _z_from_parity(value: int, width: int, bound: int, n: int) -> BiPoly:
+    """Z(n)(1, 2^W) from packed L(n) at odd n, L(n)^2, and from packed F(n)
+    at even n, (x + 4s) F(n)^2."""
+    return _z_unpacked(value**2 if n % 2 else _lift(width) * value**2, width, bound, n)
 
 
 def _l_from_lucas(value: int, width: int, bound: int, n: int) -> UniPoly:
@@ -350,12 +360,7 @@ _ROUTES = {
     ("z", "recurrence"): (0, partial(_packed_ladder, _Z), _z_bound, _z_unpacked),
     ("z", "via_lucas"): (0, _lucas_evens, lambda n: _lucas_bound(2 * n), _z_via_lucas),
     ("z", "via_fib"): (0, lambda w: _fib_surds(_lift(w), _Shifts({w: -1})), _z_bound, _z_from_surd),
-    ("z", "parity"): (
-        0,
-        lambda w: zip(_packed_ladder(_LUCAS, w), _packed_ladder(_FIB, w)),
-        _z_bound,
-        _z_from_parity,
-    ),
+    ("z", "parity"): (0, _parity_ladder, _z_bound, _z_from_parity),
     ("zx", "via_l"): (0, lambda w: _l_at(_Shifts({0: 2, w: -1})), _z_bound, _zx_from_l),
     ("zx", "via_l2n"): (0, _lucas_evens, lambda n: _lucas_bound(2 * n), _zx_via_l2n),
     ("zx", "from_bivariate"): (
@@ -371,11 +376,12 @@ _ROUTES = {
 
 def _built(family: str, method: str, n: int) -> BiPoly | UniPoly:
     """Member n of a route: its ladder run at member n's slot width, and
-    member n alone read back."""
+    member n alone read back.  ``parity`` runs one of its two ladders."""
     first, ladder, bound, member = _ROUTES[family, method]
     top = bound(n)
     width = _slot_width(top)
-    return member(next(islice(ladder(width), n - first, None)), width, top, n)
+    states = ladder(width, n) if method == "parity" else ladder(width)
+    return member(next(islice(states, n - first, None)), width, top, n)
 
 
 def _stream(last: int, family: str, method: str = "recurrence") -> Iterator[BiPoly | UniPoly]:

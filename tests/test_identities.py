@@ -1,5 +1,6 @@
 """Tests for the identity checks, at hand-verified indices plus short sweeps."""
 
+import itertools
 import math
 from math import comb
 
@@ -661,3 +662,88 @@ def test_a_packing_one_slot_too_narrow_is_repacked(check, tripled, monkeypatch):
     monkeypatch.setattr(identities, "_pack", lambda *args: packings.append(args) or pack(*args))
     assert checked(n, *parity, narrow) == expected
     assert len(packings) == 1
+
+
+def _vanishing(k, *roots):
+    """x^k (x - r_1) (x - r_2) ...: zero at each root."""
+    skew = UniPoly({k: 1})
+    for root in roots:
+        skew = skew * UniPoly({1: 1, 0: -root})
+    return skew
+
+
+# Per univariate check: the members at n, and for each member a skew that
+# vanishes at every point where the check reads that member once X = 2^w.
+# chebyshev_bala reads l(n) at X + 2 and at 2X, Zx(n) at -X and Z(n)(x, 1) at
+# X; l_doubling reads l(n) at X^2 - 2 and its other members at X.  Skewing
+# T(n) would also skew its halving, read at X + 2, so it is not skewed.
+_UNIVARIATE_SKEWS = {
+    "chebyshev_bala": (
+        check_chebyshev_bala,
+        lambda n: (
+            sequences.chebyshev_t(n),
+            sequences.univariate_l(n),
+            spread_z_univariate(n, "via_l"),
+            z_polynomial(n),
+        ),
+        {
+            1: lambda k, X: _vanishing(k, X + 2, 2 * X),
+            2: lambda k, X: _vanishing(k, -X),
+            3: lambda k, X: BiPoly({(k + 1, 0): 1, (k, 0): -X}),
+        },
+    ),
+    "l_doubling": (
+        check_l_doubling,
+        lambda n: (
+            sequences.univariate_l(2 * n),
+            sequences.univariate_l(n),
+            spread_z_univariate(n, "via_l2n"),
+            spread_z_univariate(n, "via_l"),
+        ),
+        {
+            0: lambda k, X: _vanishing(k, X),
+            1: lambda k, X: _vanishing(k, X * X - 2),
+            2: lambda k, X: _vanishing(k, X),
+            3: lambda k, X: _vanishing(k, X),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [5, 20])
+@pytest.mark.parametrize("check", _UNIVARIATE_SKEWS, ids=_UNIVARIATE_SKEWS)
+def test_univariate_checks_pack_wider_than_a_skew_that_vanishes(check, n):
+    # A member plus a skew that is zero where the check reads it at X = 2^w
+    # still satisfies the identity at X = 2^w, so a check that packed at
+    # width w would pass.  The skew's coefficients, 2^w and more, enter the
+    # bound, so the check's own width is wider than w and it fails, at every
+    # w up to 48 bits, past its own width at n = 20 (40 bits).  The skew
+    # sits at x^k for k = 0 and for k = 3n, past every member's degree, so
+    # that a bound which drops the constant term, or which divides the
+    # coefficients by v^k in place of multiplying, misses it.
+    checked, members_at, skews = _UNIVARIATE_SKEWS[check]
+    members = members_at(n)
+    assert checked(n, members).passed
+    for w in range(8, 49, 8):
+        for (index, skew), k in itertools.product(skews.items(), (0, 3 * n)):
+            skewed = list(members)
+            skewed[index] = members[index] + skew(k, 1 << w)
+            result = checked(n, skewed)
+            assert not result.passed and result.witness[0] == n, (w, index, k)
+
+
+@pytest.mark.parametrize("off_form", sequences.C_FORMS)
+def test_coefficient_forms_compare_the_first_and_the_last_entry(off_form, monkeypatch):
+    # One closed form off by one at k = 1 alone, then at k = n alone: the
+    # check must compare that entry of the row and fail at it.
+    exact = identities.coefficient_c
+    for n in range(1, 13):
+        for k_off in (1, n):
+
+            def skewed(m, k, form="ratio_binomial", k_off=k_off):
+                value = exact(m, k, form)
+                return value + 1 if (k, form) == (k_off, off_form) else value
+
+            monkeypatch.setattr(identities, "coefficient_c", skewed)
+            result = check_coefficient_forms(n)
+            assert not result.passed and result.witness[0] == k_off, (n, k_off)

@@ -567,6 +567,32 @@ def test_shifts_add_to_is_the_shifted_sum(slot_sums, total, a):
     assert weight * a == a * weight == expected
 
 
+@pytest.mark.parametrize("first", [1, -1, 2, -2, 3, -4])
+@pytest.mark.parametrize("shift", [0, 8])
+def test_shifts_multiply_starts_from_the_first_term(first, shift):
+    # weight * a takes its first term as the total instead of adding it to 0;
+    # the value is the shifted sum whatever the first pair is.  The last
+    # tail cancels to 0 after two terms at first = 2, shift = 0, so its third
+    # term meets a total of 0 again.
+    for rest in ({}, {40: 1}, {40: -1, 72: 3}, {1: -1, 48: 5}):
+        slot_sums = {shift: first, **{k: c for k, c in rest.items() if k != shift}}
+        weight = poly._Shifts(slot_sums)
+        assert weight._pairs[0] == (first, shift)
+        for a in (0, 1, -7, 2**100 + 3, -(2**200) - 5):
+            expected = sum(c * (a << k) for k, c in slot_sums.items())
+            assert weight * a == a * weight == weight.add_to(0, a) == expected
+
+
+def test_shifts_multiply_by_one_and_by_nothing():
+    # The weight 1 (x at (x, s) = (1, 2^W), the first weight of F and L)
+    # returns the member itself, no copy; the empty weight gives 0.
+    a = 2**300 + 12345
+    assert poly._Shifts({0: 1}) * a is a
+    assert a * poly._Shifts({0: 1}) is a
+    assert poly._Shifts({}) * a == 0
+    assert poly._Shifts({0: 0, 8: 0}) * a == 0
+
+
 def test_unpack_refuses_what_does_not_fit():
     # Explicit raises, so they hold under python -O.  A value one slot too
     # large, either sign, does not fit; the largest that fits does.

@@ -645,6 +645,32 @@ def test_a_changed_route_ladder_breaks_gen_and_its_stream(route, monkeypatch):
     assert not verify.SUITES["cross_method"](7).ok
 
 
+def test_parity_builder_steps_only_the_ladder_it_reads(monkeypatch):
+    # Z(n) by parity reads L(n) at odd n and F(n) at even n, so the builder
+    # starts that one ladder; a sweep reads both parities, so its stream
+    # starts both.
+    names = {id(sequences._FIB): "F", id(sequences._LUCAS): "L"}
+    started = []
+    packed_ladder = sequences._packed_ladder
+
+    def spy(ladder, width):
+        started.append(names.get(id(ladder), "other"))
+        return packed_ladder(ladder, width)
+
+    monkeypatch.setattr(sequences, "_packed_ladder", spy)
+    closed = [z_polynomial(n, "closed") for n in range(81)]
+    assert started == []
+    for n in range(81):
+        started.clear()
+        assert z_polynomial(n, "parity") == closed[n], n
+        assert started == ["L" if n % 2 else "F"], n
+    started.clear()
+    stream = _stream(80, "z", "parity")
+    assert sorted(started) == ["F", "L"]
+    assert list(islice(stream, 81)) == closed
+    assert sorted(started) == ["F", "L"]
+
+
 def test_all_families_integer_coefficients():
     for n in range(101):
         assert z_polynomial(n).is_integral()
