@@ -169,7 +169,7 @@ def _pack(
     packed = tuple.__new__(_Packed, members)
     packed.weights = weights
     packed.degrees = [m.weighted_degree(*weights) if m else None for m in packed]
-    packed.sums = [sum(abs(c) for _, c in m.terms()) for m in packed]
+    packed.sums = [sum(map(abs, m._terms.values())) for m in packed]
     packed.width = _slot_width(bound(packed.sums))
     packed.values = [m._packed(packed.width) for m in packed]
     return packed
@@ -218,16 +218,16 @@ def _z_binomial_bound(n: int, sums: Sequence[int]) -> int:
 
 def _abs_at(p: UniPoly, v: int) -> int:
     """|p|(v): p with its coefficients made absolute, at x = v."""
-    return sum(abs(c) * v**k for k, c in p.terms())
+    return sum(abs(c) * v**k for (k, _), c in p._terms.items())
 
 
 def _value_at(p: UniPoly, point: _Shifts) -> int:
     """p at the int that the packed weight ``point`` stands for, by Horner's
     scheme on shift-adds."""
-    coeffs = dict(p.terms())
+    terms = p._terms
     acc = 0
-    for k in range(max(coeffs, default=-1), -1, -1):
-        acc = point.add_to(coeffs.get(k, 0), acc)
+    for k in range(max(terms, default=(-1, 0))[0], -1, -1):
+        acc = point.add_to(terms.get((k, 0), 0), acc)
     return acc
 
 
@@ -324,7 +324,7 @@ def check_symmetry(n: int, members: Sequence[UniPoly | BiPoly] = ()) -> CheckRes
     zx, zb = members or (spread_z_univariate(n, method="via_l"), z_polynomial(n))
 
     specialized = zb.substitute_s(-1).scale(_sign(n - 1))
-    rebuilt = BiPoly({(k, n - k): -c * _sign(k) for k, c in zx.terms()})
+    rebuilt = BiPoly._trusted({(k, n - k): -c * _sign(k) for (k, _), c in zx._terms.items()})
     return _agree("symmetry", n, [(zx, specialized), (rebuilt, zb)])
 
 
@@ -388,11 +388,19 @@ def _univariate(name: str, n: int, bound: int, sides: Callable[..., list]) -> Ch
     """The check of the identity ``sides(at)``, its pairs of sides from members
     p, each read as at(p) = p or at(p, r) = p(r(x)): decided on the values at
     X = 2^W, W the width of twice ``bound``, where r(X) is a packed weight,
-    and built from the polynomials when those differ."""
+    built once per point r that the check reads, and built from the
+    polynomials when those differ."""
     width = _slot_width(2 * bound)
-    pairs = sides(
-        lambda p, r=None: p._packed(width) if r is None else _value_at(p, r._shifts(width))
-    )
+    weights: dict[int, _Shifts] = {}  # by id(r), built at the first read at r
+
+    def at(p: UniPoly, r: UniPoly | None = None) -> int:
+        if r is None:
+            return p._packed(width)
+        if id(r) not in weights:
+            weights[id(r)] = r._shifts(width)
+        return _value_at(p, weights[id(r)])
+
+    pairs = sides(at)
     if all(lhs == rhs for lhs, rhs in pairs):
         return CheckResult(name, f"n={n}")
     return _failed(_agree(name, n, sides(lambda p, r=None: p if r is None else p.compose(r))))
@@ -413,10 +421,10 @@ def check_chebyshev_bala(n: int, members: Sequence[UniPoly | BiPoly] = ()) -> Ch
     # 2 T(n)((x+2)/2) is q(x+2), q having coefficient k of 2 T(n) over 2^k: on
     # integers when 2^k divides it, which 2 T(n)(y/2) = l(n)(y) requires.
     doubled = t.scale(2)
-    if any(c % (1 << k) for k, c in doubled.terms()):
+    if any(c % (1 << k) for (k, _), c in doubled._terms.items()):
         lhs = doubled.render(max_terms=WITNESS_TERM_LIMIT)
         return failure("chebyshev_bala", f"n={n}", n, lhs, "coefficient k divisible by 2^k")
-    halved = UniPoly({k: c >> k for k, c in doubled.terms()})
+    halved = UniPoly._trusted({(k, 0): c >> k for (k, _), c in doubled._terms.items()})
     at_1 = zb.substitute_s(1)
     bound = max(
         _abs_at(halved, 3) + 2,

@@ -26,9 +26,10 @@ its value at (x, s) = (1, 2^W), one W-bit slot per degree in x or in s.  A
 weight packs as ``_Shifts``, whose one step adds weight * a into a running
 total by shifts, adds, subtracts and small products; a product weight * a
 starts from its first term, so it copies nothing that it does not shift or
-scale.  Unpacking reads signed
-slots back with a bias, in linear time, and raises ArithmeticError rather
-than return digits that may not be the coefficients.
+scale.  Unpacking reads signed slots back with a bias, in linear time, and
+raises ArithmeticError rather than return digits that may not be the
+coefficients.  The digits, or a row, become the terms in one pass
+(``_zipped``), zeros dropped and nothing validated again.
 
 Whole rows of integer coefficients (of F, L and Z) run by exact ratios
 (``_ratio_row``): each entry is the one before times a small num/den, and a
@@ -41,7 +42,8 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Collection, Iterable, Iterator, Mapping, TypeVar, Union
+from itertools import count, repeat
+from typing import Callable, Collection, Iterable, Iterator, Mapping, TypeVar
 
 __all__ = [
     "Rat",
@@ -51,7 +53,7 @@ __all__ = [
     "UniPoly",
 ]
 
-Rat = Union[int, Fraction]
+Rat = int | Fraction
 Key = tuple[int, int]
 P = TypeVar("P", bound="_SparsePoly")
 
@@ -96,7 +98,7 @@ def _canonical(terms: Mapping[Key, object]) -> dict[Key, Rat]:
     for (dx, ds), raw in terms.items():
         c = _coeff(raw)
         if c:
-            data[(_index(dx, what="exponent"), _index(ds, what="exponent"))] = c
+            data[_index(dx, what="exponent"), _index(ds, what="exponent")] = c
     return data
 
 
@@ -231,6 +233,12 @@ class _SparsePoly:
     __slots__ = ("_terms",)
     _SLOT = 0  # the key position a packed slot stands for: x-degree here
 
+    def __init_subclass__(cls) -> None:
+        # The shared operators, bound in each class's own namespace so that
+        # per-class instrumentation (perfbench/tracer.py) finds each of them there.
+        for name in "__add__ __radd__ __sub__ __rsub__ __neg__ __mul__ __rmul__ render".split():
+            setattr(cls, name, getattr(_SparsePoly, name))
+
     @classmethod
     def _trusted(cls: type[P], terms: Mapping[Key, Rat]) -> P:
         """Wrap the terms an operation built, without validating them.
@@ -246,6 +254,15 @@ class _SparsePoly:
             for key, c in terms.items()
             if c
         }
+        return poly
+
+    @classmethod
+    def _zipped(cls: type[P], xs: Iterable[int], ss: Iterable[int], coeffs: Iterable[int]) -> P:
+        """The integer polynomial with coefficient c at (dx, ds) for the zipped
+        dx, ds and c, zeros dropped: a row, or the digits of a packed value,
+        wrapped in one pass without validation."""
+        poly = object.__new__(cls)
+        poly._terms = {(dx, ds): c for dx, ds, c in zip(xs, ss, coeffs) if c}
         return poly
 
     # -- constructors ------------------------------------------------------
@@ -315,9 +332,8 @@ class _SparsePoly:
         return self._trusted({key: v * c for key, v in self._terms.items()})
 
     def __pow__(self: P, k: int) -> P:
-        _index(k, what="exponent")
         result = self.one()
-        for _ in range(k):
+        for _ in range(_index(k, what="exponent")):
             result = result * self
         return result
 
@@ -412,12 +428,9 @@ class _SparsePoly:
         long polynomials for display, to at least one term.
         """
         keys = sorted(self._terms, reverse=True)
-        truncated = 0
-        if max_terms is not None and len(keys) > _index(max_terms, 1, "max_terms"):
-            truncated = len(keys) - max_terms
-            keys = keys[:max_terms]
+        shown = len(keys) if max_terms is None else _index(max_terms, 1, "max_terms")
         out: list[str] = []
-        for dx, ds in keys:
+        for dx, ds in keys[:shown]:
             c = self._terms[dx, ds]
             parts = []
             if ds > 0:
@@ -432,8 +445,8 @@ class _SparsePoly:
                 out.append(f"- {body}" if c < 0 else f"+ {body}")
             else:
                 out.append(f"-{body}" if c < 0 else body)
-        if truncated:
-            out.append(f"+ ... ({truncated} more terms)")
+        if len(keys) > shown:
+            out.append(f"+ ... ({len(keys) - shown} more terms)")
         return " ".join(out) or "0"
 
     def __str__(self) -> str:
@@ -457,14 +470,6 @@ class BiPoly(_SparsePoly):
     def __init__(self, terms: Mapping[Key, Rat] | None = None) -> None:
         self._terms = _canonical(terms) if terms else {}
 
-    # The shared operators, bound in this class's own namespace so that
-    # per-class instrumentation (perfbench/tracer.py) finds each of them here.
-    __add__ = __radd__ = _SparsePoly.__add__
-    __sub__ = _SparsePoly.__sub__
-    __rsub__ = _SparsePoly.__rsub__
-    __neg__ = _SparsePoly.__neg__
-    __mul__ = __rmul__ = _SparsePoly.__mul__
-    render = _SparsePoly.render
     evaluate = _SparsePoly._evaluate
 
     # -- constructors ------------------------------------------------------
@@ -483,9 +488,8 @@ class BiPoly(_SparsePoly):
         every term has weight dx + s_weight * ds = degree and every absolute
         coefficient is at most bound: slot ds holds the term of x-degree
         degree - s_weight * ds."""
-        slots = degree // s_weight + 1 if degree >= 0 else 0
-        digits = _digits(value, width, slots, bound)
-        return cls._trusted({(degree - s_weight * ds, ds): c for ds, c in enumerate(digits)})
+        xs = range(degree, -1, -s_weight)
+        return cls._zipped(xs, count(), _digits(value, width, len(xs), bound))
 
     # -- inspection --------------------------------------------------------
 
@@ -504,8 +508,7 @@ class BiPoly(_SparsePoly):
         s0 = _coeff(s0)
         acc: dict[Key, Rat] = {}
         for (dx, ds), c in self._terms.items():
-            key = (dx, 0)
-            acc[key] = acc.get(key, 0) + c * s0**ds
+            acc[dx, 0] = acc.get((dx, 0), 0) + c * s0**ds
         return UniPoly._trusted(acc)
 
     def even_substitute(self, q: BiPoly) -> BiPoly:
@@ -537,15 +540,6 @@ class UniPoly(_SparsePoly):
     def __init__(self, coeffs: Mapping[int, Rat] | None = None) -> None:
         self._terms = _canonical({(k, 0): c for k, c in coeffs.items()}) if coeffs else {}
 
-    # The shared operators, bound in this class's own namespace so that
-    # per-class instrumentation (perfbench/tracer.py) finds each of them here.
-    __add__ = __radd__ = _SparsePoly.__add__
-    __sub__ = _SparsePoly.__sub__
-    __rsub__ = _SparsePoly.__rsub__
-    __neg__ = _SparsePoly.__neg__
-    __mul__ = __rmul__ = _SparsePoly.__mul__
-    render = _SparsePoly.render
-
     # -- inspection --------------------------------------------------------
 
     def terms(self) -> Iterator[tuple[int, Rat]]:
@@ -560,8 +554,7 @@ class UniPoly(_SparsePoly):
     def _unpacked(cls, value: int, width: int, bound: int, degree: int) -> UniPoly:
         """The polynomial of degree at most ``degree`` packed as ``value`` in
         ``width``-bit slots, given that every absolute coefficient is at most bound."""
-        digits = _digits(value, width, degree + 1, bound)
-        return cls._trusted({(k, 0): c for k, c in enumerate(digits)})
+        return cls._zipped(count(), repeat(0), _digits(value, width, degree + 1, bound))
 
     def degree(self) -> int:
         if not self._terms:

@@ -51,6 +51,9 @@ runs at, and no builder runs Horner:
   sqrt(D); sqrt(D) and -s act as shift-adds, and the square of member n is
   an int, Z(n)(1, 2^W).  Zx from_bivariate runs the same ladder at (x, s) =
   (2^W, -1), where D = 2^W - 4, and shifts by W for the factor x.
+* l, Z via_lucas and Zx via_l2n: s -> -1 and y^2 -> x move and sign the
+  digits of packed L(n) or L(2n), so each member is read straight from them,
+  its terms built once: no polynomial in between.
 * Zx via_l runs the l ladder at x = 2 - 2^W, and S at x = 2 - 4 * 2^W:
   S(n)(2^W) = (2 - l(n)(2 - 4 * 2^W)) / 4, with the division by 4 checked.
   The coefficients of S(n) are those of Z(n) times 4^(k-1) in absolute
@@ -87,8 +90,9 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from functools import partial
-from itertools import count, islice
+from itertools import count, islice, repeat
 from math import comb, factorial
+from operator import neg
 from typing import Iterable, Iterator, NamedTuple, TypeVar
 
 from .poly import (
@@ -98,6 +102,7 @@ from .poly import (
     UniPoly,
     _c_row,
     _coeff,
+    _digits,
     _fib_lucas_row,
     _index,
     _Shifts,
@@ -175,14 +180,6 @@ def _ladder(
             total = w.add_to(total, a)
         window.append(total)
         yield total
-
-
-def _windows(stream: Iterator[P], size: int) -> Iterator[tuple[P, ...]]:
-    """(a(k), ..., a(k+size-1)) for k = 0, 1, ...: a window, never the whole stream."""
-    window = deque(islice(stream, size - 1), maxlen=size)
-    for member in stream:
-        window.append(member)
-        yield tuple(window)
 
 
 def _packed_ladder(ladder: tuple[tuple[P, ...], tuple[P, ...]], width: int) -> Iterator[int]:
@@ -284,15 +281,22 @@ def _fib_unpacked(value: int, width: int, bound: int, n: int) -> BiPoly:
     return BiPoly._unpacked(value, width, bound, n - 1, 2)
 
 
-def _lucas_from_window(window: tuple[int, int, int], width: int, bound: int, n: int) -> BiPoly:
-    """L(n) = F(n+1) + s F(n-1) from the packed window (F(n-1), F(n), F(n+1))."""
-    before, _, after = window
-    return _lucas_unpacked(after + (before << width), width, bound, n)
+def _lucas_from_fib(width: int) -> Iterator[int]:
+    """L(n) = F(n+1) + s F(n-1) for n = 1, 2, ..., packed: F(n+1) plus F(n-1)
+    shifted up one s-slot, from one F ladder, holding only F(n-1) and F(n)."""
+    fib = _packed_ladder(_FIB, width)
+    before, middle = next(fib), next(fib)
+    for after in fib:
+        yield after + (before << width)
+        before, middle = middle, after
 
 
 def _z_via_lucas(value: int, width: int, bound: int, n: int) -> BiPoly:
-    """Z(n) from packed L(2n)."""
-    return _lucas_unpacked(value, width, bound, 2 * n).halve_degrees() - BiPoly.monomial(2, 0, n)
+    """Z(n) from packed L(2n), whose digit c_i is its coefficient of s^i
+    x^(2n-2i): c_i at s^i x^(n-i), and c_n - 2 at s^n."""
+    digits = _digits(value, width, n + 1, bound)
+    digits[n] -= 2
+    return BiPoly._zipped(range(n, -1, -1), count(), digits)
 
 
 def _z_from_surd(z: _Surd, width: int, bound: int, n: int) -> BiPoly:
@@ -317,8 +321,11 @@ def _z_from_parity(value: int, width: int, bound: int, n: int) -> BiPoly:
 
 
 def _l_from_lucas(value: int, width: int, bound: int, n: int) -> UniPoly:
-    """l(n) from packed L(n)."""
-    return _lucas_unpacked(value, width, bound, n).substitute_s(-1)
+    """l(n) = L(n)(x, -1) from packed L(n), whose digit c_i is its
+    coefficient of s^i x^(n-2i): (-1)^i c_i at x^(n-2i)."""
+    digits = _digits(value, width, n // 2 + 1, bound)
+    digits[1::2] = map(neg, digits[1::2])
+    return UniPoly._zipped(range(n, -1, -2), repeat(0), digits)
 
 
 def _zx_from_l(value: int, width: int, bound: int, n: int) -> UniPoly:
@@ -327,9 +334,13 @@ def _zx_from_l(value: int, width: int, bound: int, n: int) -> UniPoly:
 
 
 def _zx_via_l2n(value: int, width: int, bound: int, n: int) -> UniPoly:
-    """Zx(n) from packed L(2n), through l(2n)."""
-    doubled = _l_from_lucas(value, width, bound, 2 * n)
-    return (doubled.halve_degrees() - 2 * _sign(n)).scale(_sign(n - 1))
+    """Zx(n) = (-1)^(n-1) (l(2n)(y) - 2 (-1)^n) with y^2 -> x, from packed
+    L(2n), whose digit c_i is its coefficient of s^i x^(2n-2i):
+    (-1)^(n+i+1) c_i at x^(n-i) for i < n, and 2 - c_n at x^0."""
+    digits = _digits(value, width, n + 1, bound)
+    digits[n] -= 2
+    digits[n % 2 :: 2] = map(neg, digits[n % 2 :: 2])
+    return UniPoly._zipped(range(n, -1, -1), repeat(0), digits)
 
 
 def _zx_from_surd(z: _Surd, width: int, bound: int, n: int) -> UniPoly:
@@ -354,9 +365,7 @@ def _lucas_evens(width: int) -> Iterator[int]:
 _ROUTES = {
     ("fibonacci", "recurrence"): (0, partial(_packed_ladder, _FIB), _fib_bound, _fib_unpacked),
     ("lucas", "recurrence"): (0, partial(_packed_ladder, _LUCAS), _lucas_bound, _lucas_unpacked),
-    ("lucas", "from_fib"): (
-        1, lambda w: _windows(_packed_ladder(_FIB, w), 3), _lucas_bound, _lucas_from_window
-    ),
+    ("lucas", "from_fib"): (1, _lucas_from_fib, _lucas_bound, _lucas_unpacked),
     ("z", "recurrence"): (0, partial(_packed_ladder, _Z), _z_bound, _z_unpacked),
     ("z", "via_lucas"): (0, _lucas_evens, lambda n: _lucas_bound(2 * n), _z_via_lucas),
     ("z", "via_fib"): (0, lambda w: _fib_surds(_lift(w), _Shifts({w: -1})), _z_bound, _z_from_surd),
@@ -433,7 +442,7 @@ def fibonacci(n: int, method: str = "recurrence") -> BiPoly:
     method = _check_method(method, FIBONACCI_METHODS)
     if method == "recurrence":
         return _built("fibonacci", method, n)
-    return BiPoly(dict(zip(zip(range(n - 1, -1, -2), count()), _fib_lucas_row(n, n - 1))))
+    return BiPoly._zipped(range(n - 1, -1, -2), count(), _fib_lucas_row(n, n - 1))
 
 
 def lucas(n: int, method: str = "recurrence") -> BiPoly:
@@ -453,7 +462,7 @@ def lucas(n: int, method: str = "recurrence") -> BiPoly:
         return _built("lucas", method, n)
     if n == 0:
         return BiPoly.constant(2)
-    return BiPoly(dict(zip(zip(range(n, -1, -2), count()), _fib_lucas_row(n, n))))
+    return BiPoly._zipped(range(n, -1, -2), count(), _fib_lucas_row(n, n))
 
 
 def z_polynomial(n: int, method: str = "recurrence") -> BiPoly:
@@ -475,7 +484,7 @@ def z_polynomial(n: int, method: str = "recurrence") -> BiPoly:
     n = _index(n)
     method = _check_method(method, Z_METHODS)
     if method == "closed":
-        return BiPoly(dict(zip(zip(count(1), range(n - 1, -1, -1)), _c_row(n))))
+        return BiPoly._zipped(count(1), range(n - 1, -1, -1), _c_row(n))
     return _built("z", method, n)
 
 
@@ -548,7 +557,8 @@ def triangle(N: int) -> Triangle:
 
 
 def univariate_l(n: int) -> UniPoly:
-    """l(n)(x) = L(n)(x, -1), by specializing the two-variable Lucas polynomial."""
+    """l(n)(x) = L(n)(x, -1), read from packed L(n): its digit c_i, the
+    coefficient of s^i x^(n-2i), gives (-1)^i c_i at x^(n-2i)."""
     return _built("l", "recurrence", _index(n))
 
 
@@ -564,7 +574,8 @@ def spread_z_univariate(n: int, method: str = "via_l") -> UniPoly:
         the via_fib route of Z(n) at s = -1.
 
     via_l and from_bivariate run their ladders at x = 2^W (see the module
-    docstring); via_l2n unpacks l(2n) and halves its degrees.
+    docstring); via_l2n reads each coefficient of Zx(n) straight from a
+    digit of packed L(2n), its sign set and the constant 2 - c_n.
     """
     n = _index(n)
     return _built("zx", _check_method(method, ZX_METHODS), n)

@@ -10,7 +10,8 @@ check the members it streamed (``sequences._stream``), so a sweep to N takes
 O(N) ladder steps.  A stream runs the same packed ladder as the route's
 single-n builder, the code ``gen`` runs, at the slot width of the largest
 index the sweep reads: max_n, max_n + 1 for the Cassini checks' a(n + 1),
-2 max_n for ``doubling``'s l(2n) and 2 max_n + 1 for ``lucas_binomial``.
+2 max_n for ``doubling``, which reads l(n) and l(2n) from one list of the
+``l`` stream, and 2 max_n + 1 for ``lucas_binomial``.
 The four bivariate suites (Cassini and binomial) read members by index, from
 a list of the F, L or Z ``recurrence`` stream (``_fib_list``,
 ``_lucas_list``, ``_z_list``), so every suite checks the members ``gen``
@@ -134,6 +135,24 @@ def _suite_lucas_binomial(max_n: int) -> SuiteReport:
             check_lucas_binomial(n, parity, lucas_polys)
             for n in range(max_n + 1)
             for parity in ("even", "odd")
+        ),
+    )
+
+
+def _suite_doubling(max_n: int) -> SuiteReport:
+    # l(2n) and l(n) are two indices of one route, read from one list of its
+    # stream, as the Cassini suites read theirs; the two Zx routes stream
+    # on their own.
+    l_members = list(islice(_stream(2 * max_n, "l"), 2 * max_n + 1))
+    return _suite_each_n(
+        "doubling",
+        check_l_doubling,
+        max_n,
+        _from_one(
+            l_members[::2],
+            l_members,
+            _stream(max_n, "zx", "via_l2n"),
+            _stream(max_n, "zx", "via_l"),
         ),
     )
 
@@ -360,17 +379,7 @@ SUITES: dict[str, Callable[[int], SuiteReport]] = {
             _stream(max_n, "z"),
         ),
     ),
-    "doubling": lambda max_n: _suite_each_n(
-        "doubling",
-        check_l_doubling,
-        max_n,
-        _from_one(
-            islice(_stream(2 * max_n, "l"), 0, None, 2),
-            _stream(max_n, "l"),
-            _stream(max_n, "zx", "via_l2n"),
-            _stream(max_n, "zx", "via_l"),
-        ),
-    ),
+    "doubling": _suite_doubling,
     "cross_method": _suite_cross_method,
     "binet": _suite_binet,
     "gf": _suite_gf,

@@ -732,6 +732,36 @@ def test_univariate_checks_pack_wider_than_a_skew_that_vanishes(check, n):
             assert not result.passed and result.witness[0] == n, (w, index, k)
 
 
+@pytest.mark.parametrize("n", [5, 9])
+@pytest.mark.parametrize("skewed", [0, 1], ids=["T(n)", "l(n)"])
+def test_chebyshev_bala_packs_at_its_bound_next_to_a_power_of_two(skewed, n, monkeypatch):
+    # |2 T(n)((x+2)/2) - 2| and |l(n)(x+2) - 2| are bounded by |p|(3) + 2, p
+    # the halving of 2 T(n) or l(n).  For right members the two bounds are
+    # equal, so each hides a fault in the other; a constant added to T(n) or
+    # to l(n) (neither has one at odd n) makes that bound the largest and
+    # sets it 0 to 1 above 2^(8m-2), where a bound 4 smaller takes slots 8
+    # bits narrower.  The check must pack at the width of twice that bound,
+    # and fail.
+    members = [
+        sequences.chebyshev_t(n),
+        sequences.univariate_l(n),
+        spread_z_univariate(n, "via_l"),
+        z_polynomial(n),
+    ]
+    base = identities._abs_at(members[1], 3) + 2
+    top = next(k for k in itertools.count(6, 8) if 1 << k > base)
+    target = (1 << top) + (base - (1 << top)) % 2  # T(n) + d moves the bound by 2d
+    members[skewed] = members[skewed] + (target - base) // (2 - skewed)
+    widths = []
+    slot_width = identities._slot_width
+    monkeypatch.setattr(
+        identities, "_slot_width", lambda b: widths.append(slot_width(b)) or widths[-1]
+    )
+    result = check_chebyshev_bala(n, members)
+    assert not result.passed and result.witness[0] == n
+    assert widths == [poly._slot_width(2 * target)] == [poly._slot_width(2 * (target - 4)) + 8]
+
+
 @pytest.mark.parametrize("off_form", sequences.C_FORMS)
 def test_coefficient_forms_compare_the_first_and_the_last_entry(off_form, monkeypatch):
     # One closed form off by one at k = 1 alone, then at k = n alone: the

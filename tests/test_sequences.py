@@ -428,6 +428,83 @@ def test_substitution_formulas_are_the_builders():
         assert zx.compose(UniPoly({1: 4})).scale(Fraction(1, 4)) == wildberger_spread(n), n
 
 
+def test_digit_readers_are_the_compositions_they_replace():
+    # l(n), Zx(n) via_l2n and Z(n) via_lucas read their terms straight from
+    # the digits of packed L(n) or L(2n).  The oracle is the chain of
+    # polynomial operations they once ran on L by its recurrence: s -> -1,
+    # y^2 -> x, a constant or monomial subtracted, a sign.
+    luc = _lucas_list(400)
+    for n in range(201):
+        sign = (-1) ** n
+        assert univariate_l(n) == luc[n].substitute_s(-1), n
+        zx = (luc[2 * n].substitute_s(-1).halve_degrees() - 2 * sign).scale(-sign)
+        assert spread_z_univariate(n, "via_l2n") == zx, n
+        z = luc[2 * n].halve_degrees() - BiPoly.monomial(2, 0, n)
+        assert z_polynomial(n, "via_lucas") == z, n
+
+
+# Every member built from digits or from a row of ints, without the
+# validating constructor.
+DIGIT_BUILT = {
+    "l": univariate_l,
+    "zx via_l2n": functools.partial(spread_z_univariate, method="via_l2n"),
+    "z via_lucas": functools.partial(z_polynomial, method="via_lucas"),
+    **{f"{name} closed": functools.partial(build, method="closed") for name, build in (
+        ("fibonacci", fibonacci), ("lucas", lucas), ("z", z_polynomial)
+    )},
+    **{f"{name} recurrence": build for name, build in (
+        ("fibonacci", fibonacci), ("lucas", lucas), ("z", z_polynomial), ("t", chebyshev_t)
+    )},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGIT_BUILT))
+def test_members_built_from_digits_are_canonical(name):
+    # int coefficients and no stored zero, or __eq__ and __hash__ break: at
+    # n = 0, Zx via_l2n and Z via_lucas subtract 2 from the digit 2 of L(0).
+    build = DIGIT_BUILT[name]
+    for n in [*range(41), 200]:
+        member = build(n)
+        assert all(type(c) is int and c for c in member._terms.values()), (name, n)
+        rebuilt = type(member)(dict(member.terms()))  # through the validating constructor
+        assert member == rebuilt and hash(member) == hash(rebuilt), (name, n)
+    assert spread_z_univariate(0, "via_l2n")._terms == z_polynomial(0, "via_lucas")._terms == {}
+    assert hash(spread_z_univariate(0, "via_l2n")) == hash(z_polynomial(0, "via_lucas")) == hash(0)
+
+
+def test_digit_readers_build_no_intermediate_polynomial(monkeypatch):
+    # Streaming l, Zx via_l2n and Z via_lucas, and building F, L and Z
+    # closed, runs no substitution and no validating constructor: each
+    # member leaves its digits, or its row, in its final form.
+    def run():
+        streams = [("l",), ("zx", "via_l2n"), ("z", "via_lucas")]
+        members = [list(islice(_stream(40, *route), 41)) for route in streams]
+        builds = (fibonacci, lucas, z_polynomial)
+        closed = [[build(n, "closed") for n in range(41)] for build in builds]
+        return members + closed
+
+    expected = run()
+    called = []
+    for cls, name in [
+        (BiPoly, "substitute_s"),
+        (poly._SparsePoly, "halve_degrees"),
+        (BiPoly, "__init__"),
+        (UniPoly, "__init__"),
+    ]:
+        original = getattr(cls, name)
+
+        def spy(*args, original=original, label=f"{cls.__name__}.{name}", **kwargs):
+            called.append(label)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, spy)
+    got = run()
+    assert called == []
+    BiPoly({(2, 0): 1}).substitute_s(-1).halve_degrees()  # the spies are live
+    assert called == ["BiPoly.__init__", "BiPoly.substitute_s", "_SparsePoly.halve_degrees"]
+    assert got == expected
+
+
 def test_chebyshev_values():
     assert chebyshev_t(0) == UniPoly.one()
     assert chebyshev_t(1) == UniPoly.x()
