@@ -58,7 +58,6 @@ from .poly import BiPoly, UniPoly, _index, _Shifts, _slot_width
 from .sequences import (
     _fib_list,
     _lucas_list,
-    _sign,
     _z_list,
     chebyshev_t,
     coefficient_c,
@@ -113,6 +112,10 @@ class CheckResult(NamedTuple):
 
 def failure(name: str, range_text: str, index: int, lhs: str, rhs: str) -> CheckResult:
     return CheckResult(name, range_text, (index, lhs, rhs))
+
+
+def _sign(k: int) -> int:
+    return -1 if k % 2 else 1
 
 
 def compare_polynomials(
@@ -329,15 +332,18 @@ def check_symmetry(n: int, members: Sequence[UniPoly | BiPoly] = ()) -> CheckRes
 
 
 def check_coefficient_forms(n: int) -> CheckResult:
-    """All four closed forms of the triangle entries c(n, k) agree for k = 1..n."""
+    """All four closed forms of the triangle entries c(n, k) agree for k = 1..n.
+
+    The fourth, (n/k) C(n+k-1, 2k-1), is decided on ints as n C(n+k-1, 2k-1)
+    = k c(n, k); only a failure's witness builds it as a fraction."""
     _index(n, 1)
     for k in range(1, n + 1):
-        ratio_a = coefficient_c(n, k, form="ratio_binomial")
-        ratio_b = Fraction(n, k) * comb(n + k - 1, 2 * k - 1)
+        ratio = coefficient_c(n, k, form="ratio_binomial")
+        wide = n * comb(n + k - 1, 2 * k - 1)
         total = coefficient_c(n, k, form="sum_binomials")
         product = coefficient_c(n, k, form="product")
-        values = (ratio_a, ratio_b, total, product)
-        if any(v != ratio_a for v in values):
+        if wide != k * ratio or total != ratio or product != ratio:
+            values = (ratio, Fraction(wide, k), total, product)
             return failure(
                 "coefficient_forms",
                 f"n={n}",

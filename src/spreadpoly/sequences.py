@@ -76,13 +76,18 @@ point.  Seeded only from F(0) = 0, F(1) = 1, it doubles the pair
   F(2k) = F(k) (2 F(k+1) - x F(k)),   F(2k+1) = F(k+1)^2 + s F(k)^2,
 
 in O(log n) products, and ends with L(n) = 2 F(n+1) - x F(n).  Its callers
-scale: a rational point runs at its integral point (X, S) = (lam x0,
-lam^2 s0), where F(n)(x0, s0) = F(n)(X, S) lam / lam^n and L(n)(x0, s0) =
-L(n)(X, S) / lam^n.  Every other family follows by an exact identity:
-Z(n)(x, s) = L(n)(x+2s, -s^2) - 2 s^n, l(n)(x) = L(n)(x, -1),
-T(n)(x) = L(n)(2x, -1) / 2,
-Zx(n)(x) = (-1)^(n-1) Z(n)(x, -1) and S(n)(x) = Zx(n)(4x) / 4.  No step
-divides by the discriminant x^2 + 4s, so every rational point works.
+scale on plain ints, read straight from each point's numerator and
+denominator (an int's denominator is 1): a rational point runs at its
+integral point (X, S) = (lam x0, lam^2 s0), where F(n)(x0, s0) =
+F(n)(X, S) lam / lam^n and L(n)(x0, s0) = L(n)(X, S) / lam^n.  Every other
+family follows by an exact identity, Z(n)(x, s) = L(n)(x+2s, -s^2) - 2 s^n,
+l(n)(x) = L(n)(x, -1), T(n)(x) = L(n)(2x, -1) / 2, Zx(n)(x) = (-1)^(n-1)
+Z(n)(x, -1) and S(n)(x) = Zx(n)(4x) / 4, folded into the ints before any
+division: Z(n) is homogeneous of degree n, so Zx(n)(x) = Z(n)(-x, 1) / -1
+and S(n)(x) = Z(n)(-4x, 1) / -4, the sign and the 4 a scale of the point
+and of the denominator, and T's 2 doubles X and its denominator.  So each
+value is one fraction, built once and reduced once.  No step divides by the
+discriminant x^2 + 4s, so every rational point works.
 """
 
 from __future__ import annotations
@@ -146,10 +151,6 @@ def _check_method(method: str, allowed: tuple[str, ...]) -> str:
     if method not in allowed:
         raise ValueError(f"unknown method {method!r}; expected one of {allowed}")
     return method
-
-
-def _sign(k: int) -> int:
-    return -1 if k % 2 else 1
 
 
 # -- recurrence ladders -------------------------------------------------------
@@ -345,7 +346,7 @@ def _zx_via_l2n(value: int, width: int, bound: int, n: int) -> UniPoly:
 
 def _zx_from_surd(z: _Surd, width: int, bound: int, n: int) -> UniPoly:
     """Zx(n)(2^W) = (-1)^(n-1) 2^W F(n)(sqrt(D), 1)^2 at D = x - 4."""
-    value = _sign(n - 1) * _squared(z, _x_minus_4(width)) << width
+    value = -(-1) ** n * _squared(z, _x_minus_4(width)) << width
     return UniPoly._unpacked(value, width, bound, n)
 
 
@@ -521,8 +522,11 @@ def coefficient_c(n: int, k: int, form: str = "ratio_binomial") -> int:
     return value
 
 
+_Rows = tuple[tuple[int, ...], ...]
+
+
 class _TriangleRows(NamedTuple):
-    rows: tuple[tuple[int, ...], ...]
+    rows: _Rows
 
 
 class Triangle(_TriangleRows):
@@ -530,14 +534,14 @@ class Triangle(_TriangleRows):
 
     __slots__ = ()
 
-    def __new__(cls, rows: tuple[tuple[int, ...], ...]) -> Triangle:
+    def __new__(cls, rows: _Rows) -> Triangle:
         for i, row in enumerate(rows, start=1):
             if len(row) != i:
                 raise ValueError(f"row {i} must have {i} entries, has {len(row)}")
         return super().__new__(cls, rows)
 
     @classmethod
-    def _make(cls, iterable: Iterable[tuple[tuple[int, ...], ...]]) -> Triangle:
+    def _make(cls, iterable: Iterable[_Rows]) -> Triangle:
         # _replace builds through _make, so it is checked as well.
         return cls(*iterable)
 
@@ -610,15 +614,16 @@ def _doubling(n: int, x: int, s: int) -> tuple[int, int]:
 
 
 def _integral_point(x0: Rat, s0: Rat) -> tuple[int, int, int]:
-    """(X, S, lam) with X = lam x0 and S = lam^2 s0 both integers.
+    """(X, S, lam) with X = lam x0 and S = lam^2 s0 both integers, read from
+    the numerators and denominators of x0 and s0 (an int's denominator is 1).
 
     F(n) and L(n) are weighted-homogeneous (x of weight 1, s of weight 2), so
     F(n)(x0, s0) = F(n)(X, S) / lam^(n-1) and L(n)(x0, s0) = L(n)(X, S) / lam^n:
-    the kernel runs on integers and one fraction is reduced at the end.
+    the kernel runs on integers, and the caller's result is the only fraction.
     """
-    x, s = Fraction(_coeff(x0)), Fraction(_coeff(s0))
-    lam = x.denominator * s.denominator
-    return x.numerator * s.denominator, s.numerator * x.denominator**2 * s.denominator, lam
+    x, s = _coeff(x0), _coeff(s0)
+    b, d = x.denominator, s.denominator
+    return x.numerator * d, s.numerator * b * b * d, b * d
 
 
 def fibonacci_at(n: int, x0: Rat, s0: Rat) -> Fraction:
@@ -637,14 +642,21 @@ def lucas_at(n: int, x0: Rat, s0: Rat) -> Fraction:
     return Fraction(_doubling(n, x, s)[1], lam**n)
 
 
-def z_at(n: int, x0: Rat, s0: Rat) -> Fraction:
-    """Z(n)(x0, s0) = L(n)(x0 + 2 s0, -s0^2) - 2 s0^n.  Z(n) is homogeneous of
-    degree n, so with x0 = X/m and s0 = S/m it is Z(n)(X, S) / m^n, and the
-    kernel runs at the integer point (X + 2S, -S^2)."""
-    s0, x0 = Fraction(_coeff(s0)), Fraction(_coeff(x0))
+def _z_at(n: int, x0: Rat, s0: Rat, scale: int = 1) -> Fraction:
+    """Z(n)(scale x0, s0) / scale, as one fraction.  Z(n) is homogeneous of
+    degree n, so with scale x0 = X/m and s0 = S/m it is Z(n)(X, S) / m^n, and
+    Z(n)(X, S) = L(n)(X + 2S, -S^2) - 2 S^n runs the kernel at an integer
+    point; the division by the scale joins m^n in the denominator."""
+    s0, x0 = _coeff(s0), _coeff(x0)
     m, n = x0.denominator * s0.denominator, _index(n)
-    x, s = x0.numerator * s0.denominator, s0.numerator * x0.denominator
-    return Fraction(_doubling(n, x + 2 * s, -s * s)[1] - 2 * s**n, m**n)
+    x, s = scale * x0.numerator * s0.denominator, s0.numerator * x0.denominator
+    return Fraction(_doubling(n, x + 2 * s, -s * s)[1] - 2 * s**n, scale * m**n)
+
+
+def z_at(n: int, x0: Rat, s0: Rat) -> Fraction:
+    """Z(n)(x0, s0) = L(n)(x0 + 2 s0, -s0^2) - 2 s0^n, by the doubling kernel
+    at an integer point (``_z_at``)."""
+    return _z_at(n, x0, s0)
 
 
 def univariate_l_at(n: int, x0: Rat) -> Fraction:
@@ -653,23 +665,26 @@ def univariate_l_at(n: int, x0: Rat) -> Fraction:
 
 
 def spread_z_univariate_at(n: int, x0: Rat) -> Fraction:
-    """Zx(n)(x0) = (-1)^(n-1) Z(n)(x0, -1)."""
-    return z_at(n, x0, -1) * _sign(n - 1)
+    """Zx(n)(x0) = (-1)^(n-1) Z(n)(x0, -1) = -Z(n)(-x0, 1), as Z(n) is
+    homogeneous of degree n: the sign is the scale -1."""
+    return _z_at(n, x0, 1, -1)
 
 
 def wildberger_spread_at(n: int, x0: Rat) -> Fraction:
-    """S(n)(x0) = Zx(n)(4 x0) / 4."""
-    return spread_z_univariate_at(n, 4 * _coeff(x0)) / 4
+    """S(n)(x0) = Zx(n)(4 x0) / 4 = Z(n)(-4 x0, 1) / -4: the scale -4."""
+    return _z_at(n, x0, 1, -4)
 
 
 def chebyshev_t_at(n: int, x0: Rat) -> Fraction:
-    """T(n)(x0) = L(n)(2 x0, -1) / 2."""
-    return lucas_at(n, 2 * _coeff(x0), -1) / 2
+    """T(n)(x0) = L(n)(2 x0, -1) / 2 = L(n)(2 X, S) / (2 lam^n), with (X, S,
+    lam) the integral point of (x0, -1)."""
+    x, s, lam = _integral_point(x0, -1)
+    return Fraction(_doubling(_index(n), 2 * x, s)[1], 2 * lam**n)
 
 
 def _log2_height(v: Rat) -> int:
     """ceil(log2(max(|numerator|, denominator))) of a rational."""
-    v = Fraction(_coeff(v))
+    v = _coeff(v)
     return (max(abs(v.numerator), v.denominator) - 1).bit_length()
 
 

@@ -777,3 +777,20 @@ def test_coefficient_forms_compare_the_first_and_the_last_entry(off_form, monkey
             monkeypatch.setattr(identities, "coefficient_c", skewed)
             result = check_coefficient_forms(n)
             assert not result.passed and result.witness[0] == k_off, (n, k_off)
+
+
+def test_coefficient_forms_fourth_form_off_at_one_entry(monkeypatch):
+    # The fourth form, (n/k) C(n+k-1, 2k-1), decided on ints, with its binomial
+    # off by one at (n, k) = (12, 5) alone: only n = 12 fails, at k = 5, and its
+    # witness shows that form as the fraction it stands for.
+    def skewed(top, bottom):
+        return comb(top, bottom) + ((top, bottom) == (16, 9))
+
+    monkeypatch.setattr(identities, "comb", skewed)
+    results = {n: check_coefficient_forms(n) for n in range(1, 15)}
+    assert [n for n, result in results.items() if not result.passed] == [12]
+    assert results[12] == (
+        "coefficient_forms",
+        "n=12",
+        (5, "c(12,5) forms gave ('27456', '137292/5', '27456', '27456')", "a single integer"),
+    )

@@ -6,6 +6,7 @@ import io
 import math
 import operator
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -762,7 +763,11 @@ def test_all_families_integer_coefficients():
 # -- point values by doubling ----------------------------------------------------
 
 # Points where the Binet closed forms break down (x = 0, s < 0, x^2 + 4s = 0),
-# points where every term of a family has the same sign, and a generic one.
+# points where every term of a family has the same sign, and a generic one;
+# the same kinds as plain ints and mixed with Fractions, since the evaluators
+# read an int's numerator and denominator as they read a Fraction's; and
+# seeded rationals with larger denominators.
+_seeded = random.Random(30)
 EDGE_POINTS = [
     (Fraction(0), Fraction(-3)),
     (Fraction(0), Fraction(0)),
@@ -773,6 +778,15 @@ EDGE_POINTS = [
     (Fraction(-1), Fraction(-1)),
     (Fraction(-1), Fraction(1)),
     (Fraction(2, 7), Fraction(-5, 3)),
+    (0, -3),
+    (6, -9),
+    (-3, 5),
+    (0, Fraction(-5, 3)),
+    (Fraction(7, 4), -3),
+] + [
+    (Fraction(_seeded.randint(-40, 40), _seeded.randint(1, 40)),
+     Fraction(_seeded.randint(-40, 40), _seeded.randint(1, 40)))
+    for _ in range(4)
 ]
 
 small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -810,7 +824,7 @@ def test_point_evaluator_matches_built_polynomial_at_edge_points(family):
     for n in range(61):
         for x0, s0 in EDGE_POINTS:
             got, expected = evaluate_both(family, n, x0, s0)
-            assert got == expected, (family, n, x0, s0)
+            assert type(got) is Fraction and got == expected, (family, n, x0, s0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -846,11 +860,39 @@ def test_point_bits_bound_is_an_upper_bound(family, n, point):
     assert bits <= point_bits_bound(n, x0, s0 or 0)
 
 
+# (call, the error it raises): a bad n is a ValueError and an inexact point a
+# TypeError.  Where both are bad, the first one checked wins: F, L and l check
+# n first, then x0, then s0; Z checks s0, then x0, then n; Zx, S and T check
+# x0 before n.
+_POINT_ERRORS = [
+    (lambda: fibonacci_at(-1, 0.5, "1"), ValueError, "got -1"),
+    (lambda: fibonacci_at(3, 0.5, "1"), TypeError, "got float"),
+    (lambda: fibonacci_at(3, 1, "1"), TypeError, "got str"),
+    (lambda: lucas_at(True, 1, 1), ValueError, "got True"),
+    (lambda: lucas_at(-1, 0.5, "1"), ValueError, "got -1"),
+    (lambda: lucas_at(3, 0.5, "1"), TypeError, "got float"),
+    (lambda: sequences.z_at(-1, 0.5, "1"), TypeError, "got str"),
+    (lambda: sequences.z_at(-1, 0.5, 1), TypeError, "got float"),
+    (lambda: sequences.z_at(-1, 1, 1), ValueError, "got -1"),
+    (lambda: sequences.z_at(2.0, 1, 1), ValueError, "got 2.0"),
+    (lambda: sequences.univariate_l_at(-1, 0.5), ValueError, "got -1"),
+    (lambda: sequences.univariate_l_at(3, "1/2"), TypeError, "got str"),
+    (lambda: sequences.spread_z_univariate_at(-1, 0.5), TypeError, "got float"),
+    (lambda: sequences.spread_z_univariate_at(-1, 1), ValueError, "got -1"),
+    (lambda: sequences.wildberger_spread_at(-1, "1"), TypeError, "got str"),
+    (lambda: sequences.wildberger_spread_at(-1, 1), ValueError, "got -1"),
+    (lambda: chebyshev_t_at(-1, 0.5), TypeError, "got float"),
+    (lambda: chebyshev_t_at(-1, 1), ValueError, "got -1"),
+    (lambda: point_bits_bound(-1, 0.5, "1"), ValueError, "got -1"),
+    (lambda: point_bits_bound(3, 0.5, "1"), TypeError, "got float"),
+    (lambda: point_bits_bound(3, 1, "1"), TypeError, "got str"),
+]
+
+
 def test_point_evaluators_reject_bad_input():
-    with pytest.raises(ValueError):
-        lucas_at(-1, 1, 1)
-    with pytest.raises(TypeError):
-        fibonacci_at(3, 0.5, 1)
+    for call, error, text in _POINT_ERRORS:
+        with pytest.raises(error, match=f"{text}$"):
+            call()
 
 
 def test_point_evaluators_check_n_before_the_point():
@@ -859,6 +901,29 @@ def test_point_evaluators_check_n_before_the_point():
     for at in (fibonacci_at, lucas_at):
         with pytest.raises(ValueError):
             at(-1, 0.5, 1)
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_each_point_evaluator_builds_one_fraction_its_result(family, monkeypatch):
+    # Every input is read as ints and every identity folded into them, so the
+    # one Fraction a call builds is the value it returns: no input is wrapped
+    # and no Fraction arithmetic follows.  point_bits_bound builds none.
+    made = []
+
+    class Spy(Fraction):
+        def __new__(cls, *args):
+            made.append(super().__new__(cls, *args))
+            return made[-1]
+
+    monkeypatch.setattr(sequences, "Fraction", Spy)
+    at = _FAMILIES[family][2]
+    for n, x0, s0 in [(0, 3, -2), (9, Fraction(-2, 3), Fraction(5, 7)), (12, Fraction(4), 1)]:
+        made.clear()
+        value = at(n, x0, s0)
+        assert len(made) == 1 and value is made[0], (family, n, x0, s0)
+        made.clear()
+        assert point_bits_bound(n, x0, s0) > 0 and made == []
+        assert sequences._integral_point(x0, s0) and made == []
 
 
 def _from_sympy(value):
