@@ -23,7 +23,9 @@ before times a small num/den, the division checked.  They share no code with
 
 Each recurrence route is a ladder, data (seeds, weights) for a(k) = w0 a(k-1)
 + w1 a(k-2) + ..., run by one generator that holds only the last len(seeds)
-members, so no route keeps a list.  A route runs its ladder on packed ints
+members, so no route keeps a list; the Z[sqrt(D)] ladder of via_fib, whose
+weights alternate with the parity of k, runs its own two-member loop
+(``_fib_surds``).  A route runs its ladder on packed ints
 (Kronecker substitution): a member packs as its value at (x, s) = (1, 2^W),
 one W-bit slot per s-degree, and T(n) as its value at x = 2^W; weights act as
 shifts (``poly._Shifts``).  A step adds each weighted member straight into one
@@ -47,10 +49,12 @@ runs at, and no builder runs Horner:
   even n, with W from Z(n)'s bound.  The builder steps only the ladder it
   reads; a sweep reads both parities, so it steps both.
 * via_fib: u^2 -> x + 4s makes u = sqrt(D), D = 1 + 4 * 2^W at (1, 2^W).
-  The flipped Fibonacci ladder runs in Z[sqrt(D)] on pairs (a, b) = a + b
-  sqrt(D); sqrt(D) and -s act as shift-adds, and the square of member n is
-  an int, Z(n)(1, 2^W).  Zx from_bivariate runs the same ladder at (x, s) =
-  (2^W, -1), where D = 2^W - 4, and shifts by W for the factor x.
+  The x-degrees of F(n) share one parity, so F(n)(sqrt(D), -s) is an int
+  c(n) at odd n and c(n) sqrt(D) at even n, and the flipped Fibonacci ladder
+  runs on c(n) alone, D and -s as shift-adds.  Z(n)(1, 2^W) is c(n)^2 at odd
+  n and D c(n)^2 at even n, read as parity reads L(n) and F(n).  Zx
+  from_bivariate runs the same ladder at (x, s) = (2^W, -1), where D = 2^W -
+  4, and shifts by W for the factor x.
 * l, Z via_lucas and Zx via_l2n: s -> -1 and y^2 -> x move and sign the
   digits of packed L(n) or L(2n), so each member is read straight from them,
   its terms built once: no polynomial in between.
@@ -98,7 +102,7 @@ from functools import partial
 from itertools import count, islice, repeat
 from math import comb, factorial
 from operator import neg
-from typing import Iterable, Iterator, NamedTuple, TypeVar
+from typing import Iterable, Iterator, NamedTuple
 
 from .poly import (
     P,
@@ -161,16 +165,12 @@ _FIB = ((BiPoly.zero(), BiPoly.one()), (_X, _S))
 _LUCAS = ((BiPoly.constant(2), _X), (_X, _S))
 _Z = ((BiPoly.zero(), _X, _X * _X + 4 * _S * _X), (_X + 3 * _S, -_S * (_X + 3 * _S), _S**3))
 _CHEBYSHEV = ((UniPoly.one(), UniPoly.x()), (UniPoly({1: 2}), UniPoly({0: -1})))
-M = TypeVar("M")  # a ladder member as a step sees it: a packed int or a pair
 
 
-def _ladder(
-    seeds: tuple[M, ...], weights: tuple[_Shifts | _RootD | _BothParts, ...]
-) -> Iterator[M]:
+def _ladder(seeds: tuple[int, ...], weights: tuple[_Shifts, ...]) -> Iterator[int]:
     """a(0), a(1), ... of one ladder, holding only the last len(seeds) members.
     A step starts its total at w0 a(k-1) and adds each further weight's term
-    into it (``add_to``), so the weights are packed ones: ``_Shifts`` on ints,
-    or the pair weights of ``_fib_surds``."""
+    into it (``_Shifts.add_to``)."""
     window = deque(seeds, maxlen=len(seeds))
     yield from seeds
     first, *rest = weights
@@ -214,40 +214,18 @@ def _s_bound(n: int) -> int:
 # -- substitutions as evaluation points ----------------------------------------
 
 
-# An element a + b sqrt(D) of Z[sqrt(D)] is the pair (a, b).
-_Surd = tuple[int, int]
-
-
-class _RootD(tuple):
-    """sqrt(D) as a weight on pairs, (d,) with d the packed D: (a, b) -> (D b, a)."""
-
-    __slots__ = ()
-
-    def __mul__(self, z: _Surd) -> _Surd:
-        return self[0] * z[1], z[0]
-
-
-class _BothParts(tuple):
-    """(c,) for a packed weight c on pairs: each part added into its running total."""
-
-    __slots__ = ()
-
-    def add_to(self, total: _Surd, z: _Surd) -> _Surd:
-        (c,) = self
-        return c.add_to(total[0], z[0]), c.add_to(total[1], z[1])
-
-
-def _fib_surds(d: _Shifts, minus_s: _Shifts) -> Iterator[_Surd]:
-    """F(n)(sqrt(D), -s) for n = 0, 1, ...: the flipped Fibonacci ladder run in
-    Z[sqrt(D)], with D and -s packed weights."""
-    return _ladder(((0, 0), (1, 0)), (_RootD((d,)), _BothParts((minus_s,))))
-
-
-def _squared(z: _Surd, d: _Shifts) -> int:
-    """z^2 for z = F(n)(sqrt(D), -s): the x-degrees of F(n) share one parity, so
-    z is a or b sqrt(D) and its square a^2 + D b^2 is an int."""
-    a, b = z
-    return d.add_to(a * a, b * b)
+def _fib_surds(d: _Shifts, t: _Shifts) -> Iterator[int]:
+    """c(n) for n = 0, 1, ..., where F(n)(sqrt(D), t) is c(n) at odd n and
+    c(n) sqrt(D) at even n: the x-degrees of F(n) share one parity.  So the
+    Fibonacci ladder in Z[sqrt(D)] runs on its nonzero part alone, c(n) =
+    D c(n-1) + t c(n-2) at odd n and c(n-1) + t c(n-2) at even n, with D and
+    t packed weights."""
+    even, odd = 0, 1
+    while True:
+        yield even
+        yield odd
+        even = t.add_to(odd, even)
+        odd = t.add_to(d * even, odd)
 
 
 def _lift(width: int) -> _Shifts:
@@ -300,11 +278,6 @@ def _z_via_lucas(value: int, width: int, bound: int, n: int) -> BiPoly:
     return BiPoly._zipped(range(n, -1, -1), count(), digits)
 
 
-def _z_from_surd(z: _Surd, width: int, bound: int, n: int) -> BiPoly:
-    """Z(n)(1, 2^W) = F(n)(sqrt(D), -s)^2 at D = x + 4s."""
-    return _z_unpacked(_squared(z, _lift(width)), width, bound, n)
-
-
 def _parity_ladder(width: int, n: int | None = None) -> Iterator[int]:
     """L(k) at odd k and F(k) at even k, packed, for k = 0, 1, ...: the member
     that Z(k) reads.  A sweep reads both parities, so both ladders run; member
@@ -316,8 +289,10 @@ def _parity_ladder(width: int, n: int | None = None) -> Iterator[int]:
 
 
 def _z_from_parity(value: int, width: int, bound: int, n: int) -> BiPoly:
-    """Z(n)(1, 2^W) from packed L(n) at odd n, L(n)^2, and from packed F(n)
-    at even n, (x + 4s) F(n)^2."""
+    """Z(n)(1, 2^W) = value^2 at odd n and (x + 4s) value^2 at even n, the one
+    reader of two routes: ``parity``, whose value is packed L(n) at odd n and
+    packed F(n) at even n, and ``via_fib``, whose value is c(n) of
+    ``_fib_surds`` at D = x + 4s, t = -s, as Z(n) = x F(n)(sqrt(D), -s)^2."""
     return _z_unpacked(value**2 if n % 2 else _lift(width) * value**2, width, bound, n)
 
 
@@ -344,10 +319,12 @@ def _zx_via_l2n(value: int, width: int, bound: int, n: int) -> UniPoly:
     return UniPoly._zipped(range(n, -1, -1), repeat(0), digits)
 
 
-def _zx_from_surd(z: _Surd, width: int, bound: int, n: int) -> UniPoly:
-    """Zx(n)(2^W) = (-1)^(n-1) 2^W F(n)(sqrt(D), 1)^2 at D = x - 4."""
-    value = -(-1) ** n * _squared(z, _x_minus_4(width)) << width
-    return UniPoly._unpacked(value, width, bound, n)
+def _zx_from_surd(c: int, width: int, bound: int, n: int) -> UniPoly:
+    """Zx(n)(2^W) = (-1)^(n-1) 2^W F(n)(sqrt(D), 1)^2 at D = x - 4, from c(n)
+    of ``_fib_surds``: 2^W c^2 at odd n and -2^W D c^2 at even n."""
+    square = c * c
+    value = square if n % 2 else -(_x_minus_4(width) * square)
+    return UniPoly._unpacked(value << width, width, bound, n)
 
 
 def _s_from_l(value: int, width: int, bound: int, n: int) -> UniPoly:
@@ -369,7 +346,9 @@ _ROUTES = {
     ("lucas", "from_fib"): (1, _lucas_from_fib, _lucas_bound, _lucas_unpacked),
     ("z", "recurrence"): (0, partial(_packed_ladder, _Z), _z_bound, _z_unpacked),
     ("z", "via_lucas"): (0, _lucas_evens, lambda n: _lucas_bound(2 * n), _z_via_lucas),
-    ("z", "via_fib"): (0, lambda w: _fib_surds(_lift(w), _Shifts({w: -1})), _z_bound, _z_from_surd),
+    ("z", "via_fib"): (
+        0, lambda w: _fib_surds(_lift(w), _Shifts({w: -1})), _z_bound, _z_from_parity
+    ),
     ("z", "parity"): (0, _parity_ladder, _z_bound, _z_from_parity),
     ("zx", "via_l"): (0, lambda w: _l_at(_Shifts({0: 2, w: -1})), _z_bound, _zx_from_l),
     ("zx", "via_l2n"): (0, _lucas_evens, lambda n: _lucas_bound(2 * n), _zx_via_l2n),

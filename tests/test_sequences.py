@@ -48,6 +48,7 @@ from spreadpoly.sequences import (
     lucas_at,
     point_bits_bound,
 )
+from spreadpoly.surd import QuadExt
 
 # First bivariate spread polynomials, typed out by hand.
 Z_FIRST = [
@@ -444,6 +445,28 @@ def test_digit_readers_are_the_compositions_they_replace():
         assert z_polynomial(n, "via_lucas") == z, n
 
 
+# Each digit reader's route, with k: it reads the digits of packed L(k n).
+DIGIT_READERS = {("z", "via_lucas"): 2, ("zx", "via_l2n"): 2, ("l", "recurrence"): 1}
+
+
+@pytest.mark.parametrize("route", sorted(DIGIT_READERS), ids=":".join)
+def test_digit_readers_take_exactly_the_bound_and_slots_of_their_l_member(route):
+    # The route's bound is the sum of the |coefficients| of L(k n), no more,
+    # so its slots are no wider than they must be; and a value with a digit
+    # one slot past the m // 2 + 1 s-slots of L(m) is refused, never read
+    # with that digit dropped.
+    _, _, bound, member = sequences._ROUTES[route]
+    k = DIGIT_READERS[route]
+    for n in range(41):
+        luc = lucas(k * n)
+        top = bound(n)
+        assert top == sum(abs(c) for _, c in luc.terms()), n
+        width = poly._slot_width(top)
+        too_long = luc._packed(width) + (1 << width * (k * n // 2 + 1))
+        with pytest.raises(ArithmeticError):
+            member(too_long, width, top, n)
+
+
 # Every member built from digits or from a row of ints, without the
 # validating constructor.
 DIGIT_BUILT = {
@@ -702,11 +725,25 @@ def test_stream_read_past_its_last_is_right_or_raises(route):
     assert streamed == [build(n) for n in range(first, first + len(streamed))]
 
 
-@pytest.mark.parametrize("route", [("z", "recurrence"), ("zx", "via_l")], ids=":".join)
+def _read_or_refusal(read):
+    """read(), or the ArithmeticError it raises."""
+    try:
+        return read()
+    except ArithmeticError as refusal:
+        return refusal
+
+
+@pytest.mark.parametrize(
+    "route",
+    [("z", "recurrence"), ("zx", "via_l"), ("z", "via_fib"), ("zx", "from_bivariate")],
+    ids=":".join,
+)
 def test_a_changed_route_ladder_breaks_gen_and_its_stream(route, monkeypatch):
     # Mutation: every state of the route's ladder off by one in its lowest
     # slot.  gen and the sweep run the one ladder, so both go wrong, and
-    # cross_method, which compares the route with its siblings, fails.
+    # cross_method, which compares the route with its siblings, fails.  A
+    # skewed state that no longer fits its slots is refused (ArithmeticError
+    # from the digit reader), which detects it as well.
     build = LADDER_STREAMS[route]
     right = [build(n) for n in range(8)]
     gen = ["gen", {"z": "Z", "zx": "Zx"}[route[0]], "7", "--method", route[1]]
@@ -715,12 +752,32 @@ def test_a_changed_route_ladder_breaks_gen_and_its_stream(route, monkeypatch):
     first, ladder, bound, member = sequences._ROUTES[route]
     wrong = (first, lambda width: (value + 1 for value in ladder(width)), bound, member)
     monkeypatch.setitem(sequences._ROUTES, route, wrong)
-    assert all(build(n) != right[n] for n in range(8))
-    assert all(got != want for got, want in zip(_stream(7, *route), right))
+    assert all(_read_or_refusal(functools.partial(build, n)) != right[n] for n in range(8))
+    streamed = _read_or_refusal(lambda: list(islice(_stream(7, *route), 8)))
+    assert isinstance(streamed, ArithmeticError) or all(map(operator.ne, streamed, right))
     with contextlib.redirect_stdout(io.StringIO()) as misprinted:
         main(gen)
     assert misprinted.getvalue() != printed.getvalue()
-    assert not verify.SUITES["cross_method"](7).ok
+    swept = _read_or_refusal(lambda: verify.SUITES["cross_method"](7))
+    assert isinstance(swept, ArithmeticError) or not swept.ok
+
+
+@pytest.mark.parametrize("width", [8, 16])
+@pytest.mark.parametrize("route", [("z", "via_fib"), ("zx", "from_bivariate")], ids=":".join)
+def test_surd_ladder_is_the_nonzero_part_of_fibonacci_in_quadext(route, width):
+    # Oracle: F(n) = u F(n-1) + t F(n-2) from F(0) = 0, F(1) = 1, run in
+    # QuadExt with u = sqrt(D), at the (D, t) that the route packs in W-bit
+    # slots: D = x + 4s and t = -s at (1, 2^W), D = x - 4 and t = 1 at
+    # (2^W, -1).  The route's state c(n) is F(n) at odd n and F(n) / u at
+    # even n.
+    d, t = {"z": (1 + 4 * 2**width, -(2**width)), "zx": (2**width - 4, 1)}[route[0]]
+    u = QuadExt(0, 1, d)
+    fib = [QuadExt(0, 0, d), QuadExt(1, 0, d)]
+    while len(fib) < 41:
+        fib.append(u * fib[-1] + fib[-2] * t)
+    states = sequences._ROUTES[route][1](width)
+    for n, (member, c) in enumerate(zip(fib, states)):
+        assert member == (c if n % 2 else c * u), (route, width, n)
 
 
 def test_parity_builder_steps_only_the_ladder_it_reads(monkeypatch):
@@ -858,6 +915,40 @@ def test_point_bits_bound_is_an_upper_bound(family, n, point):
     value = _FAMILIES[family][2](n, x0, s0)
     bits = max(abs(value.numerator).bit_length(), value.denominator.bit_length())
     assert bits <= point_bits_bound(n, x0, s0 or 0)
+
+
+# (x0, s0, ceil(log2 H(x0)) + ceil(log2 H(s0))), H the larger of |numerator|
+# and denominator: heights that are exact powers of two, where ceil(log2) is
+# the exponent itself, and the next heights up, which round up.
+_POINT_HEIGHTS = [
+    (4, 0, 2),
+    (Fraction(1, 8), 1, 3),
+    (Fraction(-16, 3), Fraction(1, 2), 5),
+    (Fraction(-16, 3), -2, 5),
+    (1, Fraction(-1, 32), 5),
+    (5, 0, 3),
+    (Fraction(9, 2), Fraction(17, 16), 4 + 5),
+]
+
+
+@pytest.mark.parametrize("x0, s0, height", _POINT_HEIGHTS)
+def test_point_bits_bound_at_power_of_two_heights(x0, s0, height):
+    for n in (0, 1, 7, 1000):
+        assert point_bits_bound(n, x0, s0) == n * (4 + height) + 2, n
+
+
+def test_eval_refuses_from_the_first_n_past_the_bit_limit(monkeypatch):
+    # T at x0 = -16/3 may need n (4 + 4) + 2 bits, at most 2^20 up to
+    # n = 131071: eval runs there, and exits 2 from n = 131072 on without
+    # evaluating.
+    ran = []
+    methods, builder, _ = _FAMILIES["T"]
+    monkeypatch.setitem(_FAMILIES, "T", (methods, builder, lambda n, x0, s0: ran.append(n)))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["eval", "T", "131071", "-16/3"]) == 0
+        with pytest.raises(SystemExit) as refused:
+            main(["eval", "T", "131072", "-16/3"])
+    assert refused.value.code == 2 and ran == [131071]
 
 
 # (call, the error it raises): a bad n is a ValueError and an inexact point a
