@@ -306,8 +306,10 @@ def check_root_relations(q: Rat, s0: Rat) -> CheckResult:
          A^4 - 4 (X^2 + 2S) A^2 + 16 S^2 = 0, powers by ``_surd_pow``;
     4.   the cubic's sides at the integer point ``_CUBIC_POINT``.
 
-    Only a failing step builds ``QuadExt`` values and ``BiPoly`` sides, to
-    write its witness (``_root_relations_witness``).
+    Steps 0-2 read the parts of the two ``QuadExt`` roots that
+    ``characteristic_roots`` builds, from three ``Fraction``s, on every call.
+    Only a failing step takes the steps again in ``QuadExt`` arithmetic and
+    builds ``BiPoly`` sides, to write its witness (``_root_relations_witness``).
     """
     x, lam, big_d = _discriminant(q, s0)
     alpha, abar = characteristic_roots(q, s0)

@@ -34,6 +34,7 @@ from .gf import expand, gf_of
 from .identities import (
     _TRIG_SAMPLES,
     _TRIG_TOL,
+    WITNESS_TERM_LIMIT,
     CheckResult,
     _cassini_bound,
     _lucas_binomial_bound,
@@ -204,12 +205,23 @@ def _suite_cross_method(max_n: int) -> SuiteReport:
         ]
         for n in range(max_n + 1):
             for family, build, streams in routes:
-                members = [
-                    (method, next(stream))
-                    for method, stream in streams
+                members, refused = [], []
+                for method, stream in streams:
                     # L(n) = F(n+1) + s F(n-1) needs n >= 1
-                    if n or method != "from_fib"
-                ]
+                    if n or method != "from_fib":
+                        try:
+                            members.append((method, next(stream)))
+                        except ArithmeticError as refusal:
+                            refused.append((method, stream, refusal))
+                (_, base), *others = members
+                # A member that does not fit its slots fails its route, which
+                # is read no further.
+                for method, stream, refusal in refused:
+                    streams.remove((method, stream))
+                    yield failure(
+                        f"{family}:{method}", f"n={n}", n, f"refused: {refusal}",
+                        base.render(max_terms=WITNESS_TERM_LIMIT),
+                    )
                 if n == max_n:
                     # The streams run the ladders of the single-n builders
                     # that `gen` runs; the builders' own wiring must give the
@@ -220,7 +232,6 @@ def _suite_cross_method(max_n: int) -> SuiteReport:
                             yield compare_polynomials(
                                 f"{family}:{method}", f"n={n} builder", n, member, built
                             )
-                (_, base), *others = members
                 for method, member in others:
                     yield compare_polynomials(f"{family}:{method}", f"n={n}", n, member, base)
 

@@ -5,7 +5,7 @@ import math
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spreadpoly import identities, poly, sequences, verify
@@ -246,11 +246,12 @@ def _sides(name, n, members, parity=None):
         return "z_binomial", [(total, BiPoly.monomial(1, n, 0))]
     if name == "check_chebyshev_bala":
         t, ln, zx, zb = members
-        shifted = UniPoly({1: 1, 0: 2})
-        base = UniPoly({k: 2 * c >> k for k, c in t.terms()}).compose(shifted) - 2
-        links = [ln.compose(shifted) - 2, -zx.compose(UniPoly({1: -1})), zb.substitute_s(1)]
-        pairs = [(base, link) for link in links]
-        return "chebyshev_bala", pairs + [(t.scale(2), ln.compose(UniPoly({1: 2})))]
+        base = ln.compose(UniPoly({1: 1, 0: 2})) - 2
+        return "chebyshev_bala", [
+            (t.scale(2), ln.compose(UniPoly({1: 2}))),
+            (base, -zx.compose(UniPoly({1: -1}))),
+            (base, zb.substitute_s(1)),
+        ]
     doubled, ln, zx_l2n, zx_l = members
     return "l_doubling", [(doubled, ln.compose(UniPoly({2: 1, 0: -2}))), (zx_l2n, zx_l)]
 
@@ -494,9 +495,9 @@ def test_trig_witness(monkeypatch):
     assert check_trig(4).witness == (4, "max deviation 1.000e-09", "tolerance 1e-09")
 
 
-def test_chebyshev_divisibility_witness():
-    # 2 T(3) + 2 x^2: coefficient 2 of x^2 is not divisible by 2^2, so
-    # 2 T(3)(y/2) is not an integer polynomial, and the witness names that.
+def test_chebyshev_doubled_t_witness():
+    # 2 T(3) + 2 x^2 against l(3)(2x) = 8 x^3 - 6 x: the first pair differs,
+    # and its witness shows both sides.
     members = (
         identities.chebyshev_t(3) + UniPoly({2: 1}),
         identities.univariate_l(3),
@@ -504,8 +505,77 @@ def test_chebyshev_divisibility_witness():
         identities.z_polynomial(3),
     )
     assert check_chebyshev_bala(3, members) == CheckResult(
-        "chebyshev_bala", "n=3", (3, "8*x^3 + 2*x^2 - 6*x", "coefficient k divisible by 2^k")
+        "chebyshev_bala", "n=3", (3, "8*x^3 + 2*x^2 - 6*x", "8*x^3 - 6*x")
     )
+
+
+def _old_chebyshev_bala(members):
+    """Every comparison check_chebyshev_bala once made: 2^k divides coefficient
+    k of 2 T(n); its halving h gives h(x+2) - 2 = l(n)(x+2) - 2 = -Zx(n)(-x)
+    = Z(n)(x, 1); and 2 T(n)(x) = l(n)(2x)."""
+    t, ln, zx, zb = members
+    doubled = t.scale(2)
+    if any(c % 2**k for k, c in doubled.terms()):
+        return False
+    shifted = UniPoly({1: 1, 0: 2})
+    base = UniPoly({k: c // 2**k for k, c in doubled.terms()}).compose(shifted) - 2
+    links = [ln.compose(shifted) - 2, -zx.compose(UniPoly({1: -1})), zb.substitute_s(1)]
+    return all(base == link for link in links) and doubled == ln.compose(UniPoly({1: 2}))
+
+
+def _old_symmetry(n, zx, zb):
+    """Every comparison check_symmetry once made: Zx(n) = (-1)^(n-1) Z(n)(x, -1),
+    and Zx(n) = sum a_k x^k rebuilds Z(n) as -sum a_k (-1)^k s^(n-k) x^k."""
+    rebuilt = BiPoly({(k, n - k): -c * (-1) ** k for k, c in zx.terms()})
+    return zx == zb.substitute_s(-1).scale((-1) ** (n - 1)) and rebuilt == zb
+
+
+@st.composite
+def _spread_members(draw):
+    """n and members (T, l, Zx, Z) that hold every identity of both checks,
+    from an integer l of degree n at most with an even constant, each then
+    perhaps changed: by a drawn term, or Z by a term times s - 1 or s + 1,
+    which Z(x, 1) or Z(x, -1) does not see."""
+    n = draw(st.integers(1, 6))
+    small = st.integers(-3, 3)
+    half = draw(small)
+    ln = UniPoly({k: draw(small) for k in range(1, n + 1)}) + 2 * half
+    t = UniPoly({k: c * 2 ** (k - 1) for k, c in ln.terms() if k}) + half
+    zx = 2 - ln.compose(UniPoly({1: -1, 0: 2}))
+    zb = BiPoly({(k, n - k): -c * (-1) ** k for k, c in zx.terms()})
+    members = [t, ln, zx, zb]
+    for index, top in enumerate((n + 1, n + 1, n)):
+        if draw(st.booleans()):
+            members[index] = members[index] + UniPoly({draw(st.integers(0, top)): draw(small)})
+    factor = draw(st.sampled_from([None, BiPoly.one(), BiPoly.s() - 1, BiPoly.s() + 1]))
+    if factor is not None:
+        j = draw(st.integers(0, n))
+        members[3] = members[3] + factor * BiPoly.monomial(draw(small), j, n - j)
+    return n, tuple(members)
+
+
+_T3_PLUS_X2 = (  # coefficient 2 of 2 T(3) + 2 x^2 is not divisible by 2^2
+    3,
+    (
+        sequences.chebyshev_t(3) + UniPoly({2: 1}),
+        sequences.univariate_l(3),
+        spread_z_univariate(3, "via_l"),
+        z_polynomial(3),
+    ),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_spread_members())
+@example(_T3_PLUS_X2)
+def test_chebyshev_bala_and_symmetry_decide_as_every_old_comparison(case):
+    # Each check dropped comparisons that its others imply: 2 T(n)(x) =
+    # l(n)(2x) implies the divisibility and that the halving is l(n), and the
+    # rebuilt Z(n) at s = -1 is (-1)^(n-1) Zx(n).  Its verdict must still be
+    # that of every comparison it made before.
+    n, members = case
+    assert check_chebyshev_bala(n, members).passed == _old_chebyshev_bala(members)
+    assert check_symmetry(n, members[2:]).passed == _old_symmetry(n, *members[2:])
 
 
 def _homogeneous(degree, s_weight, coefficient):
@@ -674,9 +744,8 @@ def _vanishing(k, *roots):
 
 # Per univariate check: the members at n, and for each member a skew that
 # vanishes at every point where the check reads that member once X = 2^w.
-# chebyshev_bala reads l(n) at X + 2 and at 2X, Zx(n) at -X and Z(n)(x, 1) at
-# X; l_doubling reads l(n) at X^2 - 2 and its other members at X.  Skewing
-# T(n) would also skew its halving, read at X + 2, so it is not skewed.
+# chebyshev_bala reads l(n) at X + 2 and at 2X, Zx(n) at -X, and 2 T(n) and
+# Z(n)(x, 1) at X; l_doubling reads l(n) at X^2 - 2 and its other members at X.
 _UNIVARIATE_SKEWS = {
     "chebyshev_bala": (
         check_chebyshev_bala,
@@ -687,6 +756,7 @@ _UNIVARIATE_SKEWS = {
             z_polynomial(n),
         ),
         {
+            0: lambda k, X: _vanishing(k, X),
             1: lambda k, X: _vanishing(k, X + 2, 2 * X),
             2: lambda k, X: _vanishing(k, -X),
             3: lambda k, X: BiPoly({(k + 1, 0): 1, (k, 0): -X}),
@@ -735,12 +805,11 @@ def test_univariate_checks_pack_wider_than_a_skew_that_vanishes(check, n):
 @pytest.mark.parametrize("n", [5, 9])
 @pytest.mark.parametrize("skewed", [0, 1], ids=["T(n)", "l(n)"])
 def test_chebyshev_bala_packs_at_its_bound_next_to_a_power_of_two(skewed, n, monkeypatch):
-    # |2 T(n)((x+2)/2) - 2| and |l(n)(x+2) - 2| are bounded by |p|(3) + 2, p
-    # the halving of 2 T(n) or l(n).  For right members the two bounds are
-    # equal, so each hides a fault in the other; a constant added to T(n) or
-    # to l(n) (neither has one at odd n) makes that bound the largest and
-    # sets it 0 to 1 above 2^(8m-2), where a bound 4 smaller takes slots 8
-    # bits narrower.  The check must pack at the width of twice that bound,
+    # |2 T(n)| is bounded by |2 T(n)|(1), and |l(n)(x+2) - 2| by |l(n)|(3) + 2,
+    # the largest bound for right members.  A constant added to T(n) or to
+    # l(n) (neither has one at odd n) makes that member's bound the largest
+    # and sets it 0 to 1 above 2^(8m-2), where a bound 4 smaller takes slots
+    # 8 bits narrower.  The check must pack at the width of twice that bound,
     # and fail.
     members = [
         sequences.chebyshev_t(n),
@@ -748,8 +817,9 @@ def test_chebyshev_bala_packs_at_its_bound_next_to_a_power_of_two(skewed, n, mon
         spread_z_univariate(n, "via_l"),
         z_polynomial(n),
     ]
-    base = identities._abs_at(members[1], 3) + 2
-    top = next(k for k in itertools.count(6, 8) if 1 << k > base)
+    bounds = [identities._abs_at(members[0].scale(2), 1), identities._abs_at(members[1], 3) + 2]
+    base = bounds[skewed]
+    top = next(k for k in itertools.count(6, 8) if 1 << k > max(bounds))
     target = (1 << top) + (base - (1 << top)) % 2  # T(n) + d moves the bound by 2d
     members[skewed] = members[skewed] + (target - base) // (2 - skewed)
     widths = []

@@ -36,6 +36,9 @@ def test_zero_is_empty():
     assert not BiPoly()
     assert BiPoly({(1, 1): 0}) == BiPoly.zero()
     assert len(BiPoly({(2, 0): 3, (0, 0): 0})) == 1
+    # A term that is not stored has coefficient 0.
+    assert BiPoly({(2, 0): 3}).coefficient(1, 1) == 0
+    assert UniPoly({2: 3}).coefficient(1) == 0
 
 
 def test_integral_fractions_normalize():
@@ -227,6 +230,11 @@ def test_substitute_s():
     z2 = BiPoly({(1, 1): 4, (2, 0): 1})
     assert z2.substitute_s(-1) == UniPoly({2: 1, 1: -4})
     assert z2.substitute_s(1) == UniPoly({2: 1, 1: 4})
+    # Every Z member has one term per x-degree; F and L members need not, and
+    # 3 s x + 2 x + s^2 at s = 2 must add the two x terms.
+    p = BiPoly({(1, 1): 3, (1, 0): 2, (0, 2): 1})
+    assert p.substitute_s(2) == UniPoly({1: 8, 0: 4})
+    assert p.substitute_s(Fraction(-2, 3)) == UniPoly({0: Fraction(4, 9)})
 
 
 # -- even substitution ----------------------------------------------------------
@@ -476,6 +484,15 @@ def test_render_univariate():
     assert str(UniPoly.constant(-3)) == "-3"
     assert repr(UniPoly({2: -1, 1: 4})) == "UniPoly(-x^2 + 4*x)"
     assert repr(UniPoly.zero()) == "UniPoly(0)"
+    assert str(UniPoly({2: -1, 1: Fraction(1, 2)})) == "-x^2 + 1/2*x"
+    # repr shows twelve terms.
+    assert repr(UniPoly({k: 1 for k in range(12)})) == (
+        "UniPoly(x^11 + x^10 + x^9 + x^8 + x^7 + x^6 + x^5 + x^4 + x^3 + x^2 + x + 1)"
+    )
+    assert repr(UniPoly({k: 1 for k in range(14)})) == (
+        "UniPoly(x^13 + x^12 + x^11 + x^10 + x^9 + x^8 + x^7 + x^6 + x^5 + x^4 + x^3 + x^2"
+        " + ... (2 more terms))"
+    )
 
 
 def test_render_truncation():
@@ -538,6 +555,13 @@ def test_pack_unpack_round_trip(data, width_bytes, degree):
     # A BiPoly whose terms have dx + 2 ds = degree: one slot per s-degree.
     bi = BiPoly({(degree - 2 * ds, ds): c for ds, c in enumerate(cs[: degree // 2 + 1])})
     assert BiPoly._unpacked(bi._packed(width), width, bound, degree, 2) == bi
+    # A value past the member's slots is refused, not read as one more term.
+    past = uni._packed(width) + (1 << width * (degree + 1))
+    with pytest.raises(ArithmeticError):
+        UniPoly._unpacked(past, width, bound, degree)
+    past = bi._packed(width) + (1 << width * (degree // 2 + 1))
+    with pytest.raises(ArithmeticError):
+        BiPoly._unpacked(past, width, bound, degree, 2)
 
 
 def test_shifts_multiply_as_the_packed_weight():

@@ -743,7 +743,8 @@ def test_a_changed_route_ladder_breaks_gen_and_its_stream(route, monkeypatch):
     # slot.  gen and the sweep run the one ladder, so both go wrong, and
     # cross_method, which compares the route with its siblings, fails.  A
     # skewed state that no longer fits its slots is refused (ArithmeticError
-    # from the digit reader), which detects it as well.
+    # from the digit reader), which detects it as well; cross_method reports
+    # that refusal as its route's failing check.
     build = LADDER_STREAMS[route]
     right = [build(n) for n in range(8)]
     gen = ["gen", {"z": "Z", "zx": "Zx"}[route[0]], "7", "--method", route[1]]
@@ -758,8 +759,26 @@ def test_a_changed_route_ladder_breaks_gen_and_its_stream(route, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()) as misprinted:
         main(gen)
     assert misprinted.getvalue() != printed.getvalue()
-    swept = _read_or_refusal(lambda: verify.SUITES["cross_method"](7))
-    assert isinstance(swept, ArithmeticError) or not swept.ok
+    swept = verify.SUITES["cross_method"](7)
+    refusals = [f for f in swept.failures if f.witness[1].startswith("refused: ")]
+    assert not swept.ok and all(f.name == ":".join(route) for f in refusals)
+
+
+def test_cross_method_reports_a_refused_member_as_its_routes_failure(monkeypatch, capsys):
+    # Every via_fib state off by one: Z(0) no longer fits its one slot.  The
+    # sweep reports that refusal against the base route's Z(0), reads via_fib
+    # no further, and checks every other route to the end.
+    first, ladder, bound, member = sequences._ROUTES["z", "via_fib"]
+    skewed = (first, lambda width: (value + 1 for value in ladder(width)), bound, member)
+    monkeypatch.setitem(sequences._ROUTES, ("z", "via_fib"), skewed)
+    assert main(["verify", "cross_method", "--max-n", "7"]) == 1
+    assert capsys.readouterr().out == (
+        "cross_method     n=0..7, all constructions                    63/64 FAIL\n"
+        "  witness [z:via_fib n=0] index 0:\n"
+        "    lhs: refused: value does not fit 1 slots of 16 bits\n"
+        "    rhs: 0\n"
+        "1 suite(s): FAILURES PRESENT\n"
+    )
 
 
 @pytest.mark.parametrize("width", [8, 16])
@@ -1044,3 +1063,44 @@ def test_fibonacci_at_s_one_against_sympy():
     for n in list(range(0, 2000, 37)) + [2000]:
         assert fibonacci_at(n, 1, 1) == int(sympy.fibonacci(n))
         assert lucas_at(n, 1, 1) == int(sympy.lucas(n))
+
+
+def _integer_coefficients(p):
+    """{k: c} of a sympy polynomial in one variable, every c an integer."""
+    coefficients = {k: _from_sympy(c) for (k,), c in p.terms()}
+    assert all(c.denominator == 1 for c in coefficients.values())
+    return {k: int(c) for k, c in coefficients.items()}
+
+
+def test_every_route_of_every_family_against_sympy():
+    # sympy's Chebyshev T and Fibonacci polynomials, which share nothing with
+    # the ladders, give every family: l(n) = 2 T(n)(x/2), S(n) = (1 -
+    # T(n)(1 - 2x))/2 and Zx(n) = 2 (1 - T(n)(1 - x/2)).  The bivariate
+    # families are homogenized from one specialization: L(n) of degree n and
+    # F(n) of degree n - 1 under the weights (1, 2) of (x, s), from l(n) =
+    # L(n)(x, -1) and F(n)(x, 1); Z(n) of degree n under (1, 1), from Zx(n) =
+    # (-1)^(n-1) Z(n)(x, -1).
+    sympy = pytest.importorskip("sympy")
+    x, half = sympy.Symbol("x"), sympy.Rational(1, 2)
+    for n in range(41):
+        t = sympy.chebyshevt_poly(n, x, polys=True)
+        t_n = _integer_coefficients(t)
+        l_n = _integer_coefficients(2 * t.compose(sympy.Poly(half * x, x)))
+        s_n = _integer_coefficients(half * (1 - t.compose(sympy.Poly(1 - 2 * x, x))))
+        zx_n = _integer_coefficients(2 * (1 - t.compose(sympy.Poly(1 - half * x, x))))
+        f_n = _integer_coefficients(sympy.Poly(sympy.fibonacci(n, x), x)) if n else {}
+        assert chebyshev_t(n) == UniPoly(t_n), n
+        assert univariate_l(n) == UniPoly(l_n), n
+        assert wildberger_spread(n) == UniPoly(s_n), n
+        for method in ZX_METHODS:
+            assert spread_z_univariate(n, method) == UniPoly(zx_n), (n, method)
+        fib = BiPoly({(k, (n - 1 - k) // 2): c for k, c in f_n.items()})
+        for method in FIBONACCI_METHODS:
+            assert fibonacci(n, method) == fib, (n, method)
+        luc = BiPoly({(k, (n - k) // 2): c * (-1) ** ((n - k) // 2) for k, c in l_n.items()})
+        for method in LUCAS_METHODS:
+            if n or method != "from_fib":  # L(n) = F(n+1) + s F(n-1) needs n >= 1
+                assert lucas(n, method) == luc, (n, method)
+        z = BiPoly({(k, n - k): -c * (-1) ** k for k, c in zx_n.items()})
+        for method in Z_METHODS:
+            assert z_polynomial(n, method) == z, (n, method)
