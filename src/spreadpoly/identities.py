@@ -325,6 +325,11 @@ def check_symmetry(n: int, members: Sequence[UniPoly | BiPoly] = ()) -> CheckRes
     """
     _index(n, 1)
     zx, zb = members or (spread_z_univariate(n, method="via_l"), z_polynomial(n))
+    if any(k > n for k, _ in zx._terms):
+        # A term of degree k > n would rebuild with s^(n-k), a negative
+        # power: no Z(n) has one, so the two members are the witness.
+        sides = (p.render(max_terms=WITNESS_TERM_LIMIT) for p in (zx, zb))
+        return failure("symmetry", f"n={n}", n, *sides)
     rebuilt = BiPoly._trusted({(k, n - k): -c * _sign(k) for (k, _), c in zx._terms.items()})
     return _agree("symmetry", n, [(rebuilt, zb)])
 

@@ -24,12 +24,12 @@ Beneath the ring sits a packing kernel for integer polynomials (Kronecker
 substitution): a ``UniPoly`` packs as its value at x = 2^W, a ``BiPoly`` as
 its value at (x, s) = (1, 2^W), one W-bit slot per degree in x or in s.  A
 weight packs as ``_Shifts``, whose one step adds weight * a into a running
-total by shifts, adds, subtracts and small products; a product weight * a
-starts from its first term, so it copies nothing that it does not shift or
-scale.  Unpacking reads signed slots back with a bias, in linear time, and
-raises ArithmeticError rather than return digits that may not be the
-coefficients.  The digits, or a row, become the terms in one pass
-(``_zipped``), zeros dropped and nothing validated again.
+total by shifts, adds, subtracts and small products.  A term met while the
+total is 0 becomes the total, so a product weight * a, that step from 0,
+copies nothing that it does not shift or scale.  Unpacking reads signed slots
+back with a bias, in linear time, and raises ArithmeticError rather than
+return digits that may not be the coefficients.  The digits, or a row, become
+the terms in one pass (``_zipped``), zeros dropped and nothing validated again.
 
 Whole rows of integer coefficients (of F, L and Z) run by exact ratios
 (``_ratio_row``): each entry is the one before times a small num/den, and a
@@ -170,12 +170,12 @@ class _Shifts:
     sum_j c_j (a << shift_j): linear in a, where one big-int product by the
     weight's value would be a lopsided multiply.
 
-    ``add_to`` is the one step: it adds weight * a into a running total, so a
-    ladder step, the Z[sqrt(D)] ladder and a Horner step build no product per
-    weight and no separate sum.  ``weight * a``, the first term of a ladder
-    step, starts its total from its first term rather than adding that term
-    to 0, which would copy it: the weight x of F and L, packed as 1, gives a
-    itself."""
+    ``add_to`` is the one step and the one loop: it adds weight * a into a
+    running total, so a ladder step, the Z[sqrt(D)] ladder and a Horner step
+    build no product per weight and no separate sum.  A term met while the
+    total is 0 becomes the total rather than an add to 0, which would copy
+    it, so ``weight * a`` is ``add_to(0, a)`` and no step copies its first
+    term: the weight x of F and L, packed as 1, gives a itself."""
 
     __slots__ = ("_pairs",)
 
@@ -183,17 +183,8 @@ class _Shifts:
         self._pairs = tuple((c, shift) for shift, c in slot_sums.items() if c)
 
     def add_to(self, total: int, a: int) -> int:
-        """total + weight * a, every term added into the one running total: a
+        """total + weight * a, each term added into the one running total: a
         coefficient of +1 or -1 is an add or a subtract, and shift 0 no shift."""
-        for c, shift in self._pairs:
-            term = a << shift if shift else a
-            total = total + term if c == 1 else total - term if c == -1 else total + c * term
-        return total
-
-    def __mul__(self, a: int) -> int:
-        """weight * a: ``add_to`` from 0, except that a term met while the
-        total is still 0 becomes the total (times c), not an add to 0."""
-        total = 0
         for c, shift in self._pairs:
             term = a << shift if shift else a
             if total:
@@ -202,7 +193,8 @@ class _Shifts:
                 total = term if c == 1 else c * term
         return total
 
-    __rmul__ = __mul__
+    def __mul__(self, a: int) -> int:
+        return self.add_to(0, a)
 
 
 def _add_product(

@@ -169,15 +169,12 @@ _CHEBYSHEV = ((UniPoly.one(), UniPoly.x()), (UniPoly({1: 2}), UniPoly({0: -1})))
 
 def _ladder(seeds: tuple[int, ...], weights: tuple[_Shifts, ...]) -> Iterator[int]:
     """a(0), a(1), ... of one ladder, holding only the last len(seeds) members.
-    A step starts its total at w0 a(k-1) and adds each further weight's term
-    into it (``_Shifts.add_to``)."""
+    A step adds every term by ``_Shifts.add_to`` from 0, copying no first term."""
     window = deque(seeds, maxlen=len(seeds))
     yield from seeds
-    first, *rest = weights
     while True:
-        members = reversed(window)
-        total = first * next(members)
-        for w, a in zip(rest, members):
+        total = 0
+        for w, a in zip(weights, reversed(window)):
             total = w.add_to(total, a)
         window.append(total)
         yield total

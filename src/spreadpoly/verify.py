@@ -213,14 +213,17 @@ def _suite_cross_method(max_n: int) -> SuiteReport:
                             members.append((method, next(stream)))
                         except ArithmeticError as refusal:
                             refused.append((method, stream, refusal))
-                (_, base), *others = members
+                base = members[0][1] if members else None
                 # A member that does not fit its slots fails its route, which
-                # is read no further.
+                # is read no further; the witness's other side is the first
+                # member, or says that no route gave one.
                 for method, stream, refusal in refused:
                     streams.remove((method, stream))
                     yield failure(
                         f"{family}:{method}", f"n={n}", n, f"refused: {refusal}",
-                        base.render(max_terms=WITNESS_TERM_LIMIT),
+                        "no route gave a member"
+                        if base is None
+                        else base.render(max_terms=WITNESS_TERM_LIMIT),
                     )
                 if n == max_n:
                     # The streams run the ladders of the single-n builders
@@ -232,7 +235,7 @@ def _suite_cross_method(max_n: int) -> SuiteReport:
                             yield compare_polynomials(
                                 f"{family}:{method}", f"n={n} builder", n, member, built
                             )
-                for method, member in others:
+                for method, member in members[1:]:
                     yield compare_polynomials(f"{family}:{method}", f"n={n}", n, member, base)
 
     return _collect("cross_method", f"n=0..{max_n}, all constructions", run())

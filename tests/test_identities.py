@@ -95,6 +95,21 @@ def test_symmetry():
         check_symmetry(0)
 
 
+@pytest.mark.parametrize(
+    "n, extra, witness",
+    [
+        (1, {2: 1}, (1, "x^2 + x", "x")),
+        (3, {5: -2}, (3, "-2*x^5 + x^3 - 6*x^2 + 9*x", "x^3 + 6*s*x^2 + 9*s^2*x")),
+    ],
+)
+def test_symmetry_witness_of_a_term_above_degree_n(n, extra, witness):
+    # No Z(n) has a term that would rebuild with a negative power of s, so
+    # the witness is the two members as given, with no term rendered
+    # without its s^(n-k).
+    zx = spread_z_univariate(n) + UniPoly(extra)
+    assert check_symmetry(n, (zx, z_polynomial(n))).witness == witness
+
+
 def test_coefficient_forms():
     assert check_coefficient_forms(5).passed  # row (25, 50, 35, 10, 1)
     assert check_coefficient_forms(1).passed

@@ -569,7 +569,6 @@ def test_shifts_multiply_as_the_packed_weight():
     a = (X * X - 5 * S) * S
     for weight in (X + 3 * S - 2 * S**2, S, -S, X - X):
         assert weight._shifts(16) * a._packed(16) == (weight * a)._packed(16)
-        assert a._packed(16) * weight._shifts(16) == (weight * a)._packed(16)
 
 
 signed_ints = st.one_of(st.just(0), st.integers(-(2**80), 2**80))
@@ -588,23 +587,23 @@ def test_shifts_add_to_is_the_shifted_sum(slot_sums, total, a):
     weight = poly._Shifts(slot_sums)
     expected = sum(c * (a << shift) for shift, c in slot_sums.items())
     assert weight.add_to(total, a) == total + expected
-    assert weight * a == a * weight == expected
+    assert weight * a == expected
 
 
 @pytest.mark.parametrize("first", [1, -1, 2, -2, 3, -4])
 @pytest.mark.parametrize("shift", [0, 8])
 def test_shifts_multiply_starts_from_the_first_term(first, shift):
-    # weight * a takes its first term as the total instead of adding it to 0;
-    # the value is the shifted sum whatever the first pair is.  The last
-    # tail cancels to 0 after two terms at first = 2, shift = 0, so its third
-    # term meets a total of 0 again.
+    # add_to from 0 (weight * a) takes its first term as the total instead of
+    # adding it to 0; the value is the shifted sum whatever the first pair
+    # is.  The last tail cancels to 0 after two terms at first = 2, shift = 0,
+    # so its third term meets a total of 0 again.
     for rest in ({}, {40: 1}, {40: -1, 72: 3}, {1: -1, 48: 5}):
         slot_sums = {shift: first, **{k: c for k, c in rest.items() if k != shift}}
         weight = poly._Shifts(slot_sums)
         assert weight._pairs[0] == (first, shift)
         for a in (0, 1, -7, 2**100 + 3, -(2**200) - 5):
             expected = sum(c * (a << k) for k, c in slot_sums.items())
-            assert weight * a == a * weight == weight.add_to(0, a) == expected
+            assert weight * a == weight.add_to(0, a) == expected
 
 
 def test_shifts_multiply_by_one_and_by_nothing():
@@ -612,9 +611,21 @@ def test_shifts_multiply_by_one_and_by_nothing():
     # returns the member itself, no copy; the empty weight gives 0.
     a = 2**300 + 12345
     assert poly._Shifts({0: 1}) * a is a
-    assert a * poly._Shifts({0: 1}) is a
+    assert poly._Shifts({0: 1}).add_to(0, a) is a
     assert poly._Shifts({}) * a == 0
     assert poly._Shifts({0: 0, 8: 0}) * a == 0
+
+
+def test_shifts_add_to_restarts_once_the_total_cancels():
+    # The first term cancels the running total to 0 partway through the sum,
+    # so the next term becomes the total (times c) instead of an add to 0: at
+    # c = 1 and shift 0 it is the member itself, no copy.  A later term adds
+    # to that total as usual.
+    a = 2**300 + 12345
+    assert poly._Shifts({8: 1, 0: 1}).add_to(-(a << 8), a) is a
+    for c in (-1, 3):
+        assert poly._Shifts({8: 1, 0: c}).add_to(-(a << 8), a) == c * a
+    assert poly._Shifts({8: 1, 0: -1, 40: 1}).add_to(-(a << 8), a) == (a << 40) - a
 
 
 def test_unpack_refuses_what_does_not_fit():

@@ -1,5 +1,6 @@
 """Tests for exact quadratic-surd arithmetic and the Binet closed forms."""
 
+import ast
 import hashlib
 import inspect
 import random
@@ -80,6 +81,23 @@ def test_division():
     assert (u / u) == QuadExt.from_rational(1, 2)
     with pytest.raises(ZeroDivisionError):
         u / QuadExt(0, 0, 2)
+
+
+def test_rational_minus_element():
+    # int - u and Fraction - u subtract u from the rational, not add it.
+    u = QuadExt(1, 2, 5)
+    assert 3 - u == QuadExt(2, -2, 5)
+    assert Fraction(1, 2) - u == QuadExt(Fraction(-1, 2), -2, 5)
+
+
+def test_rational_element_hashes_as_its_rational():
+    # A b = 0 element equals its rational, so it must hash as that rational:
+    # a set or dict key holds the two as one.
+    for c in (0, 4, -7, Fraction(3, 2)):
+        u = QuadExt.from_rational(c, 5)
+        assert u == c and hash(u) == hash(c)
+        assert len({u, c}) == 1
+    assert hash(QuadExt(4, 1, 5)) == hash((4, 1, 5))
 
 
 def test_division_by_norm_zero_element():
@@ -256,10 +274,16 @@ def test_binet_formulas_are_the_closed_forms():
             g_n, gbar_n = g_n * g, gbar_n * gbar
 
 
+def _source(function):
+    """The function's source as ``ast.unparse`` spells it, however the module
+    file spells it: the mutation probe runs the tests on such copies."""
+    return ast.unparse(ast.parse(inspect.getsource(function)))
+
+
 def test_kernel_off_by_one_fails_pow_and_binet_suite(monkeypatch, capsys):
     # QuadExt.__pow__ and the closed forms run the one square-and-multiply
     # loop: an off-by-one in its Q part (2pq -> 3pq when squaring) fails both.
-    source = inspect.getsource(surd._surd_pow)
+    source = _source(surd._surd_pow)
     assert source.count("2 * p * q") == 1
     namespace = dict(vars(surd))
     exec(source.replace("2 * p * q", "3 * p * q"), namespace)
@@ -287,7 +311,7 @@ def test_root_relations_rational_inputs():
 
 def _mutated(monkeypatch, name, old, new):
     """Patch surd.<name> with its own source, ``old`` replaced by ``new``."""
-    source = inspect.getsource(getattr(surd, name))
+    source = _source(getattr(surd, name))
     assert source.count(old) == 1
     namespace = dict(vars(surd))
     exec(source.replace(old, new), namespace)
@@ -312,7 +336,7 @@ def test_cubic_with_a_squared_x_fails_at_every_grid_point(monkeypatch, capsys):
 
 
 def test_cubic_with_a_stray_term_fails(monkeypatch):
-    _mutated_cubic(monkeypatch, " - s**3\n", " - s**3 + s**4\n")
+    _mutated_cubic(monkeypatch, " - s ** 3\n", " - s ** 3 + s ** 4\n")
     result = check_root_relations(1, 2)
     assert result.witness is not None and result.witness[0] == 4
 
@@ -371,16 +395,16 @@ def _root_points():
     return [*_binet_grid(), *points]
 
 
-def _skewed_roots(monkeypatch, roots, part):
+def _skewed_roots(monkeypatch, roots, part, by=Fraction(1, 3)):
     """characteristic_roots with one part (a, b or d) of the roots numbered
-    ``roots`` (0 alpha, 1 alphabar) off by 1/3."""
+    ``roots`` (0 alpha, 1 alphabar) off by ``by``."""
     original = surd.characteristic_roots
 
     def skewed(q, s0):
         pair = list(original(q, s0))
         for i in roots:
             parts = {"a": pair[i].a, "b": pair[i].b, "d": pair[i].d}
-            parts[part] += Fraction(1, 3)
+            parts[part] += by
             pair[i] = QuadExt(parts["a"], parts["b"], parts["d"])
         return tuple(pair)
 
@@ -401,6 +425,8 @@ def _doubled_lam(monkeypatch):
 
 # Each mutation, and the steps it fails first (None: some points pass).  A
 # skewed root fails step 0 or 1, and a skewed d shared by both roots step 2.
+# The sqrt part b of a root is +/-1/2; skewed to 2 or -2 it passes a test of
+# 2 // num(b) = den(b) where 2 num(b) = den(b) is meant.
 # The power kernel fails step 3 wherever q != 0: 3pq in its squaring alters
 # both parts of A^2 and A^4, -2pq only the sqrt part of A^2.  A doubled lam
 # halves both parts of each root: step 0 fails wherever q != 0, step 2 at q = 0.
@@ -411,11 +437,16 @@ _ROOT_MUTATIONS = {
     "alpha.d": (lambda mp: _skewed_roots(mp, (0,), "d"), {1}),
     "alphabar.a": (lambda mp: _skewed_roots(mp, (1,), "a"), {1}),
     "alphabar.b": (lambda mp: _skewed_roots(mp, (1,), "b"), {1}),
+    "alpha.b=2": (lambda mp: _skewed_roots(mp, (0,), "b", Fraction(3, 2)), {0}),
+    "alphabar.b=-2": (lambda mp: _skewed_roots(mp, (1,), "b", Fraction(-3, 2)), {1}),
     "alphabar.d": (lambda mp: _skewed_roots(mp, (1,), "d"), {1}),
     "d": (lambda mp: _skewed_roots(mp, (0, 1), "d"), {2}),
     "pow": (lambda mp: _mutated(mp, "_surd_pow", "2 * p * q", "3 * p * q"), {None, 3}),
     "pow_sign": (lambda mp: _mutated(mp, "_surd_pow", "2 * p * q", "-2 * p * q"), {None, 3}),
-    "cubic": (lambda mp: _mutated(mp, "_cubic_sides", " - s**3\n", " - s**3 + s**4\n"), {4}),
+    "cubic": (
+        lambda mp: _mutated(mp, "_cubic_sides", " - s ** 3\n", " - s ** 3 + s ** 4\n"),
+        {4},
+    ),
     "lam": (_doubled_lam, {0, 2}),
 }
 

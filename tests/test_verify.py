@@ -1,6 +1,7 @@
 """The verify sweeps: each streams its ladders once and hands every check the
 members a standalone call would build for itself."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from spreadpoly import (
     univariate_l,
     z_polynomial,
 )
-from spreadpoly import gf, identities, poly, sequences, verify
+from spreadpoly import cli, gf, identities, poly, sequences, verify
 from spreadpoly.identities import compare_polynomials
 
 N = 15
@@ -182,6 +183,24 @@ def test_cross_method_checks_the_builders_at_its_last_n(builder, family, method,
     assert report.total == passing.total + 1
 
 
+def test_cross_method_reports_routes_refused_with_no_member_left(monkeypatch, capsys):
+    # A skew of the shared kernel, far past any slot, refuses every Zx route
+    # at once (from_bivariate at n = 0, via_l and via_l2n at n = 1).  Each
+    # refusal is its own failing check, whose other side says that no route
+    # gave a member; no traceback.
+    add_to = poly._Shifts.add_to
+    monkeypatch.setattr(poly._Shifts, "add_to", lambda self, t, a: add_to(self, t, a) + (1 << 4000))
+    assert not verify.SUITES["cross_method"](10).ok
+    assert cli.main(["verify", "cross_method", "--max-n", "10"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    for method in ZX_METHODS:
+        assert f"  witness [zx:{method} n=" in out
+    assert out.count("    rhs: no route gave a member\n") == 2
+    assert out.startswith("cross_method     n=0..10, all constructions                   9/19 FAIL\n")
+    assert out.endswith("1 suite(s): FAILURES PRESENT\n")
+
+
 @pytest.mark.parametrize("suite", sorted([*PER_N, "lucas_binomial", "cross_method"]))
 def test_sweep_draws_linearly_many_ladder_members(suite, monkeypatch):
     # Streamed once per sweep, a ladder draws a N + b members (b >= 0); a
@@ -340,3 +359,42 @@ def test_series_and_ladders_share_no_product_loop(monkeypatch):
     monkeypatch.setattr(gf, "_add_product", skewed)
     assert not verify.SUITES["gf"](10).ok
     assert verify.SUITES["cross_method"](N).ok
+
+
+def test_gf_at_max_n_one_compares_the_z_series_too():
+    # Two members each of F and L, and Z(1) against the z_shifted series'
+    # coefficient 0.
+    report = verify.SUITES["gf"](1)
+    assert report.ok and report.total == 5
+
+
+def test_failing_fixture_row_counts_and_witness(monkeypatch):
+    # One entry of fixture row 3 off by one: that row alone fails, and its
+    # witness is the computed row against the fixture's.
+    rows = verify.a156308_rows
+
+    def skewed():
+        fixture = [list(row) for row in rows()]
+        fixture[2][1] += 1
+        return fixture
+
+    monkeypatch.setattr(verify, "a156308_rows", skewed)
+    report = verify.SUITES["coefficients"](4)
+    assert (report.total, report.passed) == (12, 11)
+    assert report.failures == (
+        identities.CheckResult("a156308_fixture", "row 3", (3, "[9, 6, 1]", "[9, 7, 1]")),
+    )
+
+
+# sha256 of `verify binet --max-n 2` stdout with the doubling route of Z off
+# by one: binet_z fails at every grid point and n, each witness written from
+# the closed form and the term sum (78 witnesses).
+_BINET_Z_WITNESS_SHA256 = "202bcf0809de042cdc7fd6a7a9732a6c8d01447fb57f99e9c25ec29cf9c5d1bf"
+
+
+def test_binet_z_witness_text_is_pinned(monkeypatch, capsys):
+    z_at = verify.z_at
+    monkeypatch.setattr(verify, "z_at", lambda n, x, s: z_at(n, x, s) + 1)
+    assert cli.main(["verify", "binet", "--max-n", "2"]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _BINET_Z_WITNESS_SHA256
