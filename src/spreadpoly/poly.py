@@ -175,16 +175,28 @@ class _Shifts:
     build no product per weight and no separate sum.  A term met while the
     total is 0 becomes the total rather than an add to 0, which would copy
     it, so ``weight * a`` is ``add_to(0, a)`` and no step copies its first
-    term: the weight x of F and L, packed as 1, gives a itself."""
+    term: the weight x of F and L, packed as 1, gives a itself.
+
+    A positive power of two folds into its shift, 2^j at shift t becoming 1
+    at shift t + j, so T's weight 2x and the point 2x cost one shift, not a
+    shift and a product.  A negative one stays: -2^j met as the first term
+    at a total of 0 would cost a shift and a negation, where c * term costs
+    one product."""
 
     __slots__ = ("_pairs",)
 
     def __init__(self, slot_sums: Mapping[int, int]) -> None:
-        self._pairs = tuple((c, shift) for shift, c in slot_sums.items() if c)
+        self._pairs = tuple(
+            (1, shift + c.bit_length() - 1) if c > 0 and c & (c - 1) == 0 else (c, shift)
+            for shift, c in slot_sums.items()
+            if c
+        )
 
     def add_to(self, total: int, a: int) -> int:
         """total + weight * a, each term added into the one running total: a
-        coefficient of +1 or -1 is an add or a subtract, and shift 0 no shift."""
+        coefficient of +1 or -1 is an add or a subtract, and shift 0 no shift.
+        A coefficient 2^j arrives as +1 at a shift j larger (folded when the
+        weight is built); -2^j stays a product, see the class docstring."""
         for c, shift in self._pairs:
             term = a << shift if shift else a
             if total:

@@ -23,9 +23,12 @@ before times a small num/den, the division checked.  They share no code with
 
 Each recurrence route is a ladder, data (seeds, weights) for a(k) = w0 a(k-1)
 + w1 a(k-2) + ..., run by one generator that holds only the last len(seeds)
-members, so no route keeps a list; the Z[sqrt(D)] ladder of via_fib, whose
-weights alternate with the parity of k, runs its own two-member loop
-(``_fib_surds``).  A route runs its ladder on packed ints
+members, so no route keeps a list.  Two ladders run loops of their own: the
+Z[sqrt(D)] ladder of via_fib, whose weights alternate with the parity of k,
+steps two members per loop (``_fib_surds``), and the Z recurrence, whose
+three weights share the factor x+3s, steps Z(k) = (x+3s) (Z(k-1) - s
+Z(k-2)) + s^3 Z(k-3) (``_z_ladder``), 7 big-int passes where the three
+weights take 10.  A route runs its ladder on packed ints
 (Kronecker substitution): a member packs as its value at (x, s) = (1, 2^W),
 one W-bit slot per s-degree, and T(n) as its value at x = 2^W; weights act as
 shifts (``poly._Shifts``).  A step adds each weighted member straight into one
@@ -163,7 +166,8 @@ def _check_method(method: str, allowed: tuple[str, ...]) -> str:
 _X, _S = BiPoly.x(), BiPoly.s()
 _FIB = ((BiPoly.zero(), BiPoly.one()), (_X, _S))
 _LUCAS = ((BiPoly.constant(2), _X), (_X, _S))
-_Z = ((BiPoly.zero(), _X, _X * _X + 4 * _S * _X), (_X + 3 * _S, -_S * (_X + 3 * _S), _S**3))
+_Z_FACTOR = _X + 3 * _S
+_Z = ((BiPoly.zero(), _X, _X * _X + 4 * _S * _X), (_Z_FACTOR, -_S * _Z_FACTOR, _S**3))
 _CHEBYSHEV = ((UniPoly.one(), UniPoly.x()), (UniPoly({1: 2}), UniPoly({0: -1})))
 
 
@@ -185,6 +189,19 @@ def _packed_ladder(ladder: tuple[tuple[P, ...], tuple[P, ...]], width: int) -> I
     ``width``-bit slots."""
     seeds, weights = ladder
     return _ladder(tuple(a._packed(width) for a in seeds), tuple(w._shifts(width) for w in weights))
+
+
+def _z_ladder(width: int) -> Iterator[int]:
+    """Z(0), Z(1), ... packed: the recurrence of ``_Z`` with its shared factor
+    pulled out, Z(k) = (x+3s) (Z(k-1) - s Z(k-2)) + s^3 Z(k-3), in 7 big-int
+    passes per step where its three weights take 10."""
+    seeds, (factor, *_) = _Z
+    a, b, c = (z._packed(width) for z in seeds)
+    factor = factor._shifts(width)
+    yield from (a, b, c)
+    while True:
+        a, b, c = b, c, factor.add_to(a << 3 * width, c - (b << width))
+        yield c
 
 
 # The sum of the absolute coefficients of member n (the width lemma above).
@@ -341,7 +358,7 @@ _ROUTES = {
     ("fibonacci", "recurrence"): (0, partial(_packed_ladder, _FIB), _fib_bound, _fib_unpacked),
     ("lucas", "recurrence"): (0, partial(_packed_ladder, _LUCAS), _lucas_bound, _lucas_unpacked),
     ("lucas", "from_fib"): (1, _lucas_from_fib, _lucas_bound, _lucas_unpacked),
-    ("z", "recurrence"): (0, partial(_packed_ladder, _Z), _z_bound, _z_unpacked),
+    ("z", "recurrence"): (0, _z_ladder, _z_bound, _z_unpacked),
     ("z", "via_lucas"): (0, _lucas_evens, lambda n: _lucas_bound(2 * n), _z_via_lucas),
     ("z", "via_fib"): (
         0, lambda w: _fib_surds(_lift(w), _Shifts({w: -1})), _z_bound, _z_from_parity

@@ -291,48 +291,45 @@ def check_root_relations(q: Rat, s0: Rat) -> CheckResult:
     (z - s)(z^2 - (x+2s)z + s^2); that identity does not depend on the point,
     and one exact comparison (``_cubic_sides``) proves it in z, s and x.
 
-    Every step is decided on integers, steps 0-2 against the inputs q and
-    s0 by cross-multiplying numerators and denominators:
+    Every step is decided on integers from one ``_discriminant`` call, steps
+    0-2 against the inputs q and s0 by cross-multiplying numerators and
+    denominators.  Take (X, lam, D) from ``_discriminant`` and S = (D -
+    X^2)/4.  The roots that ``characteristic_roots`` builds are (X +/-
+    sqrt(D))/(2 lam), in Q(sqrt(d)) with d = D/lam^2, so:
 
-    0-1. ``characteristic_roots``' roots a + b sqrt(d) equal (q +/- sqrt(d))/2:
-         2 a = q and 2 b = +/-1, and both share one d;
-    2.   (beta beta_bar = s0) d - q^2 = 4 s0;
-    3.   take (X, lam, D) from ``_discriminant`` and S = (D - X^2)/4.
-         ``characteristic_roots`` builds a = X/(2 lam) and d = D/lam^2, so
-         once steps 0-2 hold, X = lam q, D = lam^2 d and S = lam^2 s0: the
-         roots scaled by 2 lam are X +/- sqrt(D), and A = 2 lam alpha =
-         X + sqrt(D) is an integer pair in Z[sqrt(D)].  The step is
-         alpha^4 - (x + 2s) alpha^2 + s^2 = 0 times (2 lam)^4, that is
-         A^4 - 4 (X^2 + 2S) A^2 + 16 S^2 = 0, powers by ``_surd_pow``;
+    0-1. the roots equal (q +/- sqrt(d))/2: X = lam q; their sqrt parts are
+         +/-1/2 over the one d by construction, so steps 0 and 1 are this
+         one comparison, and a failure is step 0;
+    2.   (beta beta_bar = s0) d - q^2 = 4 s0, that is D = lam^2 (q^2 + 4 s0);
+    3.   once steps 0-2 hold, S = lam^2 s0: the roots scaled by 2 lam are
+         X +/- sqrt(D), and A = 2 lam alpha = X + sqrt(D) is an integer pair
+         in Z[sqrt(D)].  The step is alpha^4 - (x + 2s) alpha^2 + s^2 = 0
+         times (2 lam)^4, that is A^4 - 4 (X^2 + 2S) A^2 + 16 S^2 = 0, powers
+         by ``_surd_pow``;
     4.   the cubic's sides at the integer point ``_CUBIC_POINT``.
 
-    Steps 0-2 read the parts of the two ``QuadExt`` roots that
-    ``characteristic_roots`` builds, from three ``Fraction``s, on every call.
-    Only a failing step takes the steps again in ``QuadExt`` arithmetic and
-    builds ``BiPoly`` sides, to write its witness (``_root_relations_witness``).
+    A passing call builds no ``QuadExt`` and no ``Fraction``.  Only a failing
+    step builds ``characteristic_roots``, takes the steps again in
+    ``QuadExt`` arithmetic and builds ``BiPoly`` sides, to write its witness
+    (``_root_relations_witness``).
     """
     x, lam, big_d = _discriminant(q, s0)
-    alpha, abar = characteristic_roots(q, s0)
     qn, qd, sn, sd = q.numerator, q.denominator, s0.numerator, s0.denominator
-    a, b, d = alpha.a, alpha.b, alpha.d
     big_s = (big_d - x * x) // 4
     p2, q2 = _surd_pow(x, 1, big_d, 2)
     p4, q4 = _surd_pow(x, 1, big_d, 4)
     lead = 4 * (x * x + 2 * big_s)
     lhs, rhs = _cubic_sides(*_CUBIC_POINT)
-    holds = (
-        2 * a.numerator * qd == qn * a.denominator and 2 * b.numerator == b.denominator,
-        2 * abar.a.numerator * qd == qn * abar.a.denominator
-        and 2 * abar.b.numerator == -abar.b.denominator
-        and abar.d == d,
-        d.numerator * qd * qd * sd == d.denominator * (qn * qn * sd + 4 * sn * qd * qd),
-        p4 - lead * p2 + 16 * big_s * big_s == 0 and q4 == lead * q2,
-        lhs == rhs,
-    )
+    holds = {
+        0: x * qd == qn * lam,
+        2: big_d * qd * qd * sd == lam * lam * (qn * qn * sd + 4 * sn * qd * qd),
+        3: p4 - lead * p2 + 16 * big_s * big_s == 0 and q4 == lead * q2,
+        4: lhs == rhs,
+    }
     rng = f"q={_coeff(q)}, s={_coeff(s0)}"
-    if all(holds):
+    if all(holds.values()):
         return CheckResult("root_relations", rng)
-    return _root_relations_witness(q, s0, holds.index(False))
+    return _root_relations_witness(q, s0, next(i for i, ok in holds.items() if not ok))
 
 
 def _root_relations_witness(q: Rat, s0: Rat, index: int) -> CheckResult:

@@ -1,6 +1,7 @@
 """The mutation probe's keys, mutants and stages (tools/mutants.py), without
 running any subprocess."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -62,7 +63,8 @@ def _fake_run(test_file, tests_fail_on):
     def run(root, command):
         text = (root / "pkg" / "m.py").read_text()
         if "pytest" in command:
-            assert command[-4:] == ["-x", "-p", "no:cacheprovider", str(test_file.resolve())]
+            copied = str(root / "tests" / "test_m.py")
+            assert command[-4:] == ["-x", "-p", "no:cacheprovider", copied]
             return int(tests_fail_on in text), "pytest output"
         return 0, "changed" if "a + b" in text else "same"
 
@@ -97,3 +99,44 @@ def test_a_baseline_that_fails_the_tests_stops_the_probe(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as stopped:
         mutants.probe(module, 0, 0, [test_file])
     assert stopped.value.code == 2
+
+
+def test_the_probe_runs_the_tests_as_they_were_when_it_started(tmp_path, monkeypatch):
+    # The test file is edited in the tree at every test run, the baseline's
+    # first; each run still reads the copy taken when the probe started, so
+    # no verdict moves, and the report holds the sha256 of the bytes that ran.
+    module, test_file = _package(tmp_path)
+    (tmp_path / "pyproject.toml").write_text("[tool.pytest.ini_options]\n")
+    test_file.write_text("# as the probe found it\n")
+    original = test_file.read_bytes()
+    ran = []
+
+    def run(root, command):
+        if "pytest" not in command:
+            return 0, "same"
+        ran.append(Path(command[-1]))
+        assert (root / "pyproject.toml").read_text() == "[tool.pytest.ini_options]\n"
+        test_file.write_text("# edited while the probe runs\n")
+        return int("edited" in ran[-1].read_text()), "pytest output"
+
+    monkeypatch.setattr(mutants, "_run", run)
+    report = mutants.probe(module, 0, 0, [test_file])
+    assert (report["run"], report["survived"], len(ran)) == (6, 6, 7)
+    assert all(path.name == test_file.name and path != test_file.resolve() for path in ran)
+    assert report["tests_sha256"] == {str(test_file): hashlib.sha256(original).hexdigest()}
+
+
+def test_a_module_outside_a_package_or_two_tests_of_one_name_stop_the_probe(tmp_path, capsys):
+    # Both exit 2, as a failing baseline does, before any run.
+    loose = tmp_path / "loose.py"
+    loose.write_text(SOURCE)
+    module, test_file = _package(tmp_path)
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / test_file.name).write_text("")
+    for path, tests in ((loose, []), (module, [test_file, other / test_file.name])):
+        with pytest.raises(SystemExit) as stopped:
+            mutants.probe(path, 0, 0, tests)
+        assert stopped.value.code == 2
+    err = capsys.readouterr().err
+    assert "is not in a package" in err and "two --tests files share a name" in err

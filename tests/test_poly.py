@@ -595,15 +595,35 @@ def test_shifts_add_to_is_the_shifted_sum(slot_sums, total, a):
 def test_shifts_multiply_starts_from_the_first_term(first, shift):
     # add_to from 0 (weight * a) takes its first term as the total instead of
     # adding it to 0; the value is the shifted sum whatever the first pair
-    # is.  The last tail cancels to 0 after two terms at first = 2, shift = 0,
-    # so its third term meets a total of 0 again.
+    # is.  The first pair is the first slot, 2 folded to 1 one shift up.
+    # The last tail cancels to 0 after two terms at first = 2, shift = 0, so
+    # its third term meets a total of 0 again.
     for rest in ({}, {40: 1}, {40: -1, 72: 3}, {1: -1, 48: 5}):
         slot_sums = {shift: first, **{k: c for k, c in rest.items() if k != shift}}
         weight = poly._Shifts(slot_sums)
-        assert weight._pairs[0] == (first, shift)
+        assert weight._pairs[0] == ((1, shift + 1) if first == 2 else (first, shift))
         for a in (0, 1, -7, 2**100 + 3, -(2**200) - 5):
             expected = sum(c * (a << k) for k, c in slot_sums.items())
             assert weight * a == weight.add_to(0, a) == expected
+
+
+@pytest.mark.parametrize(
+    "c, pair",
+    [
+        (1, (1, 0)), (2, (1, 1)), (8, (1, 3)), (2**40, (1, 40)),
+        (-2, (-2, 0)), (-8, (-8, 0)), (3, (3, 0)),
+    ],
+)
+@pytest.mark.parametrize("shift", [0, 8])
+def test_shifts_fold_positive_powers_of_two_into_the_shift(c, pair, shift):
+    # 2^j at shift t is 1 at shift t + j: one shift where a shift and a
+    # product were.  -2^j and 3 keep their product.  Either way add_to is
+    # the unfolded shifted sum, from a total of 0 and from any other.
+    weight = poly._Shifts({shift: c})
+    assert weight._pairs == ((pair[0], pair[1] + shift),)
+    for total in (0, 5, -(2**90)):
+        for a in (0, 1, -7, 2**100 + 3, -(2**200) - 5):
+            assert weight.add_to(total, a) == total + c * (a << shift)
 
 
 def test_shifts_multiply_by_one_and_by_nothing():

@@ -360,8 +360,11 @@ def test_cubic_sides_against_sympy():
 def _quadext_first_failure(q, s0):
     """The first root-relation step that fails in QuadExt and BiPoly
     arithmetic, or None: the steps as exact comparisons of the algebraic
-    values themselves, the reference for the integer decision."""
-    alpha, abar = surd.characteristic_roots(q, s0)
+    values themselves, the reference for the integer decision.  Its roots
+    come from ``characteristic_roots`` as imported, which a patch of
+    ``surd.characteristic_roots`` leaves as it was; a patch of the integral
+    point or the discriminant reaches it."""
+    alpha, abar = characteristic_roots(q, s0)
     d = alpha.d
     q, s0 = Fraction(q), Fraction(s0)
     sqrt_d = QuadExt(0, 1, d)
@@ -411,6 +414,19 @@ def _skewed_roots(monkeypatch, roots, part, by=Fraction(1, 3)):
     monkeypatch.setattr(surd, "characteristic_roots", skewed)
 
 
+def _skewed_discriminant(monkeypatch, part):
+    """_discriminant with X (part 0) or D (part 2) one larger: the roots'
+    rational parts, or their d, no longer those of (q, s0)."""
+    discriminant = surd._discriminant
+
+    def skewed(x0, s0):
+        parts = list(discriminant(x0, s0))
+        parts[part] += 1
+        return tuple(parts)
+
+    monkeypatch.setattr(surd, "_discriminant", skewed)
+
+
 def _doubled_lam(monkeypatch):
     """The integral point (X, S, 2 lam): the roots come out as
     (X +/- sqrt(D)) / (4 lam), which only a check against q and s0 sees."""
@@ -423,24 +439,27 @@ def _doubled_lam(monkeypatch):
     monkeypatch.setattr(surd, "_integral_point", skewed)
 
 
-# Each mutation, and the steps it fails first (None: some points pass).  A
-# skewed root fails step 0 or 1, and a skewed d shared by both roots step 2.
-# The sqrt part b of a root is +/-1/2; skewed to 2 or -2 it passes a test of
-# 2 // num(b) = den(b) where 2 num(b) = den(b) is meant.
+# Each mutation, and the steps it fails first (None: some points pass).  The
+# decision reads (X, lam, D) from _discriminant and never the QuadExt roots:
+# a skewed part of characteristic_roots' roots (the alpha.* and alphabar.*
+# rows, and d shared by both) changes no verdict, while a skewed X fails
+# step 0 and a skewed D step 2.
 # The power kernel fails step 3 wherever q != 0: 3pq in its squaring alters
 # both parts of A^2 and A^4, -2pq only the sqrt part of A^2.  A doubled lam
 # halves both parts of each root: step 0 fails wherever q != 0, step 2 at q = 0.
 _ROOT_MUTATIONS = {
     "none": (lambda mp: None, {None}),
-    "alpha.a": (lambda mp: _skewed_roots(mp, (0,), "a"), {0}),
-    "alpha.b": (lambda mp: _skewed_roots(mp, (0,), "b"), {0}),
-    "alpha.d": (lambda mp: _skewed_roots(mp, (0,), "d"), {1}),
-    "alphabar.a": (lambda mp: _skewed_roots(mp, (1,), "a"), {1}),
-    "alphabar.b": (lambda mp: _skewed_roots(mp, (1,), "b"), {1}),
-    "alpha.b=2": (lambda mp: _skewed_roots(mp, (0,), "b", Fraction(3, 2)), {0}),
-    "alphabar.b=-2": (lambda mp: _skewed_roots(mp, (1,), "b", Fraction(-3, 2)), {1}),
-    "alphabar.d": (lambda mp: _skewed_roots(mp, (1,), "d"), {1}),
-    "d": (lambda mp: _skewed_roots(mp, (0, 1), "d"), {2}),
+    "alpha.a": (lambda mp: _skewed_roots(mp, (0,), "a"), {None}),
+    "alpha.b": (lambda mp: _skewed_roots(mp, (0,), "b"), {None}),
+    "alpha.d": (lambda mp: _skewed_roots(mp, (0,), "d"), {None}),
+    "alphabar.a": (lambda mp: _skewed_roots(mp, (1,), "a"), {None}),
+    "alphabar.b": (lambda mp: _skewed_roots(mp, (1,), "b"), {None}),
+    "alpha.b=2": (lambda mp: _skewed_roots(mp, (0,), "b", Fraction(3, 2)), {None}),
+    "alphabar.b=-2": (lambda mp: _skewed_roots(mp, (1,), "b", Fraction(-3, 2)), {None}),
+    "alphabar.d": (lambda mp: _skewed_roots(mp, (1,), "d"), {None}),
+    "d": (lambda mp: _skewed_roots(mp, (0, 1), "d"), {None}),
+    "X": (lambda mp: _skewed_discriminant(mp, 0), {0}),
+    "D": (lambda mp: _skewed_discriminant(mp, 2), {2}),
     "pow": (lambda mp: _mutated(mp, "_surd_pow", "2 * p * q", "3 * p * q"), {None, 3}),
     "pow_sign": (lambda mp: _mutated(mp, "_surd_pow", "2 * p * q", "-2 * p * q"), {None, 3}),
     "cubic": (
@@ -462,6 +481,21 @@ def test_root_relations_decide_as_the_quadext_steps(monkeypatch, mutation):
         assert index == _quadext_first_failure(q, s0), (q, s0)
         seen.add(index)
     assert seen == expected
+
+
+def test_passing_root_relations_build_no_quadext(monkeypatch):
+    # The decision runs on the integers of one _discriminant call; only a
+    # failing step's witness builds the QuadExt roots.
+    built = []
+    init = QuadExt.__init__
+    monkeypatch.setattr(QuadExt, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    discriminant = surd._discriminant
+    calls = []
+    monkeypatch.setattr(surd, "_discriminant", lambda *a: calls.append(a) or discriminant(*a))
+    points = _root_points()
+    assert all(check_root_relations(q, s0).passed for q, s0 in points)
+    assert built == []
+    assert calls == points
 
 
 def test_cubic_integers_decode_to_the_bipoly_sides():

@@ -205,16 +205,21 @@ def test_cross_method_reports_routes_refused_with_no_member_left(monkeypatch, ca
 def test_sweep_draws_linearly_many_ladder_members(suite, monkeypatch):
     # Streamed once per sweep, a ladder draws a N + b members (b >= 0); a
     # check that rebuilds its ladder from index 0 draws ~a N^2 over a sweep.
+    # The draws of _ladder and of the Z recurrence's own loop both count.
     drawn = 0
-    ladder = sequences._ladder
 
-    def counting(seeds, weights):
-        nonlocal drawn
-        for member in ladder(seeds, weights):
-            drawn += 1
-            yield member
+    def counting(ladder):
+        def draws(*args):
+            nonlocal drawn
+            for member in ladder(*args):
+                drawn += 1
+                yield member
 
-    monkeypatch.setattr(sequences, "_ladder", counting)
+        return draws
+
+    monkeypatch.setattr(sequences, "_ladder", counting(sequences._ladder))
+    first, z_ladder, *rest = sequences._ROUTES["z", "recurrence"]
+    monkeypatch.setitem(sequences._ROUTES, ("z", "recurrence"), (first, counting(z_ladder), *rest))
     counts = []
     for max_n in (10, 20):
         drawn = 0

@@ -20,17 +20,22 @@ With ``--tests FILE...`` a mutant that survives ``verify`` meets a second
 stage: ``python -m pytest -q -x -p no:cacheprovider FILE...`` runs against
 the mutated copy, under the same time and memory limits, and kills it
 (``killed_by_tests``) unless it passes.  The unmutated copy must pass them.
+The test files run from copies taken when the probe starts, in
+``tests/`` of the temporary directory, beside a copy of the pytest
+configuration file nearest above the first of them: a test file edited
+while the probe runs changes no verdict of that run.  The report records the
+sha256 of each test file as copied.
 
 A mutant is keyed by module, function and operator occurrence, never by line:
 ``spreadpoly.identities:check_cassini:Sub->Add#2`` is the third (from 0)
 ``-`` made ``+`` inside ``check_cassini``, nested functions and lambdas
 included, in source order; ``<module>`` holds the code outside every function.
 ``--sample K`` runs K mutants drawn with ``--seed`` (all of them when K is 0).
-The JSON report on stdout holds the baseline, the counts, the counts per
-function and every mutant's outcome (``killed``, ``killed_by_tests`` or
-``survived``); a summary line goes to stderr.  Exit code 0 whatever survives;
-2 when the baseline fails ``verify`` or the tests, or the module is not in a
-package.
+The JSON report on stdout holds the baseline, the test files' sha256, the
+counts, the counts per function and every mutant's outcome (``killed``,
+``killed_by_tests`` or ``survived``); a summary line goes to stderr.  Exit
+code 0 whatever survives; 2 when the baseline fails ``verify`` or the tests,
+the module is not in a package or two test files share a name.
 Standard library only.
 """
 
@@ -82,6 +87,8 @@ _TIMEOUT_S = 120
 # The address space a mutant's run may take, so that a mutant which builds a
 # huge int fails instead of exhausting the host.
 _MEMORY_LIMIT = 1 << 30
+# The files pytest reads its configuration from, in the order it tries them.
+_PYTEST_CONFIGS = ("pytest.ini", ".pytest.ini", "pyproject.toml", "tox.ini", "setup.cfg")
 
 
 def _sites(tree: ast.Module) -> Iterator[tuple[str, str, Callable[[], None]]]:
@@ -158,10 +165,31 @@ def _run(root: Path, command: list[str]) -> tuple[int | str, str]:
     return done.returncode, hashlib.sha256(done.stdout).hexdigest()
 
 
+def _copy_tests(tests: Sequence[Path], root: Path) -> list[Path]:
+    """Copies of the test files in ``root/tests``, and of the pytest
+    configuration file nearest above the first of them in ``root``."""
+    if not tests:
+        return []
+    (root / "tests").mkdir()
+    copies = [root / "tests" / test.name for test in tests]
+    if len(set(copies)) < len(copies):
+        print("mutants: two --tests files share a name", file=sys.stderr)
+        raise SystemExit(2)
+    for test, copy in zip(tests, copies):
+        shutil.copyfile(test, copy)
+    for folder in tests[0].resolve().parents:
+        config = next((folder / n for n in _PYTEST_CONFIGS if (folder / n).is_file()), None)
+        if config:
+            shutil.copyfile(config, root / config.name)
+            break
+    return copies
+
+
 def probe(path: Path, sample: int, seed: int, tests: Sequence[Path] = ()) -> dict:
     package = path.resolve().parent
     if not (package / "__init__.py").exists():
-        raise SystemExit(f"mutants: {path} is not in a package")
+        print(f"mutants: {path} is not in a package", file=sys.stderr)
+        raise SystemExit(2)
     module = f"{package.name}.{path.stem}"
     source = path.read_text()
     keys = mutants(source, module)
@@ -170,11 +198,16 @@ def probe(path: Path, sample: int, seed: int, tests: Sequence[Path] = ()) -> dic
         chosen = sorted(random.Random(seed).sample(chosen, min(sample, len(keys))))
     command = [sys.executable, "-m", package.name, "verify", "all", "--max-n", str(_MAX_N)]
     pytest = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
-    test_command = [*pytest, *(str(test.resolve()) for test in tests)]
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         copy = root / package.name
         shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        test_copies = _copy_tests(tests, root)
+        test_command = [*pytest, *map(str, test_copies)]
+        tests_sha256 = {
+            str(test): hashlib.sha256(copied.read_bytes()).hexdigest()
+            for test, copied in zip(tests, test_copies)
+        }
         target = copy / path.name
         target.write_text(ast.unparse(ast.parse(source)) + "\n")
         baseline = _run(root, command)
@@ -200,6 +233,7 @@ def probe(path: Path, sample: int, seed: int, tests: Sequence[Path] = ()) -> dic
         "module": module,
         "command": ["python", *command[1:]],
         "tests_command": ["python", *pytest[1:], *map(str, tests)] if tests else None,
+        "tests_sha256": tests_sha256 or None,
         "baseline": {"exit": baseline[0], "stdout_sha256": baseline[1]},
         "mutants": len(keys),
         "sample": sample or None,
