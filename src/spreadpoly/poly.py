@@ -31,9 +31,10 @@ back with a bias, in linear time, and raises ArithmeticError rather than
 return digits that may not be the coefficients.  The digits, or a row, become
 the terms in one pass (``_zipped``), zeros dropped and nothing validated again.
 
-Whole rows of integer coefficients (of F, L and Z) run by exact ratios
-(``_ratio_row``): each entry is the one before times a small num/den, and a
-division that leaves a remainder raises ArithmeticError.
+The kernel also repacks (``_repacked``): the same digits, moved from W-bit
+slots into wider ones, by the same bias and one byte-padding pass, so that a
+ladder can run its early members in narrow slots and widen them as the
+members grow.  It raises the same ArithmeticError when a digit does not fit.
 """
 
 from __future__ import annotations
@@ -118,51 +119,49 @@ def _slot_width(bound: int) -> int:
     return (bound.bit_length() + 8) // 8 * 8
 
 
-def _digits(value: int, width: int, slots: int, bound: int) -> list[int]:
+def _biased(value: int, width: int, slots: int, bound: int) -> bytes:
     """The signed digits c_0, ..., c_(slots-1) of value = sum c_j 2^(width j),
-    given |c_j| <= bound for every j.
+    given |c_j| <= bound for every j, each plus 2^(width-1) (the bias), as
+    ``slots`` little-endian fields of width/8 bytes.
 
     Digits in [-2^(width-1), 2^(width-1)) are unique, so they are the c_j once
-    bound < 2^(width-1).  Adding 2^(width-1) to every slot (the bias) makes
-    each digit a plain byte-aligned field, read in one pass.  ArithmeticError
-    when the bound does not fit the width or the value does not fit the slots.
+    bound < 2^(width-1), and each biased digit is a plain byte-aligned field.
+    ArithmeticError when the bound does not fit the width or the value does
+    not fit the slots.
     """
     if width < 8 or width % 8 or bound >= 1 << (width - 1):
         raise ArithmeticError(f"coefficients up to {bound} do not fit {width}-bit slots")
-    size, half = width // 8, 1 << (width - 1)
-    biased = value + int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+    biased = value + int.from_bytes((bytes(width // 8 - 1) + b"\x80") * slots, "little")
     if biased < 0 or biased >> (width * slots):
         raise ArithmeticError(f"value does not fit {slots} slots of {width} bits")
-    data = memoryview(biased.to_bytes(size * slots, "little"))
+    return biased.to_bytes(width // 8 * slots, "little")
+
+
+def _digits(value: int, width: int, slots: int, bound: int) -> list[int]:
+    """The signed digits c_0, ..., c_(slots-1) of value = sum c_j 2^(width j),
+    given |c_j| <= bound for every j: the fields of ``_biased``, read in one
+    pass."""
+    data, size, half = memoryview(_biased(value, width, slots, bound)), width // 8, 1 << (width - 1)
     return [int.from_bytes(data[i : i + size], "little") - half for i in range(0, len(data), size)]
 
 
-def _ratio_row(first: int, steps: Iterable[tuple[int, int]]) -> Iterator[int]:
-    """``first``, then each entry as the one before times num/den, for each
-    (num, den) in ``steps``: a row of integer coefficients at one small
-    product and one exact division per entry.  ArithmeticError when a
-    division leaves a remainder."""
-    entry = first
-    yield entry
-    for num, den in steps:
-        entry, rest = divmod(entry * num, den)
-        if rest:
-            raise ArithmeticError(f"row entry times {num}/{den} came out non-integral")
-        yield entry
-
-
-def _c_row(n: int) -> Iterator[int]:
-    """c(n, 1), ..., c(n, n) for n >= 1, the coefficients of Z(n) (OEIS A156308):
-    c(n, 1) = n^2 and c(n, k+1) = c(n, k) (n-k)(n+k) / ((2k+1)(2k+2))."""
-    return _ratio_row(n * n, (((n - k) * (n + k), (2 * k + 1) * (2 * k + 2)) for k in range(1, n)))
-
-
-def _fib_lucas_row(n: int, top: int) -> Iterator[int]:
-    """The coefficients r(k) of s^k x^(top-2k), k = 0, 1, ..., of F(n) at
-    top = n - 1, C(n-1-k, k), and of L(n) at top = n >= 1, n/(n-k) C(n-k, k):
-    r(0) = 1 and r(k+1) = r(k) j (j-1) / ((k+1)(n-1-k)) at j = top - 2k."""
-    steps = zip(range(top, 1, -2), range(1, n))
-    return _ratio_row(1, ((j * (j - 1), i * (n - i)) for j, i in steps))
+def _repacked(values: Collection[int], width: int, bound: int, new: int) -> list[int]:
+    """Each value = sum c_j 2^(width j), given |c_j| <= bound for every j, as
+    sum c_j 2^(new j), in slots as wide or wider.  The ``_biased`` fields of
+    the values, each given as many slots as the longest needs, are joined end
+    to end and padded with zero bytes to new/8 bytes, one strided copy per
+    byte of a field.  Each value is read back from its part, the bias taken
+    off in the new slots.  ArithmeticError as ``_digits`` raises it, and when
+    the new slots are narrower or not whole bytes."""
+    size, step, slots = width // 8, new // 8, max(map(int.bit_length, values)) // width + 1
+    if step < size or new % 8:
+        raise ArithmeticError(f"{width}-bit slots do not fit {new}-bit slots")
+    data = bytearray().join(_biased(value, width, slots, bound) for value in values)
+    out, part = bytearray(len(data) // size * step), step * slots
+    for i in range(size):
+        out[i::step] = data[i::size]
+    bias = int.from_bytes((bytes(size - 1) + b"\x80" + bytes(step - size)) * slots, "little")
+    return [int.from_bytes(out[i : i + part], "little") - bias for i in range(0, len(out), part)]
 
 
 class _Shifts:
@@ -320,7 +319,7 @@ class _SparsePoly:
         return -self + other
 
     def __neg__(self: P) -> P:
-        return self._trusted({key: -c for key, c in self._terms.items()})
+        return self.scale(-1)
 
     def __mul__(self: P, other: P | Rat) -> P:
         if isinstance(other, (int, Fraction)):

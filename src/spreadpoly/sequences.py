@@ -17,18 +17,20 @@ Families:
   closed forms per entry (``coefficient_c``, the oracle) and by whole rows.
 
 The ``closed`` routes of F, L and Z and ``triangle`` run their rows by exact
-ratios (``poly._c_row``, ``poly._fib_lucas_row``): each entry is the one
-before times a small num/den, the division checked.  They share no code with
+ratios (``_c_row``, ``_fib_lucas_row``): each entry is the one before times a
+small num/den, the division checked (``_ratio_row``).  They share no code with
 ``coefficient_c`` or with any ladder.
 
 Each recurrence route is a ladder, data (seeds, weights) for a(k) = w0 a(k-1)
-+ w1 a(k-2) + ..., run by one generator that holds only the last len(seeds)
-members, so no route keeps a list.  Two ladders run loops of their own: the
-Z[sqrt(D)] ladder of via_fib, whose weights alternate with the parity of k,
-steps two members per loop (``_fib_surds``), and the Z recurrence, whose
-three weights share the factor x+3s, steps Z(k) = (x+3s) (Z(k-1) - s
-Z(k-2)) + s^3 Z(k-3) (``_z_ladder``), 7 big-int passes where the three
-weights take 10.  A route runs its ladder on packed ints
++ w1 a(k-2) + ..., run by a generator that holds only the last len(seeds)
+members, so no route keeps a list.  The two-term ladders (F, L, T and l) run
+one loop (``_ladder``).  Three run loops of their own: the Z[sqrt(D)] ladder
+of via_fib, whose weights alternate with the parity of k, steps two members
+per loop (``_fib_surds``); the Z recurrence, whose three weights share the
+factor x+3s, steps Z(k) = (x+3s) (Z(k-1) - s Z(k-2)) + s^3 Z(k-3)
+(``_z_ladder``), 7 big-int passes where the three weights take 10; and L
+from_fib steps F and reads L(n) = F(n+1) + s F(n-1) from the same window
+(``_lucas_from_fib``).  A route runs its ladder on packed ints
 (Kronecker substitution): a member packs as its value at (x, s) = (1, 2^W),
 one W-bit slot per s-degree, and T(n) as its value at x = 2^W; weights act as
 shifts (``poly._Shifts``).  A step adds each weighted member straight into one
@@ -38,8 +40,14 @@ L(n) are weighted-homogeneous with dx + 2 ds = n - 1 and n, Z(n) with
 dx + ds = n, so the s-degree of a term fixes its x-degree.
 
 A single-n builder and a sweep's stream (``_stream``) run the same route
-(``_ROUTES``): the builder at the width of member n, reading member n alone,
-the stream at the width of the last member its sweep reads, reading each.
+(``_ROUTES``) through the same code.  The builder runs its ladder in blocks of
+members (``_blocks``), one per 100 members and at most 8, each in the slots
+of the route's bound at the block's last member, so early members do not pay
+for the width of member n.  At each block's end the live window, the two or
+three states a step reads, is repacked into the next block's slots by one
+byte-padding pass (``poly._repacked``), and member n alone is read back.  The
+stream runs in one block, at the width of the last member its sweep reads,
+reading each.
 The lists that sweeps and checks index (``_fib_list``, ``_lucas_list``,
 ``_z_list``) are the F, L and Z ``recurrence`` streams, not a second ladder.
 
@@ -73,50 +81,45 @@ to sign, and T(n)(x) = L(n)(2x, -1) / 2 has absolute coefficients summing to
 L(n)(2, 1) / 2.  Each sum A comes from the doubling kernel below in O(log n)
 products.  Every |coefficient| is at most A, so with A < 2^(W-1) the digits
 of the packed value in [-2^(W-1), 2^(W-1)), which are unique, are the
-coefficients.  W is the least multiple of 8 above the bit length of A.
+coefficients.  W is the least multiple of 8 above the bit length of A.  Past
+member 1 no bound falls, so the bound at a block's last member also holds
+the members before it in the window, and through it every repacked state has
+a stated digit bound that the block's width covers: F, L and Z their own;
+T its signed bound, through the bias; the parity ladders F(k) and L(k) below
+Z(k)(1, 1); the l ladders through the member they read, Zx(k) = 2 - l and
+S(k) = (2 - l) / 4; ``_fib_surds``' c(k) below Z(k)(1, 1) (its docstring).
 
-Point values (the ``*_at`` functions) take a route of their own that never
-builds a polynomial: one doubling kernel returns (F(n), L(n)) at an integer
-point.  Seeded only from F(0) = 0, F(1) = 1, it doubles the pair
-(F(n), F(n+1)),
-
-  F(2k) = F(k) (2 F(k+1) - x F(k)),   F(2k+1) = F(k+1)^2 + s F(k)^2,
-
-in O(log n) products, and ends with L(n) = 2 F(n+1) - x F(n).  Its callers
-scale on plain ints, read straight from each point's numerator and
-denominator (an int's denominator is 1): a rational point runs at its
-integral point (X, S) = (lam x0, lam^2 s0), where F(n)(x0, s0) =
-F(n)(X, S) lam / lam^n and L(n)(x0, s0) = L(n)(X, S) / lam^n.  Every other
-family follows by an exact identity, Z(n)(x, s) = L(n)(x+2s, -s^2) - 2 s^n,
-l(n)(x) = L(n)(x, -1), T(n)(x) = L(n)(2x, -1) / 2, Zx(n)(x) = (-1)^(n-1)
-Z(n)(x, -1) and S(n)(x) = Zx(n)(4x) / 4, folded into the ints before any
-division: Z(n) is homogeneous of degree n, so Zx(n)(x) = Z(n)(-x, 1) / -1
-and S(n)(x) = Z(n)(-4x, 1) / -4, the sign and the 4 a scale of the point
-and of the denominator, and T's 2 doubles X and its denominator.  So each
-value is one fraction, built once and reduced once.  No step divides by the
-discriminant x^2 + 4s, so every rational point works.
+Point values (the ``*_at`` functions and ``point_bits_bound``) never build a
+polynomial: they run the doubling kernel of ``points``, imported here for
+the width bounds and re-exported.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from fractions import Fraction
 from functools import partial
 from itertools import count, islice, repeat
 from math import comb, factorial
 from operator import neg
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from .points import (
+    _doubling,
+    chebyshev_t_at,
+    fibonacci_at,
+    lucas_at,
+    point_bits_bound,
+    spread_z_univariate_at,
+    univariate_l_at,
+    wildberger_spread_at,
+    z_at,
+)
 from .poly import (
     P,
     BiPoly,
-    Rat,
     UniPoly,
-    _c_row,
-    _coeff,
     _digits,
-    _fib_lucas_row,
     _index,
+    _repacked,
     _Shifts,
     _slot_width,
 )
@@ -160,6 +163,37 @@ def _check_method(method: str, allowed: tuple[str, ...]) -> str:
     return method
 
 
+# -- closed rows ---------------------------------------------------------------
+
+
+def _ratio_row(first: int, steps: Iterable[tuple[int, int]]) -> Iterator[int]:
+    """``first``, then each entry as the one before times num/den, for each
+    (num, den) in ``steps``: a row of integer coefficients at one small
+    product and one exact division per entry.  ArithmeticError when a
+    division leaves a remainder."""
+    entry = first
+    yield entry
+    for num, den in steps:
+        entry, rest = divmod(entry * num, den)
+        if rest:
+            raise ArithmeticError(f"row entry times {num}/{den} came out non-integral")
+        yield entry
+
+
+def _c_row(n: int) -> Iterator[int]:
+    """c(n, 1), ..., c(n, n) for n >= 1, the coefficients of Z(n) (OEIS A156308):
+    c(n, 1) = n^2 and c(n, k+1) = c(n, k) (n-k)(n+k) / ((2k+1)(2k+2))."""
+    return _ratio_row(n * n, (((n - k) * (n + k), (2 * k + 1) * (2 * k + 2)) for k in range(1, n)))
+
+
+def _fib_lucas_row(n: int, top: int) -> Iterator[int]:
+    """The coefficients r(k) of s^k x^(top-2k), k = 0, 1, ..., of F(n) at
+    top = n - 1, C(n-1-k, k), and of L(n) at top = n >= 1, n/(n-k) C(n-k, k):
+    r(0) = 1 and r(k+1) = r(k) j (j-1) / ((k+1)(n-1-k)) at j = top - 2k."""
+    steps = zip(range(top, 1, -2), range(1, n))
+    return _ratio_row(1, ((j * (j - 1), i * (n - i)) for j, i in steps))
+
+
 # -- recurrence ladders -------------------------------------------------------
 
 # A ladder is (seeds, weights): past the seeds, a(k) = w0 a(k-1) + w1 a(k-2) + ...
@@ -169,39 +203,70 @@ _LUCAS = ((BiPoly.constant(2), _X), (_X, _S))
 _Z_FACTOR = _X + 3 * _S
 _Z = ((BiPoly.zero(), _X, _X * _X + 4 * _S * _X), (_Z_FACTOR, -_S * _Z_FACTOR, _S**3))
 _CHEBYSHEV = ((UniPoly.one(), UniPoly.x()), (UniPoly({1: 2}), UniPoly({0: -1})))
+_LIFT = _X + 4 * _S  # D = x + 4s of via_fib at (1, 2^W), with t = -s
+_X_MINUS_4 = UniPoly({0: -4, 1: 1})  # D = x - 4 of Zx from_bivariate at x = 2^W, t = 1
+
+# Blocks (stop, width, bound): a ladder steps its members up to member stop
+# (on without end when stop is None) in width-bit slots, and bound holds every
+# digit of every state that it leaves in its window at stop.
+_Blocks = Sequence[tuple[int | None, int, int]]
 
 
-def _ladder(seeds: tuple[int, ...], weights: tuple[_Shifts, ...]) -> Iterator[int]:
-    """a(0), a(1), ... of one ladder, holding only the last len(seeds) members.
-    A step adds every term by ``_Shifts.add_to`` from 0, copying no first term."""
-    window = deque(seeds, maxlen=len(seeds))
-    yield from seeds
-    while True:
-        total = 0
-        for w, a in zip(weights, reversed(window)):
-            total = w.add_to(total, a)
-        window.append(total)
-        yield total
+def _spans(blocks: _Blocks, k: int) -> Iterator[tuple]:
+    """Each block of a ladder whose next member is k, as (width, steps, old):
+    steps runs over the indices of the members that the block steps, k to
+    its stop or on without end, and old is the (width, bound) of the block
+    before, from whose slots the window moves (None in the first block)."""
+    old = None
+    for stop, width, bound in blocks:
+        yield width, count(k) if stop is None else range(k, stop + 1), old
+        k, old = stop and stop + 1, (width, bound)
 
 
-def _packed_ladder(ladder: tuple[tuple[P, ...], tuple[P, ...]], width: int) -> Iterator[int]:
-    """A ladder run on ints: its seeds packed and its weights as shifts, in
-    ``width``-bit slots."""
+def _ladder(at: Callable[[int], tuple], blocks: _Blocks, move: Callable) -> Iterator[int]:
+    """a(0), a(1), ... of a two-term ladder, a(k) = w0 a(k-1) + w1 a(k-2),
+    holding only a(k-2) and a(k-1), run in ``blocks``: at(W) is its two seeds
+    packed in W-bit slots and (w0, w1) as shifts there.  A step adds both
+    terms by ``_Shifts.add_to``, copying no first term.  A block after the
+    first moves the window into its own slots, move(window, width, bound,
+    new), and rebuilds the weights."""
+    for width, steps, old in _spans(blocks, 2):
+        seeds, (w0, w1) = at(width)
+        if old:
+            a, b = move((a, b), *old, width)
+        else:
+            a, b = seeds
+            yield from seeds
+        for _ in steps:
+            a, b = b, w1.add_to(w0 * b, a)
+            yield b
+
+
+def _packed_ladder(ladder: tuple[tuple[P, ...], tuple[P, ...]], blocks: _Blocks) -> Iterator[int]:
+    """A ladder run on ints: in each block its seeds packed and its weights
+    as shifts, in that block's slots."""
     seeds, weights = ladder
-    return _ladder(tuple(a._packed(width) for a in seeds), tuple(w._shifts(width) for w in weights))
+
+    def at(width: int) -> tuple:
+        return [a._packed(width) for a in seeds], [w._shifts(width) for w in weights]
+
+    return _ladder(at, blocks, _repacked)
 
 
-def _z_ladder(width: int) -> Iterator[int]:
+def _z_ladder(blocks: _Blocks) -> Iterator[int]:
     """Z(0), Z(1), ... packed: the recurrence of ``_Z`` with its shared factor
     pulled out, Z(k) = (x+3s) (Z(k-1) - s Z(k-2)) + s^3 Z(k-3), in 7 big-int
-    passes per step where its three weights take 10."""
+    passes per step where its three weights take 10, run in ``blocks``."""
     seeds, (factor, *_) = _Z
-    a, b, c = (z._packed(width) for z in seeds)
-    factor = factor._shifts(width)
+    a, b, c = (z._packed(blocks[0][1]) for z in seeds)
     yield from (a, b, c)
-    while True:
-        a, b, c = b, c, factor.add_to(a << 3 * width, c - (b << width))
-        yield c
+    for width, steps, old in _spans(blocks, 3):
+        if old:
+            a, b, c = _repacked((a, b, c), *old, width)
+        shifts = factor._shifts(width)
+        for _ in steps:
+            a, b, c = b, c, shifts.add_to(a << 3 * width, c - (b << width))
+            yield c
 
 
 # The sum of the absolute coefficients of member n (the width lemma above).
@@ -228,43 +293,56 @@ def _s_bound(n: int) -> int:
 # -- substitutions as evaluation points ----------------------------------------
 
 
-def _fib_surds(d: _Shifts, t: _Shifts) -> Iterator[int]:
+def _fib_surds(d: P, t: P, blocks: _Blocks) -> Iterator[int]:
     """c(n) for n = 0, 1, ..., where F(n)(sqrt(D), t) is c(n) at odd n and
     c(n) sqrt(D) at even n: the x-degrees of F(n) share one parity.  So the
     Fibonacci ladder in Z[sqrt(D)] runs on its nonzero part alone, c(n) =
     D c(n-1) + t c(n-2) at odd n and c(n-1) + t c(n-2) at even n, with D and
-    t packed weights."""
+    t packed weights.  It steps two members at a time, so every stop of its
+    ``blocks`` but the last is odd.
+
+    c(n) is a polynomial in the one packed variable, s for D = x + 4s and
+    t = -s, x for D = x - 4 and t = 1, whose absolute coefficients sum to at
+    most F(n)(sqrt(5), 1), the same sum with every sign +: with r = (3 +
+    sqrt(5))/2 that is (r^n - (-1/r)^n) / 3, below Z(n)(1, 1) = r^n + r^-n -
+    2 for n >= 1.  So the route's bound, Z(n)'s, holds the window's digits."""
     even, odd = 0, 1
-    while True:
-        yield even
-        yield odd
-        even = t.add_to(odd, even)
-        odd = t.add_to(d * even, odd)
+    yield from (even, odd)
+    for width, steps, old in _spans(blocks, 2):
+        if old:
+            even, odd = _repacked((even, odd), *old, width)
+        dw, tw = d._shifts(width), t._shifts(width)
+        for _ in islice(steps, 0, None, 2):
+            even = tw.add_to(odd, even)
+            yield even
+            odd = tw.add_to(dw * even, odd)
+            yield odd
 
 
-def _lift(width: int) -> _Shifts:
-    """x + 4s at (1, 2^W)."""
-    return _Shifts({0: 1, width + 2: 1})
+def _l_at(shift: int, blocks: _Blocks) -> Iterator[int]:
+    """l(n) = L(n)(x, -1) for n = 0, 1, ..., at x = 2 - 2^(W + shift): the
+    value 2 - M(n)(2^W) 2^shift, with M = Zx at shift 0 and M = S at shift 2
+    (the module docstring).  A block moves its window through M, whose
+    digits the route's bound holds."""
 
+    def at(width: int) -> tuple:
+        x = _Shifts({0: 2, width + shift: -1})
+        return (2, x * 1), (x, _Shifts({0: -1}))
 
-def _x_minus_4(width: int) -> _Shifts:
-    """x - 4 at x = 2^W."""
-    return _Shifts({0: -4, width: 1})
+    def move(window: Sequence[int], *slots: int) -> list[int]:
+        return [2 - (m << shift) for m in _repacked([(2 - v) >> shift for v in window], *slots)]
 
-
-def _l_at(x: _Shifts) -> Iterator[int]:
-    """l(n) = L(n)(x, -1) for n = 0, 1, ..., at the int point that the packed
-    weight x stands for."""
-    return _ladder((2, x * 1), (x, _Shifts({0: -1})))
+    return _ladder(at, blocks, move)
 
 
 # -- routes: one packed ladder each ---------------------------------------------
 
-# A route is (first, ladder, bound, member).  ladder(W) yields the states of
-# members first, first + 1, ... in W-bit slots, each step cheap; bound(n) is
-# the sum of member n's absolute coefficients; member(state, W, bound(n), n),
-# one of the steps below, reads member n back, and raises ArithmeticError when
-# bound(n) does not fit W.
+# A route is (first, ladder, bound, member).  ladder(blocks) yields the states
+# of members first, first + 1, ..., each in the W-bit slots of its block, each
+# step cheap; bound(n) is the sum of member n's absolute coefficients, and at
+# a block's stop it bounds every digit of the states the window holds there;
+# member(state, W, bound(n), n), one of the steps below, reads member n back,
+# and raises ArithmeticError when bound(n) does not fit W.
 _lucas_unpacked = partial(BiPoly._unpacked, s_weight=2)  # L(n), or L(2n) at degree 2n
 _z_unpacked = partial(BiPoly._unpacked, s_weight=1)
 
@@ -274,14 +352,21 @@ def _fib_unpacked(value: int, width: int, bound: int, n: int) -> BiPoly:
     return BiPoly._unpacked(value, width, bound, n - 1, 2)
 
 
-def _lucas_from_fib(width: int) -> Iterator[int]:
+def _lucas_from_fib(blocks: _Blocks) -> Iterator[int]:
     """L(n) = F(n+1) + s F(n-1) for n = 1, 2, ..., packed: F(n+1) plus F(n-1)
-    shifted up one s-slot, from one F ladder, holding only F(n-1) and F(n)."""
-    fib = _packed_ladder(_FIB, width)
-    before, middle = next(fib), next(fib)
-    for after in fib:
-        yield after + (before << width)
-        before, middle = middle, after
+    shifted up one s-slot, from one F ladder (``_FIB``), holding only F(n-1)
+    and F(n).  Its window at L(n), F(n) and F(n+1), has digits up to
+    F(n+1)(1, 1) <= L(n)(1, 1), the route's bound."""
+    seeds, weights = _FIB
+    before, middle = (a._packed(blocks[0][1]) for a in seeds)
+    for width, steps, old in _spans(blocks, 1):
+        if old:
+            before, middle = _repacked((before, middle), *old, width)
+        x, s = (w._shifts(width) for w in weights)
+        for _ in steps:
+            after = s.add_to(x * middle, before)
+            yield s.add_to(after, before)
+            before, middle = middle, after
 
 
 def _z_via_lucas(value: int, width: int, bound: int, n: int) -> BiPoly:
@@ -292,13 +377,14 @@ def _z_via_lucas(value: int, width: int, bound: int, n: int) -> BiPoly:
     return BiPoly._zipped(range(n, -1, -1), count(), digits)
 
 
-def _parity_ladder(width: int, n: int | None = None) -> Iterator[int]:
+def _parity_ladder(blocks: _Blocks, n: int | None = None) -> Iterator[int]:
     """L(k) at odd k and F(k) at even k, packed, for k = 0, 1, ...: the member
     that Z(k) reads.  A sweep reads both parities, so both ladders run; member
-    n alone (``n`` given) runs only the ladder of its parity."""
+    n alone (``n`` given) runs only the ladder of its parity.  Past k = 1,
+    F(k)(1, 1) and L(k)(1, 1) are below Z(k)(1, 1), the route's bound."""
     if n is not None:
-        return _packed_ladder((_FIB, _LUCAS)[n % 2], width)
-    pairs = zip(_packed_ladder(_FIB, width), _packed_ladder(_LUCAS, width))
+        return _packed_ladder((_FIB, _LUCAS)[n % 2], blocks)
+    pairs = zip(_packed_ladder(_FIB, blocks), _packed_ladder(_LUCAS, blocks))
     return (pair[k % 2] for k, pair in enumerate(pairs))
 
 
@@ -307,7 +393,7 @@ def _z_from_parity(value: int, width: int, bound: int, n: int) -> BiPoly:
     reader of two routes: ``parity``, whose value is packed L(n) at odd n and
     packed F(n) at even n, and ``via_fib``, whose value is c(n) of
     ``_fib_surds`` at D = x + 4s, t = -s, as Z(n) = x F(n)(sqrt(D), -s)^2."""
-    return _z_unpacked(value**2 if n % 2 else _lift(width) * value**2, width, bound, n)
+    return _z_unpacked(value**2 if n % 2 else _LIFT._shifts(width) * value**2, width, bound, n)
 
 
 def _l_from_lucas(value: int, width: int, bound: int, n: int) -> UniPoly:
@@ -337,7 +423,7 @@ def _zx_from_surd(c: int, width: int, bound: int, n: int) -> UniPoly:
     """Zx(n)(2^W) = (-1)^(n-1) 2^W F(n)(sqrt(D), 1)^2 at D = x - 4, from c(n)
     of ``_fib_surds``: 2^W c^2 at odd n and -2^W D c^2 at even n."""
     square = c * c
-    value = square if n % 2 else -(_x_minus_4(width) * square)
+    value = square if n % 2 else -(_X_MINUS_4._shifts(width) * square)
     return UniPoly._unpacked(value << width, width, bound, n)
 
 
@@ -349,9 +435,10 @@ def _s_from_l(value: int, width: int, bound: int, n: int) -> UniPoly:
     return UniPoly._unpacked(quarter, width, bound, n)
 
 
-def _lucas_evens(width: int) -> Iterator[int]:
-    """L(0), L(2), L(4), ... packed."""
-    return islice(_packed_ladder(_LUCAS, width), 0, None, 2)
+def _lucas_evens(blocks: _Blocks) -> Iterator[int]:
+    """L(0), L(2), L(4), ... packed: the block of member n ends at L(2n)."""
+    doubled = [(stop and 2 * stop, width, bound) for stop, width, bound in blocks]
+    return islice(_packed_ladder(_LUCAS, doubled), 0, None, 2)
 
 
 _ROUTES = {
@@ -360,37 +447,55 @@ _ROUTES = {
     ("lucas", "from_fib"): (1, _lucas_from_fib, _lucas_bound, _lucas_unpacked),
     ("z", "recurrence"): (0, _z_ladder, _z_bound, _z_unpacked),
     ("z", "via_lucas"): (0, _lucas_evens, lambda n: _lucas_bound(2 * n), _z_via_lucas),
-    ("z", "via_fib"): (
-        0, lambda w: _fib_surds(_lift(w), _Shifts({w: -1})), _z_bound, _z_from_parity
-    ),
+    ("z", "via_fib"): (0, partial(_fib_surds, _LIFT, -_S), _z_bound, _z_from_parity),
     ("z", "parity"): (0, _parity_ladder, _z_bound, _z_from_parity),
-    ("zx", "via_l"): (0, lambda w: _l_at(_Shifts({0: 2, w: -1})), _z_bound, _zx_from_l),
+    ("zx", "via_l"): (0, lambda blocks: _l_at(0, blocks), _z_bound, _zx_from_l),
     ("zx", "via_l2n"): (0, _lucas_evens, lambda n: _lucas_bound(2 * n), _zx_via_l2n),
     ("zx", "from_bivariate"): (
-        0, lambda w: _fib_surds(_x_minus_4(w), _Shifts({0: 1})), _z_bound, _zx_from_surd
+        0, partial(_fib_surds, _X_MINUS_4, UniPoly.one()), _z_bound, _zx_from_surd
     ),
     ("l", "recurrence"): (0, partial(_packed_ladder, _LUCAS), _lucas_bound, _l_from_lucas),
     ("t", "recurrence"): (
         0, partial(_packed_ladder, _CHEBYSHEV), _chebyshev_bound, UniPoly._unpacked
     ),
-    ("s", "via_l"): (0, lambda w: _l_at(_Shifts({0: 2, w + 2: -1})), _s_bound, _s_from_l),
+    ("s", "via_l"): (0, lambda blocks: _l_at(2, blocks), _s_bound, _s_from_l),
 }
 
 
+# Member n of a route runs in one block per _SPAN members, at most _PARTS.
+# Measured in-process on every route: below n = 200 the repacks cost about as
+# much as the narrower slots save, and past 8 blocks little is left to save.
+_SPAN, _PARTS = 100, 8
+
+
+def _blocks(n: int, bound: Callable[[int], int]) -> _Blocks:
+    """The blocks that member n of a route runs in: n // ``_SPAN`` of about
+    equal length, at least one and at most ``_PARTS``, each at the slot width
+    of the route's bound at its stop, the last on past n.  The schedule comes
+    from n and the bound alone.  Every stop but the last is odd, so that
+    ``_fib_surds`` steps whole pairs within a block."""
+    parts = max(1, min(n // _SPAN, _PARTS))
+    stops = [n * i // parts | 1 for i in range(1, parts)]
+    tops = map(bound, [*stops, n])
+    return [(stop, _slot_width(top), top) for stop, top in zip([*stops, None], tops)]
+
+
 def _built(family: str, method: str, n: int) -> BiPoly | UniPoly:
-    """Member n of a route: its ladder run at member n's slot width, and
-    member n alone read back.  ``parity`` runs one of its two ladders."""
+    """Member n of a route: its ladder run in the ``_blocks`` of member n, so
+    that early members take narrower slots than member n's, and member n
+    alone read back at the last block's width.  ``parity`` runs one of its two
+    ladders."""
     first, ladder, bound, member = _ROUTES[family, method]
-    top = bound(n)
-    width = _slot_width(top)
-    states = ladder(width, n) if method == "parity" else ladder(width)
+    blocks = _blocks(n, bound)
+    _, width, top = blocks[-1]
+    states = ladder(blocks, n) if method == "parity" else ladder(blocks)
     return member(next(islice(states, n - first, None)), width, top, n)
 
 
 def _stream(last: int, family: str, method: str = "recurrence") -> Iterator[BiPoly | UniPoly]:
     """Members 0, 1, 2, ... of one route, for a sweep that reads up to member
-    ``last``: the route's ladder, from its own seeds, at member ``last``'s
-    slot width.  Each member is read with its own bound, so one past ``last``
+    ``last``: the route's ladder, from its own seeds, in one block at member
+    ``last``'s slot width.  Each member is read with its own bound, so one past ``last``
     that outgrows the width raises ArithmeticError, never a wrong polynomial.
     A closed route runs its builder at each n.  ``lucas`` ``from_fib`` starts
     at n = 1, as L(0) has no F(-1).
@@ -401,8 +506,10 @@ def _stream(last: int, family: str, method: str = "recurrence") -> Iterator[BiPo
     if (family, method) not in _ROUTES:
         raise ValueError(f"no route {method!r} for {family!r}")
     first, ladder, bound, member = _ROUTES[family, method]
-    width = _slot_width(bound(last))
-    return (member(state, width, bound(n), n) for n, state in enumerate(ladder(width), first))
+    top = bound(last)
+    width = _slot_width(top)
+    states = ladder([(None, width, top)])
+    return (member(state, width, bound(n), n) for n, state in enumerate(states, first))
 
 
 # -- member lists: the recurrence routes, as sweeps and checks read them ------
@@ -590,108 +697,3 @@ def wildberger_spread(n: int) -> UniPoly:
 def chebyshev_t(n: int) -> UniPoly:
     """Chebyshev polynomial of the first kind, T(n+1) = 2x T(n) - T(n-1)."""
     return _built("t", "recurrence", _index(n))
-
-
-# -- point values by Lucas-sequence doubling ----------------------------------
-
-
-def _doubling(n: int, x: int, s: int) -> tuple[int, int]:
-    """(F(n), L(n)) at an integer point: the pair (F(n), F(n+1)) by doubling
-    from F(0) = 0, F(1) = 1, then L(n) = 2 F(n+1) - x F(n)."""
-    a, b = 0, 1
-    for bit in bin(n)[2:]:
-        a, b = a * (2 * b - x * a), b * b + s * a * a
-        if bit == "1":
-            a, b = b, x * b + s * a
-    return a, 2 * b - x * a
-
-
-def _integral_point(x0: Rat, s0: Rat) -> tuple[int, int, int]:
-    """(X, S, lam) with X = lam x0 and S = lam^2 s0 both integers, read from
-    the numerators and denominators of x0 and s0 (an int's denominator is 1).
-
-    F(n) and L(n) are weighted-homogeneous (x of weight 1, s of weight 2), so
-    F(n)(x0, s0) = F(n)(X, S) / lam^(n-1) and L(n)(x0, s0) = L(n)(X, S) / lam^n:
-    the kernel runs on integers, and the caller's result is the only fraction.
-    """
-    x, s = _coeff(x0), _coeff(s0)
-    b, d = x.denominator, s.denominator
-    return x.numerator * d, s.numerator * b * b * d, b * d
-
-
-def fibonacci_at(n: int, x0: Rat, s0: Rat) -> Fraction:
-    """F(n)(x0, s0) = F(n)(X, S) lam / lam^n, by the doubling kernel at the
-    integral point, without building F(n)."""
-    n = _index(n)
-    x, s, lam = _integral_point(x0, s0)
-    return Fraction(_doubling(n, x, s)[0] * lam, lam**n)
-
-
-def lucas_at(n: int, x0: Rat, s0: Rat) -> Fraction:
-    """L(n)(x0, s0) = L(n)(X, S) / lam^n, by the doubling kernel at the
-    integral point."""
-    n = _index(n)
-    x, s, lam = _integral_point(x0, s0)
-    return Fraction(_doubling(n, x, s)[1], lam**n)
-
-
-def _z_at(n: int, x0: Rat, s0: Rat, scale: int = 1) -> Fraction:
-    """Z(n)(scale x0, s0) / scale, as one fraction.  Z(n) is homogeneous of
-    degree n, so with scale x0 = X/m and s0 = S/m it is Z(n)(X, S) / m^n, and
-    Z(n)(X, S) = L(n)(X + 2S, -S^2) - 2 S^n runs the kernel at an integer
-    point; the division by the scale joins m^n in the denominator."""
-    s0, x0 = _coeff(s0), _coeff(x0)
-    m, n = x0.denominator * s0.denominator, _index(n)
-    x, s = scale * x0.numerator * s0.denominator, s0.numerator * x0.denominator
-    return Fraction(_doubling(n, x + 2 * s, -s * s)[1] - 2 * s**n, scale * m**n)
-
-
-def z_at(n: int, x0: Rat, s0: Rat) -> Fraction:
-    """Z(n)(x0, s0) = L(n)(x0 + 2 s0, -s0^2) - 2 s0^n, by the doubling kernel
-    at an integer point (``_z_at``)."""
-    return _z_at(n, x0, s0)
-
-
-def univariate_l_at(n: int, x0: Rat) -> Fraction:
-    """l(n)(x0) = L(n)(x0, -1)."""
-    return lucas_at(n, x0, -1)
-
-
-def spread_z_univariate_at(n: int, x0: Rat) -> Fraction:
-    """Zx(n)(x0) = (-1)^(n-1) Z(n)(x0, -1) = -Z(n)(-x0, 1), as Z(n) is
-    homogeneous of degree n: the sign is the scale -1."""
-    return _z_at(n, x0, 1, -1)
-
-
-def wildberger_spread_at(n: int, x0: Rat) -> Fraction:
-    """S(n)(x0) = Zx(n)(4 x0) / 4 = Z(n)(-4 x0, 1) / -4: the scale -4."""
-    return _z_at(n, x0, 1, -4)
-
-
-def chebyshev_t_at(n: int, x0: Rat) -> Fraction:
-    """T(n)(x0) = L(n)(2 x0, -1) / 2 = L(n)(2 X, S) / (2 lam^n), with (X, S,
-    lam) the integral point of (x0, -1)."""
-    x, s, lam = _integral_point(x0, -1)
-    return Fraction(_doubling(_index(n), 2 * x, s)[1], 2 * lam**n)
-
-
-def _log2_height(v: Rat) -> int:
-    """ceil(log2(max(|numerator|, denominator))) of a rational."""
-    v = _coeff(v)
-    return (max(abs(v.numerator), v.denominator) - 1).bit_length()
-
-
-def point_bits_bound(n: int, x0: Rat, s0: Rat = 0) -> int:
-    """An upper bound on the bit length of the numerator and of the denominator
-    of any family's n-th member evaluated at (x0, s0), from n and the sizes
-    of x0 and s0 alone (univariate families take s0 = 0).
-
-    Every member is a polynomial of x-degree and s-degree at most n whose
-    absolute coefficients sum to less than 2^(4n+2) (S(n), whose coefficients
-    are those of Zx(n) times up to 4^(n-1), grows fastest).  Over the common
-    denominator b^n d^n of x0 = a/b and s0 = c/d, the numerator is below
-    2^(4n+2) max(|a|, b)^n max(|c|, d)^n and the denominator at most
-    max(|a|, b)^n max(|c|, d)^n.
-    """
-    n = _index(n)
-    return n * (4 + _log2_height(x0) + _log2_height(s0)) + 2

@@ -23,8 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .identities import CheckResult, failure
+from .points import _integral_point
 from .poly import BiPoly, Rat, _coeff, _index
-from .sequences import _integral_point
 
 __all__ = [
     "DiscriminantMismatch",

@@ -53,15 +53,14 @@ from .identities import (
     compare_polynomials,
     failure,
 )
+from .points import _doubling, _integral_point
 from .poly import _index, _scaled_powers
 from .sequences import (
     FIBONACCI_METHODS,
     LUCAS_METHODS,
     Z_METHODS,
     ZX_METHODS,
-    _doubling,
     _fib_list,
-    _integral_point,
     _lucas_list,
     _stream,
     _z_list,

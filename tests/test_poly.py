@@ -2,6 +2,7 @@
 
 import math
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -665,3 +666,29 @@ def test_unpack_refuses_what_does_not_fit():
     for bad_width in (0, 12):
         with pytest.raises(ArithmeticError):
             poly._digits(0, bad_width, slots, 0)
+
+
+@pytest.mark.parametrize("width, new", [(8, 8), (8, 16), (16, 40), (24, 96), (40, 48)])
+def test_repacked_moves_signed_digits_into_wider_slots(width, new):
+    # Each value's digits, of either sign and up to the ends of the slot's
+    # range, land in the same order in new-bit slots, whether a value is
+    # repacked alone or with others of other lengths.
+    rng = random.Random(width * 1000 + new)
+    half = 1 << (width - 1)
+    rows = [[rng.randint(-half + 1, half - 1) for _ in range(slots)] for slots in (1, 2, 7, 40)]
+    rows += [[], [half - 1] * 5, [-half] * 5, [0, 0, 3, -half], [5, -1, 0, 0]]
+    values = [sum(c << width * j for j, c in enumerate(row)) for row in rows]
+    expected = [sum(c << new * j for j, c in enumerate(row)) for row in rows]
+    assert poly._repacked(values, width, half - 1, new) == expected
+    assert [poly._repacked([value], width, half - 1, new)[0] for value in values] == expected
+
+
+def test_repacked_refuses_what_does_not_fit():
+    # The bound must fit the old slots, as for _digits, and the new slots may
+    # be neither narrower nor a part of a byte; all are explicit raises, so
+    # they hold under python -O.
+    value = 5 + (7 << 16)
+    assert poly._repacked([value], 16, 7, 24) == [5 + (7 << 24)]
+    for width, bound, new in [(16, 1 << 15, 24), (12, 7, 24), (16, 7, 8), (24, 7, 16), (16, 7, 20)]:
+        with pytest.raises(ArithmeticError):
+            poly._repacked([value], width, bound, new)

@@ -35,6 +35,7 @@ from spreadpoly import (
     z_polynomial,
 )
 from spreadpoly import poly, sequences, verify
+from spreadpoly import points as point_values
 from spreadpoly.cli import _BIVARIATE, _FAMILIES, main
 from spreadpoly.fixtures import a156308_rows
 from spreadpoly.sequences import (
@@ -203,7 +204,7 @@ def test_coefficient_forms_agree_and_match_z():
 
 def test_c_row_is_the_per_entry_oracle():
     for n in range(1, 301):
-        assert list(poly._c_row(n)) == [coefficient_c(n, k) for k in range(1, n + 1)], n
+        assert list(sequences._c_row(n)) == [coefficient_c(n, k) for k in range(1, n + 1)], n
 
 
 def test_closed_rows_are_the_recurrence_members():
@@ -236,13 +237,13 @@ ROW_BUILDS = {
 def test_an_inexact_row_step_raises(route, monkeypatch):
     # An explicit raise, not an assert: the next test checks it under python -O.
     with pytest.raises(ArithmeticError):
-        list(poly._ratio_row(1, [(3, 2)]))
-    ratio_row = poly._ratio_row
+        list(sequences._ratio_row(1, [(3, 2)]))
+    ratio_row = sequences._ratio_row
 
     def skewed(first, steps):
         return ratio_row(first, ((num + (i == 2), den) for i, (num, den) in enumerate(steps)))
 
-    monkeypatch.setattr(poly, "_ratio_row", skewed)
+    monkeypatch.setattr(sequences, "_ratio_row", skewed)
     with pytest.raises(ArithmeticError):
         ROW_BUILDS[route]()
 
@@ -250,10 +251,10 @@ def test_an_inexact_row_step_raises(route, monkeypatch):
 def test_an_inexact_row_step_raises_under_python_o():
     # Every row route divides in the one kernel, so its raise is checked once.
     probe = (
-        "from spreadpoly import poly\n"
+        "from spreadpoly import sequences\n"
         "assert False, 'asserts are not stripped'\n"
         "try:\n"
-        "    list(poly._ratio_row(1, [(3, 2)]))\n"
+        "    list(sequences._ratio_row(1, [(3, 2)]))\n"
         "except ArithmeticError:\n"
         "    print('raised')\n"
     )
@@ -377,7 +378,7 @@ def test_wildberger_spread_non_integral_raises(monkeypatch):
     # longer divisible by 4, and the check is an explicit raise, so it holds
     # under python -O.
     l_at = sequences._l_at
-    monkeypatch.setattr(sequences, "_l_at", lambda x: (value + 1 for value in l_at(x)))
+    monkeypatch.setattr(sequences, "_l_at", lambda *args: (value + 1 for value in l_at(*args)))
     with pytest.raises(ArithmeticError):
         wildberger_spread(3)
 
@@ -602,7 +603,7 @@ FLIPPED_FIB = ((BiPoly.zero(), BiPoly.one()), (BiPoly.x(), -BiPoly.s()))
 def _flipped_fib_member(n):
     bound = sequences._fib_bound(n)
     width = poly._slot_width(bound)
-    value = next(islice(sequences._packed_ladder(FLIPPED_FIB, width), n, None))
+    value = next(islice(sequences._packed_ladder(FLIPPED_FIB, [(None, width, bound)]), n, None))
     return BiPoly._unpacked(value, width, bound, n - 1, 2)
 
 
@@ -740,22 +741,23 @@ def _read_or_refusal(read):
 )
 def test_a_changed_route_ladder_breaks_gen_and_its_stream(route, monkeypatch):
     # Mutation: every state of the route's ladder off by one in its lowest
-    # slot.  gen and the sweep run the one ladder, so both go wrong, and
-    # cross_method, which compares the route with its siblings, fails.  A
-    # skewed state that no longer fits its slots is refused (ArithmeticError
-    # from the digit reader), which detects it as well; cross_method reports
-    # that refusal as its route's failing check.
+    # slot.  gen and the sweep run the one ladder, so both go wrong, in one
+    # block (n < 8) and in three (n = 300), and cross_method, which compares
+    # the route with its siblings, fails.  A skewed state that no longer fits
+    # its slots is refused (ArithmeticError from the digit reader), which
+    # detects it as well; cross_method reports that refusal as its route's
+    # failing check.
     build = LADDER_STREAMS[route]
-    right = [build(n) for n in range(8)]
+    right = {n: build(n) for n in (*range(8), 300)}
     gen = ["gen", {"z": "Z", "zx": "Zx"}[route[0]], "7", "--method", route[1]]
     with contextlib.redirect_stdout(io.StringIO()) as printed:
         main(gen)
     first, ladder, bound, member = sequences._ROUTES[route]
-    wrong = (first, lambda width: (value + 1 for value in ladder(width)), bound, member)
+    wrong = (first, lambda blocks: (value + 1 for value in ladder(blocks)), bound, member)
     monkeypatch.setitem(sequences._ROUTES, route, wrong)
-    assert all(_read_or_refusal(functools.partial(build, n)) != right[n] for n in range(8))
+    assert all(_read_or_refusal(functools.partial(build, n)) != right[n] for n in right)
     streamed = _read_or_refusal(lambda: list(islice(_stream(7, *route), 8)))
-    assert isinstance(streamed, ArithmeticError) or all(map(operator.ne, streamed, right))
+    assert isinstance(streamed, ArithmeticError) or all(map(operator.ne, streamed, right.values()))
     with contextlib.redirect_stdout(io.StringIO()) as misprinted:
         main(gen)
     assert misprinted.getvalue() != printed.getvalue()
@@ -769,7 +771,7 @@ def test_cross_method_reports_a_refused_member_as_its_routes_failure(monkeypatch
     # sweep reports that refusal against the base route's Z(0), reads via_fib
     # no further, and checks every other route to the end.
     first, ladder, bound, member = sequences._ROUTES["z", "via_fib"]
-    skewed = (first, lambda width: (value + 1 for value in ladder(width)), bound, member)
+    skewed = (first, lambda blocks: (value + 1 for value in ladder(blocks)), bound, member)
     monkeypatch.setitem(sequences._ROUTES, ("z", "via_fib"), skewed)
     assert main(["verify", "cross_method", "--max-n", "7"]) == 1
     assert capsys.readouterr().out == (
@@ -794,7 +796,7 @@ def test_surd_ladder_is_the_nonzero_part_of_fibonacci_in_quadext(route, width):
     fib = [QuadExt(0, 0, d), QuadExt(1, 0, d)]
     while len(fib) < 41:
         fib.append(u * fib[-1] + fib[-2] * t)
-    states = sequences._ROUTES[route][1](width)
+    states = sequences._ROUTES[route][1]([(None, width, 0)])
     for n, (member, c) in enumerate(zip(fib, states)):
         assert member == (c if n % 2 else c * u), (route, width, n)
 
@@ -823,6 +825,138 @@ def test_parity_builder_steps_only_the_ladder_it_reads(monkeypatch):
     assert sorted(started) == ["F", "L"]
     assert list(islice(stream, 81)) == closed
     assert sorted(started) == ["F", "L"]
+
+
+# -- blocks: single-n ladders whose slots widen as the members grow ------------
+
+
+def test_blocks_come_from_n_and_the_bound_alone():
+    # One block per 100 members, at least one and at most eight.  Every stop
+    # but the last is odd (the Z[sqrt(D)] ladder steps pairs) and far past the
+    # seeds, the stops rise, and each block takes the slot width of the
+    # route's bound at its stop, so the widths never narrow.
+    for bound in (sequences._fib_bound, sequences._z_bound, sequences._s_bound):
+        for n in (0, 1, 2, 199, 200, 201, 250, 699, 700, 799, 800, 3000):
+            blocks = sequences._blocks(n, bound)
+            assert len(blocks) == max(1, min(n // 100, 8)), n
+            stops = [stop for stop, _, _ in blocks[:-1]]
+            assert blocks[-1][0] is None and stops == sorted(set(stops)), n
+            assert all(stop % 2 and 50 < stop < n for stop in stops), n
+            tops = [bound(k) for k in [*stops, n]]
+            assert [(w, top) for _, w, top in blocks] == [(poly._slot_width(t), t) for t in tops]
+            widths = [w for _, w, _ in blocks]
+            assert widths == sorted(widths), n
+
+
+# Single-n builds from one block (n = 150, 199) to seven.
+BLOCKED_NS = (150, 199, 200, 260, 370, 480, 590, 600, 700)
+
+
+@pytest.fixture(scope="module")
+def references():
+    """Member k of every family for k <= 701, built with no packed ladder:
+    the closed rows for F, L and Z, Zx(k) = (-1)^(k-1) Z(k)(x, -1) and S(k)
+    = Zx(k)(4x) / 4 from Z's, and the ladder run on dict polynomials for T
+    and l.  (The dict ladder for S, l(k)(2 - 4x), takes 1.8 s to k = 701.)"""
+    last = max(BLOCKED_NS) + 1
+    z = [z_polynomial(k, "closed") for k in range(last + 1)]
+    zx = [zk.substitute_s(-1).scale(1 if k % 2 else -1) for k, zk in enumerate(z)]
+    lucas_members = islice(polynomial_ladder(*sequences._LUCAS), last + 1)
+    return {
+        "fibonacci": [fibonacci(k, "closed") for k in range(last + 1)],
+        "lucas": [lucas(k, "closed") for k in range(last + 1)],
+        "z": z,
+        "zx": zx,
+        "l": [member.substitute_s(-1) for member in lucas_members],
+        "t": list(islice(polynomial_ladder(*sequences._CHEBYSHEV), last + 1)),
+        "s": [UniPoly({j: c * 4 ** (j - 1) for j, c in member.terms()}) for member in zx],
+    }
+
+
+def _block_of(blocks, k):
+    """The (stop, width, bound) of the block that steps member k."""
+    return next(block for block in blocks if block[0] is None or k <= block[0])
+
+
+@pytest.mark.parametrize("route", sorted(LADDER_STREAMS), ids=":".join)
+def test_members_on_both_sides_of_every_block_boundary(route, references):
+    # Each route's ladder in the blocks of member n, read at members b - 1,
+    # b and b + 1 of every block boundary b, each at its own block's width,
+    # and at member n: the repacked window must carry on where the narrower
+    # block left it.  The builder runs those blocks and reads member n.
+    first, ladder, bound, member = sequences._ROUTES[route]
+    expected = references[route[0]]
+    build = LADDER_STREAMS[route]
+    for n in BLOCKED_NS:
+        blocks = sequences._blocks(n, bound)
+        read = {n} | {k for stop, _, _ in blocks[:-1] for k in (stop - 1, stop, stop + 1)}
+        assert len(read) == 3 * len(blocks) - 2, n
+        for k, state in enumerate(islice(ladder(blocks), n + 1 - first), first):
+            if k in read:
+                width = _block_of(blocks, k)[1]
+                assert member(state, width, bound(k), k) == expected[k], (n, k)
+        assert build(n) == expected[n], n
+
+
+@pytest.mark.parametrize("route", sorted(LADDER_STREAMS), ids=":".join)
+def test_a_block_a_byte_too_narrow_raises(route, monkeypatch):
+    # Mutation: one block, the last or an earlier one, a byte narrower than
+    # the bound at its stop needs.  The builder must refuse, never return a
+    # polynomial: the last block's reader, or the repack out of the narrow
+    # block, finds a bound that does not fit.
+    blocks = sequences._blocks
+    build = LADDER_STREAMS[route]
+    for n in (1, 2, 40, 250, 600):
+        for narrow in range(len(blocks(n, sequences._ROUTES[route][2]))):
+
+            def narrower(n, bound, narrow=narrow):
+                schedule = list(blocks(n, bound))
+                stop, width, top = schedule[narrow]
+                schedule[narrow] = stop, width - 8, top
+                return schedule
+
+            monkeypatch.setattr(sequences, "_blocks", narrower)
+            with pytest.raises(ArithmeticError):
+                build(n)
+
+
+@pytest.mark.parametrize("route", sorted(LADDER_STREAMS), ids=":".join)
+def test_every_repacked_state_holds_its_stated_bound(route, monkeypatch):
+    # The width lemma in the module docstring: every state a block leaves in
+    # its window has digits no larger than the route's bound at the block's
+    # stop, which is the bound the repack is given (for the l ladders, the
+    # digits of the member Zx or S moved in their place).
+    repacked, moves = sequences._repacked, []
+
+    def checked(values, width, bound, new):
+        slots = max(map(int.bit_length, values)) // width + 1
+        top = (1 << (width - 1)) - 1
+        largest = max(abs(d) for v in values for d in poly._digits(v, width, slots, top))
+        moves.append((largest, bound))
+        return repacked(values, width, bound, new)
+
+    monkeypatch.setattr(sequences, "_repacked", checked)
+    build = LADDER_STREAMS[route]
+    for n in (250, 600):
+        moves.clear()
+        build(n)
+        assert len(moves) == len(sequences._blocks(n, sequences._ROUTES[route][2])) - 1
+        assert all(largest <= bound for largest, bound in moves), (n, moves)
+
+
+@pytest.mark.parametrize("route", [("z", "via_fib"), ("zx", "from_bivariate")], ids=":".join)
+def test_surd_states_hold_the_bound_in_their_docstring(route):
+    # c(k) of the Z[sqrt(D)] ladder: its absolute digits sum to at most
+    # F(k)(sqrt(5), 1), below Z(k)(1, 1), the route's bound, for k >= 1.
+    # F(k)(sqrt(5), 1)^2 = Z(k)(9, -1) / 9 at odd k and / 5 at even k.
+    width = 1024
+    states = sequences._ROUTES[route][1]([(None, width, 0)])
+    for k, c in enumerate(islice(states, 401)):
+        digits = poly._digits(c, width, k // 2 + 1, 1)
+        size = sum(map(abs, digits))
+        surd_square = sequences.z_at(k, 9, -1) / (9 if k % 2 else 5)
+        assert size * size <= surd_square, k
+        assert size <= sequences._z_bound(k) or k == 0 and size == 0, k
 
 
 def test_all_families_integer_coefficients():
@@ -1025,7 +1159,7 @@ def test_each_point_evaluator_builds_one_fraction_its_result(family, monkeypatch
             made.append(super().__new__(cls, *args))
             return made[-1]
 
-    monkeypatch.setattr(sequences, "Fraction", Spy)
+    monkeypatch.setattr(point_values, "Fraction", Spy)
     at = _FAMILIES[family][2]
     for n, x0, s0 in [(0, 3, -2), (9, Fraction(-2, 3), Fraction(5, 7)), (12, Fraction(4), 1)]:
         made.clear()
@@ -1033,7 +1167,7 @@ def test_each_point_evaluator_builds_one_fraction_its_result(family, monkeypatch
         assert len(made) == 1 and value is made[0], (family, n, x0, s0)
         made.clear()
         assert point_bits_bound(n, x0, s0) > 0 and made == []
-        assert sequences._integral_point(x0, s0) and made == []
+        assert point_values._integral_point(x0, s0) and made == []
 
 
 def _from_sympy(value):
