@@ -16,10 +16,13 @@ Families:
 * c(n, k): the integer coefficient triangle of Z(n) (OEIS A156308), by three
   closed forms per entry (``coefficient_c``, the oracle) and by whole rows.
 
-The ``closed`` routes of F, L and Z and ``triangle`` run their rows by exact
-ratios (``_c_row``, ``_fib_lucas_row``): each entry is the one before times a
-small num/den, the division checked (``_ratio_row``).  They share no code with
-``coefficient_c`` or with any ladder.
+The ``closed`` routes of F, L and Z, ``triangle`` and the builders of l, T
+and S run rows by exact ratios (``rows``): each entry is the one before times
+a small num/den, the division checked.  They share no code with
+``coefficient_c`` or with any ladder.  So ``gen`` runs a row for l, T and S,
+and their ladders remain routes (``_ROUTES``), run by the sweeps' streams and
+by the single-n ``_built``; the ``closed_rows`` suite compares each with its
+row.
 
 Each recurrence route is a ladder, data (seeds, weights) for a(k) = w0 a(k-1)
 + w1 a(k-2) + ..., run by a generator that holds only the last len(seeds)
@@ -123,6 +126,7 @@ from .poly import (
     _Shifts,
     _slot_width,
 )
+from .rows import _c_row, _fib_lucas_row, _l_row, _s_row, _t_row
 
 __all__ = [
     "Triangle",
@@ -161,37 +165,6 @@ def _check_method(method: str, allowed: tuple[str, ...]) -> str:
     if method not in allowed:
         raise ValueError(f"unknown method {method!r}; expected one of {allowed}")
     return method
-
-
-# -- closed rows ---------------------------------------------------------------
-
-
-def _ratio_row(first: int, steps: Iterable[tuple[int, int]]) -> Iterator[int]:
-    """``first``, then each entry as the one before times num/den, for each
-    (num, den) in ``steps``: a row of integer coefficients at one small
-    product and one exact division per entry.  ArithmeticError when a
-    division leaves a remainder."""
-    entry = first
-    yield entry
-    for num, den in steps:
-        entry, rest = divmod(entry * num, den)
-        if rest:
-            raise ArithmeticError(f"row entry times {num}/{den} came out non-integral")
-        yield entry
-
-
-def _c_row(n: int) -> Iterator[int]:
-    """c(n, 1), ..., c(n, n) for n >= 1, the coefficients of Z(n) (OEIS A156308):
-    c(n, 1) = n^2 and c(n, k+1) = c(n, k) (n-k)(n+k) / ((2k+1)(2k+2))."""
-    return _ratio_row(n * n, (((n - k) * (n + k), (2 * k + 1) * (2 * k + 2)) for k in range(1, n)))
-
-
-def _fib_lucas_row(n: int, top: int) -> Iterator[int]:
-    """The coefficients r(k) of s^k x^(top-2k), k = 0, 1, ..., of F(n) at
-    top = n - 1, C(n-1-k, k), and of L(n) at top = n >= 1, n/(n-k) C(n-k, k):
-    r(0) = 1 and r(k+1) = r(k) j (j-1) / ((k+1)(n-1-k)) at j = top - 2k."""
-    steps = zip(range(top, 1, -2), range(1, n))
-    return _ratio_row(1, ((j * (j - 1), i * (n - i)) for j, i in steps))
 
 
 # -- recurrence ladders -------------------------------------------------------
@@ -661,9 +634,12 @@ def triangle(N: int) -> Triangle:
 
 
 def univariate_l(n: int) -> UniPoly:
-    """l(n)(x) = L(n)(x, -1), read from packed L(n): its digit c_i, the
-    coefficient of s^i x^(n-2i), gives (-1)^i c_i at x^(n-2i)."""
-    return _built("l", "recurrence", _index(n))
+    """l(n)(x) = L(n)(x, -1): (-1)^k n/(n-k) C(n-k, k) at x^(n-2k), by row
+    ratios (``rows._l_row``), the route ``gen`` runs.  The ladder, packed L(n)
+    read from its signed digits, remains a route (``_ROUTES``): the sweeps
+    stream it and the ``closed_rows`` suite compares it with this row."""
+    n = _index(n)
+    return UniPoly._zipped(range(n, -1, -2), repeat(0), _l_row(n))
 
 
 def spread_z_univariate(n: int, method: str = "via_l") -> UniPoly:
@@ -688,12 +664,23 @@ def spread_z_univariate(n: int, method: str = "via_l") -> UniPoly:
 def wildberger_spread(n: int) -> UniPoly:
     """Wildberger's spread polynomial S(n)(x) = Zx(n)(4x) / 4.
 
-    Built as S(n)(2^W) = (2 - l(n)(2 - 4 * 2^W)) / 4.  The division by 4
-    always clears, which is checked (ArithmeticError otherwise).
+    Built by row ratios (``rows._s_row``), the route ``gen`` runs: n/k
+    C(n+k-1, 2k-1) (-4)^(k-1) at x^k, each division checked
+    (ArithmeticError otherwise).  The ladder remains a route (``_ROUTES``):
+    S(n)(2^W) = (2 - l(n)(2 - 4 * 2^W)) / 4, the division by 4 checked, which
+    the sweeps stream and the ``closed_rows`` suite compares with this row.
     """
-    return _built("s", "via_l", _index(n))
+    n = _index(n)
+    return UniPoly._zipped(count(1), repeat(0), _s_row(n))
 
 
 def chebyshev_t(n: int) -> UniPoly:
-    """Chebyshev polynomial of the first kind, T(n+1) = 2x T(n) - T(n-1)."""
-    return _built("t", "recurrence", _index(n))
+    """Chebyshev polynomial of the first kind, T(n+1) = 2x T(n) - T(n-1).
+
+    Built by row ratios (``rows._t_row``), the route ``gen`` runs: l(n)'s
+    row times 2^(n-2k-1) at x^(n-2k).  The ladder of that recurrence, packed
+    at x = 2^W, remains a route (``_ROUTES``), which the sweeps stream and the
+    ``closed_rows`` suite compares with this row.
+    """
+    n = _index(n)
+    return UniPoly._zipped(range(n, -1, -2), repeat(0), _t_row(n))

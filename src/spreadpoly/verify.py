@@ -20,13 +20,16 @@ two routes never share a generator, which keeps their agreement a
 cross-validation.  Each bivariate sweep packs its list once (``_pack``), at
 the width that its last check's bound fits, and hands that same packing to
 every check; a check whose own bound does not fit that width repacks.
+``gen`` builds l, T and S by closed rows, not ladders, so ``closed_rows``
+compares those rows with the ladder routes' streams and single-n builders.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import islice, repeat
+from functools import partial
+from itertools import count, islice, repeat
 from typing import Callable, Iterable, NamedTuple
 
 from .fixtures import a156308_rows
@@ -60,14 +63,18 @@ from .sequences import (
     LUCAS_METHODS,
     Z_METHODS,
     ZX_METHODS,
+    _built,
     _fib_list,
     _lucas_list,
     _stream,
     _z_list,
+    chebyshev_t,
     fibonacci,
     lucas,
     spread_z_univariate,
     triangle,
+    univariate_l,
+    wildberger_spread,
     z_at,
     z_polynomial,
 )
@@ -189,55 +196,84 @@ def _suite_trig(max_n: int) -> SuiteReport:
     )
 
 
-def _suite_cross_method(max_n: int) -> SuiteReport:
+def _cross(name: str, detail: str, max_n: int, families: list[tuple]) -> SuiteReport:
+    """Each route of a family against the family's first route at every
+    n = 0..max_n, and at max_n each route's single-n builder against its
+    stream, where only a mismatch adds a result.  ``families`` holds
+    (family, routes), each route (method, its stream of members for n = 0,
+    1, ..., its builder of member n)."""
+
     def run() -> Iterable[CheckResult]:
-        # Builders bound when the sweep runs, not at import, so a patched
-        # builder is called.
-        routes = [
-            (family, build, [(method, _stream(max_n, family, method)) for method in methods])
-            for family, build, methods in (
-                ("z", z_polynomial, Z_METHODS),
-                ("fibonacci", fibonacci, FIBONACCI_METHODS),
-                ("lucas", lucas, LUCAS_METHODS),
-                ("zx", spread_z_univariate, ZX_METHODS),
-            )
-        ]
         for n in range(max_n + 1):
-            for family, build, streams in routes:
+            for family, routes in families:
                 members, refused = [], []
-                for method, stream in streams:
+                for route in routes:
+                    method, stream, build = route
                     # L(n) = F(n+1) + s F(n-1) needs n >= 1
                     if n or method != "from_fib":
                         try:
-                            members.append((method, next(stream)))
+                            members.append((method, next(stream), build))
                         except ArithmeticError as refusal:
-                            refused.append((method, stream, refusal))
+                            refused.append((route, refusal))
                 base = members[0][1] if members else None
                 # A member that does not fit its slots fails its route, which
                 # is read no further; the witness's other side is the first
                 # member, or says that no route gave one.
-                for method, stream, refusal in refused:
-                    streams.remove((method, stream))
+                for route, refusal in refused:
+                    routes.remove(route)
                     yield failure(
-                        f"{family}:{method}", f"n={n}", n, f"refused: {refusal}",
+                        f"{family}:{route[0]}", f"n={n}", n, f"refused: {refusal}",
                         "no route gave a member"
                         if base is None
                         else base.render(max_terms=WITNESS_TERM_LIMIT),
                     )
                 if n == max_n:
-                    # The streams run the ladders of the single-n builders
-                    # that `gen` runs; the builders' own wiring must give the
-                    # same last members.  Only a mismatch adds a result.
-                    for method, member in members:
-                        built = build(n, method=method)
+                    # The streams run the ladders of the single-n builders;
+                    # the builders' own wiring must give the same last
+                    # members.
+                    for method, member, build in members:
+                        built = build(n)
                         if member != built:
                             yield compare_polynomials(
                                 f"{family}:{method}", f"n={n} builder", n, member, built
                             )
-                for method, member in members[1:]:
+                for method, member, _ in members[1:]:
                     yield compare_polynomials(f"{family}:{method}", f"n={n}", n, member, base)
 
-    return _collect("cross_method", f"n=0..{max_n}, all constructions", run())
+    return _collect(name, detail, run())
+
+
+def _suite_cross_method(max_n: int) -> SuiteReport:
+    # Builders bound when the sweep runs, not at import, so a patched
+    # builder is called; each route's builder is the one `gen` runs.
+    families = [
+        (family, [(m, _stream(max_n, family, m), partial(build, method=m)) for m in methods])
+        for family, build, methods in (
+            ("z", z_polynomial, Z_METHODS),
+            ("fibonacci", fibonacci, FIBONACCI_METHODS),
+            ("lucas", lucas, LUCAS_METHODS),
+            ("zx", spread_z_univariate, ZX_METHODS),
+        )
+    ]
+    return _cross("cross_method", f"n=0..{max_n}, all constructions", max_n, families)
+
+
+def _suite_closed_rows(max_n: int) -> SuiteReport:
+    # `gen` builds l, T and S by their closed rows, which share no code with
+    # the ladder routes: each row against its family's ladder, whose single-n
+    # builder is `_built`.
+    families = [
+        (family, [
+            ("closed", map(row, count()), row),
+            (method, _stream(max_n, family, method), partial(_built, family, method)),
+        ])
+        for family, method, row in (
+            ("l", "recurrence", univariate_l),
+            ("t", "recurrence", chebyshev_t),
+            ("s", "via_l", wildberger_spread),
+        )
+    ]
+    return _cross("closed_rows", f"n=0..{max_n}, rows of l, T and S", max_n, families)
 
 
 def _binet_grid() -> list[tuple[int, int]]:
@@ -396,6 +432,7 @@ SUITES: dict[str, Callable[[int], SuiteReport]] = {
     "cross_method": _suite_cross_method,
     "binet": _suite_binet,
     "gf": _suite_gf,
+    "closed_rows": _suite_closed_rows,
 }
 
 # One guard on max_n, shared by every sweep, in this same dict.

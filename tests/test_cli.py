@@ -456,7 +456,7 @@ def test_one_suite_table():
         if isinstance(value, dict) and all(s in value for s in verify.SUITES)
     ]
     assert tables == [("spreadpoly.verify", "SUITES")]
-    assert len(verify.SUITES) == 12
+    assert len(verify.SUITES) == 13
 
 
 def test_no_subcommand_is_usage_error(capsys):

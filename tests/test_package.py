@@ -27,7 +27,7 @@ def test_package_all_is_the_union_of_module_all():
 def test_a_launch_loads_no_dataclasses():
     # What `spreadpoly` pays at every launch: the parser and every module it
     # imports.  The per-layer tracer patches only the spreadpoly modules that
-    # are loaded at this point, so all six must stay among them.
+    # are loaded at this point, so all eight must stay among them.
     probe = (
         "import sys; before = set(sys.modules)\n"
         "import spreadpoly.cli; spreadpoly.cli.build_parser()\n"
@@ -36,7 +36,7 @@ def test_a_launch_loads_no_dataclasses():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     loaded = set(proc.stdout.split())
     assert "dataclasses" not in loaded
-    for name in ("poly", "sequences", "identities", "surd", "gf", "verify"):
+    for name in ("poly", "points", "rows", "sequences", "identities", "surd", "gf", "verify"):
         assert f"spreadpoly.{name}" in loaded, name
 
 

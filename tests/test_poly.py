@@ -15,8 +15,10 @@ from spreadpoly import (
     UniPoly,
     ZeroPolynomialError,
     poly,
+    sequences,
     spread_z_univariate,
     wildberger_spread,
+    z_polynomial,
 )
 from spreadpoly.identities import _TRIG_SAMPLES
 
@@ -692,3 +694,45 @@ def test_repacked_refuses_what_does_not_fit():
     for width, bound, new in [(16, 1 << 15, 24), (12, 7, 24), (16, 7, 8), (24, 7, 16), (16, 7, 20)]:
         with pytest.raises(ArithmeticError):
             poly._repacked([value], width, bound, new)
+
+
+def test_repacked_biases_no_more_slots_than_its_longest_value_needs(monkeypatch):
+    # A repack's work grows with the slots it biases each value into.  Extra
+    # slots only add zero digits, so the values come out the same and only
+    # their count shows the waste: it must be at most the longest value's
+    # bit length // width + 1.  It is checked before any field is built, as
+    # a field per zero slot would take memory that grows with the value's
+    # square.  The repacks are those of the block boundaries of
+    # z_polynomial(600) and of S(600)'s ladder, and of random digit rows.
+    repacked, biased, limit, fields = poly._repacked, poly._biased, None, []
+
+    def spy(value, width, count, bound):
+        if limit is not None:
+            if count > limit:
+                pytest.fail(f"{count} slots of {width} bits, where {limit} hold every value")
+            fields.append(count)
+        return biased(value, width, count, bound)
+
+    def checked(values, width, bound, new):
+        nonlocal limit
+        limit = max(map(int.bit_length, values)) // width + 1
+        try:
+            return repacked(values, width, bound, new)
+        finally:
+            limit = None
+
+    monkeypatch.setattr(poly, "_biased", spy)
+    monkeypatch.setattr(sequences, "_repacked", checked)
+    z_polynomial(600)
+    sequences._built("s", "via_l", 600)
+    # Z's window holds three states and the S ladder's two, at each of the
+    # five block boundaries of n = 600.
+    assert len(fields) == (3 + 2) * (len(sequences._blocks(600, sequences._z_bound)) - 1)
+    rng = random.Random(36)
+    for width, new in [(8, 16), (16, 40), (24, 96)]:
+        half = 1 << (width - 1)
+        for lengths in [(1,), (3, 40), (200, 7, 1)]:
+            rows = [[rng.randint(-half + 1, half - 1) for _ in range(k)] for k in lengths]
+            values = [sum(c << width * j for j, c in enumerate(row)) for row in rows]
+            expected = [sum(c << new * j for j, c in enumerate(row)) for row in rows]
+            assert checked(values, width, half - 1, new) == expected

@@ -34,7 +34,7 @@ from spreadpoly import (
     wildberger_spread,
     z_polynomial,
 )
-from spreadpoly import poly, sequences, verify
+from spreadpoly import poly, rows, sequences, verify
 from spreadpoly import points as point_values
 from spreadpoly.cli import _BIVARIATE, _FAMILIES, main
 from spreadpoly.fixtures import a156308_rows
@@ -77,6 +77,12 @@ TRIANGLE_5 = (
     (16, 20, 8, 1),
     (25, 50, 35, 10, 1),
 )
+
+# The single-n builders of the l, T and S ladders.  The public builders run
+# the closed rows, so the tests of the ladders reach them here.
+L_LADDER = functools.partial(sequences._built, "l", "recurrence")
+T_LADDER = functools.partial(sequences._built, "t", "recurrence")
+S_LADDER = functools.partial(sequences._built, "s", "via_l")
 
 
 # -- Fibonacci / Lucas ---------------------------------------------------------
@@ -223,6 +229,16 @@ def test_closed_rows_are_the_recurrence_members():
         assert z_polynomial(n, "closed") == z[n], n
 
 
+def test_closed_rows_are_the_ladder_builders():
+    # The rows that the public builders of l, T and S run, against the
+    # single-n builders of the ladder routes, at every n of one block and at
+    # the block boundaries of n = 400, 600 and 1000.
+    for n in [*range(302), 399, 400, 401, 599, 600, 601, 1000]:
+        assert univariate_l(n) == L_LADDER(n), n
+        assert chebyshev_t(n) == T_LADDER(n), n
+        assert wildberger_spread(n) == S_LADDER(n), n
+
+
 # Every row route with one step's numerator off by one, so that step's
 # division leaves a remainder.
 ROW_BUILDS = {
@@ -230,6 +246,9 @@ ROW_BUILDS = {
     "lucas": lambda: lucas(12, "closed"),
     "z": lambda: z_polynomial(12, "closed"),
     "triangle": lambda: triangle(12),
+    "l": lambda: univariate_l(12),
+    "t": lambda: chebyshev_t(12),
+    "s": lambda: wildberger_spread(12),
 }
 
 
@@ -237,30 +256,42 @@ ROW_BUILDS = {
 def test_an_inexact_row_step_raises(route, monkeypatch):
     # An explicit raise, not an assert: the next test checks it under python -O.
     with pytest.raises(ArithmeticError):
-        list(sequences._ratio_row(1, [(3, 2)]))
-    ratio_row = sequences._ratio_row
+        list(rows._ratio_row(1, [(3, 2)]))
+    ratio_row = rows._ratio_row
 
     def skewed(first, steps):
         return ratio_row(first, ((num + (i == 2), den) for i, (num, den) in enumerate(steps)))
 
-    monkeypatch.setattr(sequences, "_ratio_row", skewed)
+    monkeypatch.setattr(rows, "_ratio_row", skewed)
     with pytest.raises(ArithmeticError):
         ROW_BUILDS[route]()
 
 
 def test_an_inexact_row_step_raises_under_python_o():
-    # Every row route divides in the one kernel, so its raise is checked once.
+    # Every row route divides in the one kernel, so its raise is checked once,
+    # and then through the T and S rows, which step by negative ratios: with
+    # one step's numerator off by one, each refuses, never returning a
+    # polynomial.
     probe = (
-        "from spreadpoly import sequences\n"
+        "from spreadpoly import chebyshev_t, rows, wildberger_spread\n"
         "assert False, 'asserts are not stripped'\n"
         "try:\n"
-        "    list(sequences._ratio_row(1, [(3, 2)]))\n"
+        "    list(rows._ratio_row(1, [(3, 2)]))\n"
         "except ArithmeticError:\n"
         "    print('raised')\n"
+        "ratio_row = rows._ratio_row\n"
+        "rows._ratio_row = lambda first, steps: ratio_row(\n"
+        "    first, ((num + (i == 2), den) for i, (num, den) in enumerate(steps))\n"
+        ")\n"
+        "for build in (chebyshev_t, wildberger_spread):\n"
+        "    try:\n"
+        "        build(12)\n"
+        "    except ArithmeticError:\n"
+        "        print('raised')\n"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(poly.__file__))}
     proc = subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0 and proc.stdout == "raised\n", proc.stderr
+    assert proc.returncode == 0 and proc.stdout == "raised\n" * 3, proc.stderr
 
 
 def test_triangle_small():
@@ -374,13 +405,13 @@ def test_wildberger_spread_values():
 
 
 def test_wildberger_spread_non_integral_raises(monkeypatch):
-    # S(n)(2^W) = (2 - l(n)(2 - 4 * 2^W)) / 4.  Off by one, the value is no
-    # longer divisible by 4, and the check is an explicit raise, so it holds
-    # under python -O.
+    # The S ladder: S(n)(2^W) = (2 - l(n)(2 - 4 * 2^W)) / 4.  Off by one, the
+    # value is no longer divisible by 4, and the check is an explicit raise,
+    # so it holds under python -O.
     l_at = sequences._l_at
     monkeypatch.setattr(sequences, "_l_at", lambda *args: (value + 1 for value in l_at(*args)))
     with pytest.raises(ArithmeticError):
-        wildberger_spread(3)
+        S_LADDER(3)
 
 
 def test_wildberger_spread_is_the_rescaled_polynomial():
@@ -439,7 +470,7 @@ def test_digit_readers_are_the_compositions_they_replace():
     luc = _lucas_list(400)
     for n in range(201):
         sign = (-1) ** n
-        assert univariate_l(n) == luc[n].substitute_s(-1), n
+        assert L_LADDER(n) == luc[n].substitute_s(-1), n
         zx = (luc[2 * n].substitute_s(-1).halve_degrees() - 2 * sign).scale(-sign)
         assert spread_z_univariate(n, "via_l2n") == zx, n
         z = luc[2 * n].halve_degrees() - BiPoly.monomial(2, 0, n)
@@ -471,15 +502,18 @@ def test_digit_readers_take_exactly_the_bound_and_slots_of_their_l_member(route)
 # Every member built from digits or from a row of ints, without the
 # validating constructor.
 DIGIT_BUILT = {
-    "l": univariate_l,
+    "l": L_LADDER,
     "zx via_l2n": functools.partial(spread_z_univariate, method="via_l2n"),
     "z via_lucas": functools.partial(z_polynomial, method="via_lucas"),
     **{f"{name} closed": functools.partial(build, method="closed") for name, build in (
         ("fibonacci", fibonacci), ("lucas", lucas), ("z", z_polynomial)
     )},
     **{f"{name} recurrence": build for name, build in (
-        ("fibonacci", fibonacci), ("lucas", lucas), ("z", z_polynomial), ("t", chebyshev_t)
+        ("fibonacci", fibonacci), ("lucas", lucas), ("z", z_polynomial), ("t", T_LADDER)
     )},
+    "l closed": univariate_l,
+    "t closed": chebyshev_t,
+    "s closed": wildberger_spread,
 }
 
 
@@ -551,8 +585,8 @@ LADDER_ROUTES = {
     "z via_lucas": lambda: z_polynomial(200, "via_lucas"),
     "z via_fib": lambda: z_polynomial(200, "via_fib"),
     "z parity": lambda: z_polynomial(200, "parity"),
-    "univariate_l": lambda: univariate_l(400),
-    "chebyshev_t": lambda: chebyshev_t(400),
+    "univariate_l": lambda: L_LADDER(400),
+    "chebyshev_t": lambda: T_LADDER(400),
     "zx via_l2n": lambda: spread_z_univariate(200, "via_l2n"),
 }
 
@@ -562,8 +596,8 @@ STREAMED_ROUTES = {
     **{("lucas", m): functools.partial(lucas, method=m) for m in LUCAS_METHODS},
     **{("z", m): functools.partial(z_polynomial, method=m) for m in Z_METHODS},
     **{("zx", m): functools.partial(spread_z_univariate, method=m) for m in ZX_METHODS},
-    ("l", "recurrence"): univariate_l,
-    ("t", "recurrence"): chebyshev_t,
+    ("l", "recurrence"): L_LADDER,
+    ("t", "recurrence"): T_LADDER,
 }
 
 
@@ -613,7 +647,7 @@ PACKED_LADDERS = {
     "flipped fibonacci": (FLIPPED_FIB, _flipped_fib_member, sequences._fib_bound),
     "lucas": (sequences._LUCAS, lucas, sequences._lucas_bound),
     "z": (sequences._Z, z_polynomial, sequences._z_bound),
-    "chebyshev": (sequences._CHEBYSHEV, chebyshev_t, sequences._chebyshev_bound),
+    "chebyshev": (sequences._CHEBYSHEV, T_LADDER, sequences._chebyshev_bound),
 }
 
 # Every builder that climbs a recurrence, and so runs a packed ladder.
@@ -659,10 +693,10 @@ def test_packed_builder_is_its_stream_member(route):
 
 
 # Every packed builder: the ladder routes and S, which runs the l ladder.
-NARROW_ROUTES = {**PACKED_ROUTES, ("wildberger_spread",): wildberger_spread}
+NARROW_ROUTES = {**PACKED_ROUTES, ("wildberger_spread",): S_LADDER}
 
 # Every route with a packed ladder, by its stream's name, with its builder.
-LADDER_STREAMS = {**PACKED_ROUTES, ("s", "via_l"): wildberger_spread}
+LADDER_STREAMS = {**PACKED_ROUTES, ("s", "via_l"): S_LADDER}
 
 
 def _first(route):
@@ -1223,9 +1257,9 @@ def test_every_route_of_every_family_against_sympy():
         s_n = _integer_coefficients(half * (1 - t.compose(sympy.Poly(1 - 2 * x, x))))
         zx_n = _integer_coefficients(2 * (1 - t.compose(sympy.Poly(1 - half * x, x))))
         f_n = _integer_coefficients(sympy.Poly(sympy.fibonacci(n, x), x)) if n else {}
-        assert chebyshev_t(n) == UniPoly(t_n), n
-        assert univariate_l(n) == UniPoly(l_n), n
-        assert wildberger_spread(n) == UniPoly(s_n), n
+        assert chebyshev_t(n) == T_LADDER(n) == UniPoly(t_n), n
+        assert univariate_l(n) == L_LADDER(n) == UniPoly(l_n), n
+        assert wildberger_spread(n) == S_LADDER(n) == UniPoly(s_n), n
         for method in ZX_METHODS:
             assert spread_z_univariate(n, method) == UniPoly(zx_n), (n, method)
         fib = BiPoly({(k, (n - 1 - k) // 2): c for k, c in f_n.items()})

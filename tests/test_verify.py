@@ -316,6 +316,55 @@ def test_every_suite_reads_the_packed_route_gen_runs(family, monkeypatch):
     assert reported == {name: expected.get(name, set()) for name in verify.SUITES}
 
 
+def _skew_s_point(monkeypatch):
+    # The S ladder at x = 2 - 8 * 2^W where 2 - 4 * 2^W belongs: S(n)(2x) is
+    # read back, until a member no longer fits its slots.
+    l_at = sequences._l_at
+    monkeypatch.setattr(sequences, "_l_at", lambda shift, blocks: l_at(shift + (shift == 2), blocks))
+
+
+def _skew_s_reader(monkeypatch):
+    # The S ladder's reader given 4 less: S(n) + 1.
+    first, ladder, bound, member = sequences._ROUTES["s", "via_l"]
+    skewed = (first, ladder, bound, lambda value, *rest: member(value - 4, *rest))
+    monkeypatch.setitem(sequences._ROUTES, ("s", "via_l"), skewed)
+
+
+@pytest.mark.parametrize("skew", [_skew_s_point, _skew_s_reader], ids=["point", "reader"])
+def test_a_skewed_s_ladder_fails_closed_rows_and_no_other_suite(skew, monkeypatch):
+    # `gen` and the trig suite run the S row, so closed_rows is the one suite
+    # that reads the S ladder.  A refused member fails its route, which is
+    # read no further.
+    passing = verify.SUITES["closed_rows"](9)
+    assert passing.ok and passing.total == 3 * 10
+    skew(monkeypatch)
+    reported = {name: suite(9).ok for name, suite in verify.SUITES.items()}
+    assert reported == {name: name != "closed_rows" for name in verify.SUITES}
+    failures = verify.SUITES["closed_rows"](9).failures
+    assert {f.name for f in failures} == {"s:via_l"}
+    refused = [f for f in failures if f.witness[1].startswith("refused: ")]
+    assert refused in ([], [failures[-1]])
+
+
+@pytest.mark.parametrize(
+    "route", [("l", "recurrence"), ("t", "recurrence"), ("s", "via_l")], ids=":".join
+)
+def test_closed_rows_checks_the_ladder_builders_at_its_last_n(route, monkeypatch):
+    # A ladder builder whose own wiring is wrong, where its stream is right:
+    # the sweep must catch it at its last n, in one added result.
+    built = verify._built
+    passing = verify.SUITES["closed_rows"](N)
+
+    def off_at_the_last_n(family, method, n):
+        return built(family, method, n) + ((family, method, n) == (*route, N))
+
+    monkeypatch.setattr(verify, "_built", off_at_the_last_n)
+    assert verify.SUITES["closed_rows"](N - 1).ok
+    report = verify.SUITES["closed_rows"](N)
+    assert [(f.name, f.range) for f in report.failures] == [(":".join(route), f"n={N} builder")]
+    assert report.total == passing.total + 1
+
+
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=20)
 
 
